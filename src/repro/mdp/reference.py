@@ -318,11 +318,8 @@ def reference_build_digital_mdp(network, extra_constants=None,
     """The seed digital-clocks builder, including its intern off-by-one
     (`SearchLimitError` raised only after the state past ``max_states``
     was added and queued)."""
-    from ..pta.digital import (
-        DigitalMDP,
-        DigitalState,
-        _check_closed_diagonal_free,
-    )
+    from ..pta.digital import DigitalMDP, DigitalState
+    from ..ta.discrete import check_closed_diagonal_free
     from ..ta.transitions import (
         delay_forbidden,
         discrete_transitions,
@@ -331,7 +328,7 @@ def reference_build_digital_mdp(network, extra_constants=None,
     from .model import MDP
 
     network.freeze()
-    _check_closed_diagonal_free(network)
+    check_closed_diagonal_free(network, "digital-clocks semantics")
     caps = tuple(c + 1 for c in network.max_constants(extra_constants))
 
     mdp = MDP(network.name)

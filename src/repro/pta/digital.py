@@ -31,6 +31,7 @@ from weakref import WeakKeyDictionary
 
 from ..core.errors import ModelError, SearchLimitError
 from ..mdp.model import MDP
+from ..ta.discrete import IntegerClockSemantics
 from ..ta.transitions import (
     delay_forbidden,
     discrete_transitions,
@@ -92,24 +93,6 @@ class DigitalMDP:
         return f"DigitalMDP({self.mdp.num_states} states)"
 
 
-def _check_closed_diagonal_free(network):
-    for process in network.processes:
-        atoms = []
-        for loc in process.locations:
-            atoms.extend(loc.invariant)
-        for edge in process.automaton.edges:
-            atoms.extend(edge.guard)
-        for atom in atoms:
-            if atom.other is not None:
-                raise ModelError(
-                    "digital clocks require diagonal-free PTA "
-                    f"({process.name}: {atom!r})")
-            if atom.op in ("<", ">"):
-                raise ModelError(
-                    "digital clocks require closed PTA "
-                    f"({process.name}: {atom!r})")
-
-
 class _Fire:
     """Pre-encoded firing data of one candidate transition.
 
@@ -142,42 +125,17 @@ class _DigitalConfig:
         self.no_delay = no_delay
 
 
-class DigitalSemantics:
+class DigitalSemantics(IntegerClockSemantics):
     """Memoised digital-clocks semantics of a frozen PTA network.
 
     Holds the per-``(locs, valuation)`` firing tables (bounded LRU, as
-    in the zone graph) and the per-``(process, location)`` invariant
-    atom tables with pre-resolved clock indices.  One instance serves
-    any number of builds and simulation runs over the same network.
+    in the zone graph); the invariant tables, clock caps and the unit
+    delay come from :class:`~repro.ta.discrete.IntegerClockSemantics`.
+    One instance serves any number of builds and simulation runs over
+    the same network.
     """
 
-    def __init__(self, network, extra_constants=None):
-        # Imported here (not at module top) to avoid widening the
-        # package surface pulled in by a bare `import repro.pta`.
-        from ..mc.explorecore import LRUCache
-        from ..ta.zonegraph import DEFAULT_CACHE_SIZE
-
-        self.network = network.freeze()
-        _check_closed_diagonal_free(network)
-        self.caps = tuple(c + 1
-                          for c in network.max_constants(extra_constants))
-        self._configs = LRUCache(DEFAULT_CACHE_SIZE)
-        # Invariant atoms resolved once per (process, location): the
-        # clock indices never change, so the per-state work in
-        # invariants_hold is just the holds() calls themselves.
-        self._invariants = tuple(
-            tuple(
-                tuple((process.resolve_clock(atom.clock), atom)
-                      for atom in location.invariant)
-                for location in process.locations)
-            for process in network.processes)
-
-    def invariants_hold(self, locs, clocks):
-        for table in map(tuple.__getitem__, self._invariants, locs):
-            for index, atom in table:
-                if not atom.holds(clocks[index]):
-                    return False
-        return True
+    semantics_name = "digital-clocks semantics"
 
     def initial_state(self):
         network = self.network
@@ -259,11 +217,6 @@ class DigitalSemantics:
                 (probability, DigitalState(locs, valuation, new_clocks)))
         return results
 
-    def tick(self, clocks):
-        """Unit delay with saturation (the reference clock stays 0)."""
-        return (0,) + tuple(min(v + 1, cap)
-                            for v, cap in zip(clocks[1:], self.caps[1:]))
-
 
 #: network -> {constants key -> DigitalSemantics}; weak so dropping the
 #: network drops its memoised tables.
@@ -334,7 +287,7 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
             mdp.add_action(current, pairs, label=fire.label, reward=0.0)
         # Tick.
         if not config.no_delay:
-            ticked = sem.tick(clocks)
+            ticked = sem.ticked(clocks)
             if sem.invariants_hold(state.locs, ticked):
                 succ = DigitalState(state.locs, state.valuation, ticked)
                 mdp.add_action(current, [(1.0, intern(succ))],

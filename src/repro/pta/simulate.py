@@ -74,7 +74,7 @@ class DigitalSimulator:
 
     def _ticked(self, clocks):
         # The reference clock (index 0) stays at zero.
-        return self.semantics.tick(clocks)
+        return self.semantics.ticked(clocks)
 
     def _can_tick(self, state):
         if self.semantics.config_for(state.locs, state.valuation).no_delay:

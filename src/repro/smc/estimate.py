@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-
-from scipy import stats
+from statistics import NormalDist
 
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
@@ -35,6 +34,61 @@ def _flight_sample_estimate(recorder, z, done, successes):
                     high=round(min(1.0, p + half), 6))
 
 
+def _normal_quantile(confidence):
+    """The two-sided standard-normal critical value of ``confidence``."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2)
+
+
+def _beta_cf(a, b, x):
+    """Continued fraction of the regularised incomplete beta function
+    (modified Lentz; converges fast for ``x < (a + 1) / (a + b + 2)``)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100000):
+        m2 = 2 * m
+        for numerator in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= 4e-16:
+            break
+    return h
+
+
+def _beta_cdf(x, a, b):
+    """The regularised incomplete beta function I_x(a, b)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+
+def _beta_quantile(q, a, b):
+    """The ``q``-quantile of Beta(a, b): bisection on :func:`_beta_cdf`
+    down to adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _beta_cdf(mid, a, b) < q:
+            lo = mid
+        else:
+            hi = mid
+
+
 class ProbabilityEstimate:
     """A Bernoulli estimate with an exact confidence interval."""
 
@@ -43,6 +97,9 @@ class ProbabilityEstimate:
     def __init__(self, successes, runs, confidence=0.95):
         if runs <= 0:
             raise AnalysisError("need at least one run")
+        if not 0 <= successes <= runs:
+            raise AnalysisError(
+                f"successes {successes} outside 0..{runs} runs")
         self.successes = successes
         self.runs = runs
         self.confidence = confidence
@@ -50,13 +107,13 @@ class ProbabilityEstimate:
         if successes == 0:
             self.low = 0.0
         else:
-            self.low = float(stats.beta.ppf(
-                alpha / 2, successes, runs - successes + 1))
+            self.low = _beta_quantile(
+                alpha / 2, successes, runs - successes + 1)
         if successes == runs:
             self.high = 1.0
         else:
-            self.high = float(stats.beta.ppf(
-                1 - alpha / 2, successes + 1, runs - successes))
+            self.high = _beta_quantile(
+                1 - alpha / 2, successes + 1, runs - successes)
 
     @property
     def mean(self):
@@ -104,7 +161,7 @@ class MeanEstimate:
         return math.sqrt(sum((x - mu) ** 2 for x in self.samples) / (n - 1))
 
     def interval(self):
-        z = stats.norm.ppf(0.5 + self.confidence / 2)
+        z = _normal_quantile(self.confidence)
         half = z * self.std / math.sqrt(self.runs)
         return (self.mean - half, self.mean + half)
 
@@ -188,7 +245,7 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
     _require_executor("estimate_probability", executor, fault_policy,
                       checkpoint)
     recorder = active_recorder()
-    z = stats.norm.ppf(0.5 + confidence / 2) if recorder is not None \
+    z = _normal_quantile(confidence) if recorder is not None \
         else None
     with span("smc.estimate_probability", runs=runs) as sp:
         if executor is None:

@@ -36,6 +36,7 @@ class GameGraph:
         self.ctrl = []   # per state: list of (transition, succ_index)
         self.unc = []    # per state: list of (transition, succ_index)
         self.tick = []   # per state: succ_index or None
+        self._names_by_locs = {}  # locs tuple -> location name vector
         self._explore(max_states)
 
     def _intern(self, state, queue):
@@ -60,14 +61,9 @@ class GameGraph:
                     self.tick.append(None)
                 state = self.states[i]
                 ctrl_moves, unc_moves = [], []
-                for transition, succ in self.semantics.action_successors(
-                        state):
-                    j = self._intern(succ, queue)
-                    if all(edge.controllable
-                           for _process, edge in transition.participants):
-                        ctrl_moves.append((transition, j))
-                    else:
-                        unc_moves.append((transition, j))
+                for move, succ in self.semantics.moves(state):
+                    moves = ctrl_moves if move.controllable else unc_moves
+                    moves.append((move.transition, self._intern(succ, queue)))
                 self.ctrl[i] = ctrl_moves
                 self.unc[i] = unc_moves
                 ticked = self.semantics.tick(state)
@@ -90,6 +86,13 @@ class GameGraph:
         if collector is not None:
             collector.incr("tiga.arena_states", len(self.states))
 
+    def _names(self, locs):
+        names = self._names_by_locs.get(locs)
+        if names is None:
+            names = self.network.location_vector_names(locs)
+            self._names_by_locs[locs] = names
+        return names
+
     @property
     def num_states(self):
         return len(self.states)
@@ -99,8 +102,8 @@ class GameGraph:
         clocks)`` holds."""
         out = set()
         for i, state in enumerate(self.states):
-            names = self.network.location_vector_names(state.locs)
-            if predicate(names, state.valuation, state.clocks):
+            if predicate(self._names(state.locs), state.valuation,
+                         state.clocks):
                 out.add(i)
         return out
 

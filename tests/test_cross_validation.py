@@ -15,6 +15,12 @@ from repro.mc import EF, LocationIs, Verifier
 from repro.mdp import reachability_probability
 from repro.pta import PTA, PTANetwork, build_digital_mdp, DigitalSimulator
 from repro.ta import Automaton, DiscreteSemantics, Network, clk
+from repro.ta.discrete import DiscreteState
+from repro.ta.transitions import (
+    delay_forbidden,
+    discrete_transitions,
+    has_urgent_sync,
+)
 
 
 # -- random closed single-clock automata ----------------------------------------
@@ -80,6 +86,67 @@ def test_zone_and_discrete_reachability_agree(automaton):
     reachability (the soundness claim behind tiga/cora/tron)."""
     assert reachable_locations_zone(automaton) == \
         reachable_locations_discrete(automaton)
+
+
+def oracle_invariants_hold(network, locs, clocks):
+    return all(atom.holds(clocks[process.resolve_clock(atom.clock)])
+               for process, loc in zip(network.processes, locs)
+               for atom in process.location(loc).invariant)
+
+
+def oracle_step(network, state):
+    """One integer-time step computed per state, without any memo:
+    candidate transitions, clock guards, firing and target invariants,
+    then the tick.  Returns ``(actions, ticked_clocks)``."""
+    actions = []
+    for transition in discrete_transitions(network, state.locs,
+                                           state.valuation):
+        if not all(atom.holds(state.clocks[process.resolve_clock(
+                atom.clock)]) for process, atom in
+                transition.clock_guard_atoms()):
+            continue
+        clocks = list(state.clocks)
+        for index, value in transition.clock_resets():
+            clocks[index] = value
+        succ = DiscreteState(transition.target_locations(state.locs),
+                             transition.apply_updates(state.valuation),
+                             tuple(clocks))
+        if oracle_invariants_hold(network, succ.locs, succ.clocks):
+            actions.append((transition.describe(), succ.key()))
+    ticked = None
+    if not (delay_forbidden(network, state.locs)
+            or has_urgent_sync(network, state.locs, state.valuation)):
+        caps = [c + 1 for c in network.max_constants()]
+        clocks = (0,) + tuple(min(v + 1, cap)
+                              for v, cap in zip(state.clocks[1:], caps[1:]))
+        if oracle_invariants_hold(network, state.locs, clocks):
+            ticked = clocks
+    return actions, ticked
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_closed_ta())
+def test_memoised_discrete_steps_match_per_state_oracle(automaton):
+    """Every reachable state's action and tick successors equal the
+    unmemoised per-state computation."""
+    network = Network()
+    network.add_process("R", automaton)
+    semantics = DiscreteSemantics(network)
+    initial = semantics.initial()
+    seen = {initial.key()}
+    queue = [initial]
+    while queue:
+        state = queue.pop()
+        actions, ticked = oracle_step(network, state)
+        assert [(t.describe(), succ.key()) for t, succ
+                in semantics.action_successors(state)] == actions
+        tick = semantics.tick(state)
+        assert (tick.clocks if tick is not None else None) == ticked
+        assert semantics.can_tick(state) == (ticked is not None)
+        for _step, succ in semantics.successors(state):
+            if succ.key() not in seen:
+                seen.add(succ.key())
+                queue.append(succ)
 
 
 # -- random acyclic PTA: exact vs simulated probabilities -------------------------

@@ -3,7 +3,12 @@ search cutoffs, and error paths that the mainline tests do not hit."""
 
 import pytest
 
-from repro.core import AnalysisError, Declarations, ModelError
+from repro.core import (
+    AnalysisError,
+    Declarations,
+    EvaluationError,
+    ModelError,
+)
 from repro.mc import EF, LocationIs, Verifier, explore
 from repro.mdp import MDP, reachability_probability
 from repro.smc import StochasticSimulator
@@ -77,6 +82,50 @@ class TestUrgentChannels:
     def test_discrete_semantics_respects_urgent_sync(self):
         semantics = DiscreteSemantics(self._pair(urgent=True))
         assert not semantics.can_tick(semantics.initial())
+
+
+class TestDiscreteLazyChecks:
+    """The integer-time memo computes the no-delay flag and a
+    transition's post-state lazily, so no state raises an error it
+    would not raise on its own."""
+
+    def test_clock_disabled_edge_never_runs_its_update(self):
+        a = Automaton("A", clocks=["x"])
+        a.add_location("s")
+        a.add_location("t")
+        a.add_edge("s", "t", guard=[clk("x", ">=", 2)],
+                   update=[lambda env: env.__setitem__("n", 5)])
+        decls = Declarations()
+        decls.declare_int("n", 0, lo=0, hi=1)
+        semantics = DiscreteSemantics(network_of(a, decls=decls))
+        state = semantics.initial()
+        assert semantics.action_successors(state) == []
+        state = semantics.tick(state)
+        assert semantics.action_successors(state) == []
+        state = semantics.tick(state)
+        # The guard now holds: the out-of-range update runs and fails.
+        with pytest.raises(EvaluationError):
+            semantics.action_successors(state)
+
+    def test_urgent_clock_guard_error_surfaces_on_tick(self):
+        sender = Automaton("S", clocks=["x"])
+        sender.add_location("s0")
+        sender.add_location("s1")
+        sender.add_edge("s0", "s1", guard=[clk("x", ">=", 1)],
+                        sync=("c", "!"))
+        receiver = Automaton("R", clocks=[])
+        receiver.add_location("r0")
+        receiver.add_location("r1")
+        receiver.add_edge("r0", "r1", sync=("c", "?"))
+        semantics = DiscreteSemantics(
+            network_of(sender, receiver, urgent_channels=("c",)))
+        initial = semantics.initial()
+        assert semantics.action_successors(initial) == []
+        for _ in range(2):  # a failed check is not memoised
+            with pytest.raises(ModelError):
+                semantics.can_tick(initial)
+        with pytest.raises(ModelError):
+            semantics.tick(initial)
 
 
 class TestTimelocks:

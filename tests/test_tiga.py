@@ -1,6 +1,8 @@
 """Tests for timed games: solver correctness on hand-crafted games and
 the paper's train game (Figs. 2-3)."""
 
+import hashlib
+
 import pytest
 
 from repro.models.traingame import (
@@ -158,3 +160,37 @@ class TestTrainGame:
         graph = GameGraph(make_traingame(2, scale=2))
         wins, _s = controller_wins_safety(graph, safety_predicate(2))
         assert wins
+
+
+def arena_digest(graph):
+    """sha256 over the state keys in index order, each state's
+    controller and environment moves as ``(describe(), target)`` and its
+    tick target."""
+    digest = hashlib.sha256()
+    for i, state in enumerate(graph.states):
+        row = (state.key(),
+               [(t.describe(), j) for t, j in graph.ctrl[i]],
+               [(t.describe(), j) for t, j in graph.unc[i]],
+               graph.tick[i])
+        digest.update(repr(row).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestGoldenArena:
+    """The train-game arenas, pinned state by state to the ones the
+    unmemoised integer-time semantics built."""
+
+    @pytest.mark.parametrize("trains, scale, states, digest", [
+        (2, 2, 4096,
+         "5e1eb6451caf2248dfb9b433a130d78c72f7d4e9a8909cc1436421c48bc0f7dc"),
+        (3, 6, 17576,
+         "0344cc3be34c2ecf099338190f4d5e56bf853809e553e08524600f317c35e514"),
+    ])
+    def test_arena_unchanged(self, trains, scale, states, digest):
+        graph = GameGraph(make_traingame(trains, scale=scale))
+        assert graph.num_states == states
+        assert arena_digest(graph) == digest
+        if (trains, scale) == (3, 6):
+            # 17,576 states share 125 discrete configurations.
+            assert len(graph.semantics._configs) == 125
