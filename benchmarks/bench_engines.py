@@ -79,7 +79,8 @@ def test_exploration_ablation(benchmark, extrapolate, inclusion):
     network = make_traingate(2)
 
     def run():
-        graph = ZoneGraph(network, extrapolate=extrapolate)
+        graph = ZoneGraph(network,
+                          abstraction="lu+" if extrapolate else "none")
         return explore(graph, use_inclusion=inclusion).states_explored
 
     states = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -105,9 +106,7 @@ def test_exploration_core_vs_reference(benchmark):
                        evict_waiting=False).states_stored
 
     stored = benchmark.pedantic(run, rounds=1, iterations=1)
-    reference = reference_explore(
-        ZoneGraph(network, intern_zones=False, cache_size=0,
-                  abstraction="k"))
+    reference = reference_explore(ZoneGraph(network, abstraction="k"))
     assert stored == reference.states_stored
     lu = explore(ZoneGraph(network))
     assert lu.states_stored <= stored
@@ -139,8 +138,7 @@ def exploration_benchmark(n, require_speedup=None, abstraction="lu+"):
               abstraction=abstraction) as sp:
         for name, graph, search, kwargs in (
                 ("reference",
-                 ZoneGraph(network, intern_zones=False, cache_size=0,
-                           abstraction="k"),
+                 ZoneGraph(network, abstraction="k"),
                  reference_explore, {}),
                 ("core-k",
                  ZoneGraph(network, abstraction="k"),

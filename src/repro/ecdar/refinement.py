@@ -23,9 +23,6 @@ from ..mc.explorecore import Frontier, LRUCache, PassedWaitingList
 from ..ta.discrete import DiscreteSemantics
 from ..ta.network import Network
 
-#: Bound on each side's move cache (see :class:`_Side`).
-MOVE_CACHE_SIZE = 1 << 16
-
 
 class RefinementResult:
     """Outcome of a refinement check."""
@@ -68,7 +65,7 @@ class _Side:
         # Moves are looked up repeatedly (phase-1 exploration, every
         # fixpoint re-examination); the bounded LRU of the shared
         # exploration core replaces the seed's unbounded dict.
-        self._cache = LRUCache(MOVE_CACHE_SIZE)
+        self._cache = LRUCache()
 
     def initial(self):
         return self.semantics.initial()

@@ -205,9 +205,7 @@ def _check_explore(gate, model_name, network_a, network_b):
     new = explore(ZoneGraph(network_a, abstraction="k"),
                   on_state=lambda s: configs_k.add(s.discrete_key()),
                   evict_waiting=False)
-    ref = reference_explore(
-        ZoneGraph(network_b, intern_zones=False, cache_size=0,
-                  abstraction="k"))
+    ref = reference_explore(ZoneGraph(network_b, abstraction="k"))
     for field in ("found", "states_explored", "states_stored"):
         mine, theirs = getattr(new, field), getattr(ref, field)
         gate.record(

@@ -5,14 +5,6 @@ it nor from any of its delay successors.  On a delay-closed symbolic
 state this becomes a zone inclusion: the state is deadlock-free iff its
 zone is covered by the down-closure (time predecessors) of the union of
 the guard-satisfying zone parts of its enabled transitions.
-
-Results are memoised in the graph's ``deadlock_cache`` (an
-:class:`~repro.mc.explorecore.LRUCache` keyed by discrete configuration
-and interned-zone identity), so checking ``E<> deadlock`` and
-``A[] not deadlock`` over the same graph computes each federation once.
-As with the successor cache, a hit replays the zone/constraint stat
-deltas of the original computation, keeping the logical
-:class:`~repro.ta.zonegraph.ZoneGraphStats` totals cache-invariant.
 """
 
 from __future__ import annotations
@@ -21,7 +13,8 @@ from ..dbm.federation import Federation
 from ..ta.transitions import delay_forbidden
 
 
-def _deadlocked_part_uncached(graph, state):
+def deadlocked_part(graph, state):
+    """The sub-zone of ``state`` whose points deadlock (may be empty)."""
     network = graph.network
     parts = graph.enabled_action_zone_parts(state)
     size = network.dbm_size
@@ -34,25 +27,6 @@ def _deadlocked_part_uncached(graph, state):
         # and delay-closed, so staying inside it on the way is automatic.
         enabled = enabled.down()
     return whole.subtract(enabled)
-
-
-def deadlocked_part(graph, state):
-    """The sub-zone of ``state`` whose points deadlock (may be empty)."""
-    cache = getattr(graph, "deadlock_cache", None)
-    stats = getattr(graph, "stats", None)
-    if cache is None or stats is None:
-        return _deadlocked_part_uncached(graph, state)
-    key = (state.locs, state.valuation.values, id(state.zone))
-    hit = cache.get(key)
-    if hit is not None:
-        part, deltas = hit
-        stats.replay(deltas)
-        return part
-    before = stats.snapshot()
-    part = _deadlocked_part_uncached(graph, state)
-    deltas = tuple(after - b for after, b in zip(stats.snapshot(), before))
-    cache.put(key, (part, deltas))
-    return part
 
 
 def has_deadlock(graph, state):

@@ -11,6 +11,24 @@ from .deadlock import has_deadlock
 from .queries import AF, AG, ClockPred, Deadlock, EF, EG, LeadsTo, Not
 from .reachability import explore
 
+_DEADLOCK_ALONE = ("the deadlock atom may only appear alone in "
+                   "E<> deadlock / A[] not deadlock")
+
+
+def _subformulas(formula):
+    """``formula`` and every formula nested in it, depth first."""
+    yield formula
+    for attr in ("operand", "operands", "formula", "premise", "conclusion"):
+        inner = getattr(formula, attr, None)
+        if inner is None:
+            continue
+        for item in inner if isinstance(inner, tuple) else (inner,):
+            yield from _subformulas(item)
+
+
+def _contains_deadlock_atom(formula):
+    return any(isinstance(f, Deadlock) for f in _subformulas(formula))
+
 
 class VerificationResult:
     """Outcome of a query: verdict plus diagnostics."""
@@ -37,18 +55,12 @@ class VerificationResult:
 class Verifier:
     """Zone-based model checker for a network of timed automata."""
 
-    def __init__(self, network, extrapolate=True, use_inclusion=True,
-                 extra_constants=None, max_states=200000,
-                 abstraction="lu+", evict_waiting=True):
+    def __init__(self, network, use_inclusion=True, extra_constants=None,
+                 max_states=200000):
         self.network = network
-        self.extrapolate = extrapolate
-        self.abstraction = abstraction
         self._extra = dict(extra_constants) if extra_constants else {}
-        self.graph = ZoneGraph(network, extrapolate=extrapolate,
-                               extra_constants=extra_constants,
-                               abstraction=abstraction)
+        self.graph = ZoneGraph(network, extra_constants=extra_constants)
         self.use_inclusion = use_inclusion
-        self.evict_waiting = evict_waiting
         self.max_states = max_states
         self._full_graph = None
         self._k_graph = None
@@ -68,6 +80,11 @@ class Verifier:
             from .parser import parse_query
 
             query = parse_query(query)
+        deadlock = _contains_deadlock_atom(query)
+        if deadlock and isinstance(query, (AF, EG, LeadsTo)):
+            # Liveness runs on the materialised graph, whose nodes
+            # cannot evaluate the atom: reject before building it.
+            raise QueryError(_DEADLOCK_ALONE)
         self._absorb_query_clocks(query)
         # The deadlock atom reads zone *contents* (is any action
         # enabled from every point?), which LU extrapolation and
@@ -75,12 +92,11 @@ class Verifier:
         # classic-k graph, the abstraction the deadlock semantics was
         # validated against; location predicates keep the fast graph.
         default_graph = self.graph
-        if self.abstraction not in ("k", "none") \
-                and self._contains_deadlock_atom(query):
+        if deadlock and self.graph.abstraction == "lu+":
             if self._k_graph is None:
                 self._k_graph = ZoneGraph(
-                    self.network, extrapolate=self.extrapolate,
-                    extra_constants=self._extra, abstraction="k")
+                    self.network, extra_constants=self._extra,
+                    abstraction="k")
             self.graph = self._k_graph
         try:
             with span("mc.check", query=type(query).__name__) as sp:
@@ -108,30 +124,19 @@ class Verifier:
         tightens the constants, so clock-free queries share one graph.
         """
         found = {}
-
-        def visit(formula):
-            if isinstance(formula, ClockPred):
-                process = self.network.process_by_name(formula.process_name)
-                atom = formula.atom
-                clocks = [atom.clock]
-                if getattr(atom, "other", None) is not None:
-                    clocks.append(atom.other)
-                for name in clocks:
-                    gi = process.resolve_clock(name)
-                    c = abs(atom.bound)
-                    if found.get(gi, -1) < c:
-                        found[gi] = c
-                return
-            for attr in ("operand", "operands", "formula",
-                         "premise", "conclusion"):
-                inner = getattr(formula, attr, None)
-                if inner is None:
-                    continue
-                items = inner if isinstance(inner, tuple) else (inner,)
-                for item in items:
-                    visit(item)
-
-        visit(query)
+        for formula in _subformulas(query):
+            if not isinstance(formula, ClockPred):
+                continue
+            process = self.network.process_by_name(formula.process_name)
+            atom = formula.atom
+            clocks = [atom.clock]
+            if getattr(atom, "other", None) is not None:
+                clocks.append(atom.other)
+            for name in clocks:
+                gi = process.resolve_clock(name)
+                c = abs(atom.bound)
+                if found.get(gi, -1) < c:
+                    found[gi] = c
         changed = False
         for gi, c in found.items():
             if self._extra.get(gi, -1) < c:
@@ -139,9 +144,7 @@ class Verifier:
                 changed = True
         if changed:
             self.graph = ZoneGraph(self.network,
-                                   extrapolate=self.extrapolate,
-                                   extra_constants=self._extra,
-                                   abstraction=self.abstraction)
+                                   extra_constants=self._extra)
             self._full_graph = None
             self._k_graph = None
 
@@ -174,8 +177,7 @@ class Verifier:
 
         explore(self.graph, on_state=observe,
                 use_inclusion=self.use_inclusion,
-                max_states=self.max_states,
-                evict_waiting=self.evict_waiting)
+                max_states=self.max_states)
         return best[0]
 
     def inf(self, value_of):
@@ -189,38 +191,22 @@ class Verifier:
 
         explore(self.graph, on_state=observe,
                 use_inclusion=self.use_inclusion,
-                max_states=self.max_states,
-                evict_waiting=self.evict_waiting)
+                max_states=self.max_states)
         return best[0]
 
     # -- reachability queries ----------------------------------------------------
 
-    def _contains_deadlock_atom(self, formula):
-        if isinstance(formula, Deadlock):
-            return True
-        for attr in ("operand", "operands", "formula"):
-            inner = getattr(formula, attr, None)
-            if inner is None:
-                continue
-            items = inner if isinstance(inner, tuple) else (inner,)
-            if any(self._contains_deadlock_atom(i) for i in items):
-                return True
-        return False
-
     def _goal_predicate(self, formula):
         if isinstance(formula, Deadlock):
             return lambda state: has_deadlock(self.graph, state)
-        if self._contains_deadlock_atom(formula):
-            raise QueryError(
-                "the deadlock atom may only appear alone in E<> deadlock / "
-                "A[] not deadlock")
+        if _contains_deadlock_atom(formula):
+            raise QueryError(_DEADLOCK_ALONE)
         return lambda state: formula.holds(self.network, state)
 
     def _check_ef(self, query):
         result = explore(self.graph, goal=self._goal_predicate(query.formula),
                          use_inclusion=self.use_inclusion,
-                         max_states=self.max_states,
-                         evict_waiting=self.evict_waiting)
+                         max_states=self.max_states)
         return VerificationResult(query, result.found, result.witness,
                                   result.trace, result.states_explored)
 

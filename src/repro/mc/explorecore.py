@@ -24,19 +24,13 @@ hot path linear instead of quadratic:
   :meth:`~repro.dbm.DBM.key`.  Passed-list buckets, federations and
   graph nodes then share one object per distinct zone, so equality
   pre-checks become identity hits and node keys can use ``id(zone)``
-  instead of re-hashing the full matrix.
-* :class:`LRUCache` — the bounded memo behind the successor cache on
-  :meth:`repro.ta.zonegraph.ZoneGraph._fire` (keyed by
-  ``(discrete_key, zone id, transition id)``) and the ECDAR move cache.
-
-Cache invariant (asserted by ``tests/test_explorecore.py`` and the
-``bench_engines.py`` exploration benchmark): results are **bit-identical
-with caching on or off** — same verdicts, witnesses and logical
-counters.  Physical cache effectiveness is reported separately through
-the ``mc.zone_interned`` / ``mc.succ_cache_hits`` observability
-counters; cached successor hits *replay* the zone/constraint counter
-deltas recorded when the entry was computed, so the logical
-``ZoneGraphStats`` totals never depend on cache state.
+  instead of re-hashing the full matrix.  Interning is physical: its
+  sharing events are reported as the ``mc.zone_interned`` counter,
+  apart from the logical counters the differential tests compare.
+* :class:`LRUCache` — the bounded memo behind the per-configuration
+  tables of :class:`repro.ta.zonegraph.ZoneGraph` and
+  :class:`repro.ta.discrete.DiscreteSemantics`, and the ECDAR move
+  cache.  :data:`DEFAULT_CACHE_SIZE` is its one default bound.
 """
 
 from __future__ import annotations
@@ -44,6 +38,11 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from ..core.errors import ModelError, SearchLimitError
+
+#: Default bound of every :class:`LRUCache`.  Each entry is a handful of
+#: machine words; 64k entries comfortably cover the benchmark models
+#: while bounding memory on adversarial ones.
+DEFAULT_CACHE_SIZE = 1 << 16
 
 __all__ = [
     "Frontier",
@@ -313,21 +312,14 @@ class ZoneStore:
 
 
 class LRUCache:
-    """A bounded least-recently-used memo table.
-
-    Backs the successor cache on :meth:`ZoneGraph._fire
-    <repro.ta.zonegraph.ZoneGraph._fire>` and the ECDAR move cache.
-    ``maxsize=None`` means unbounded; ``maxsize=0`` disables the cache
-    entirely (every lookup misses, nothing is stored) — handy for the
-    cache-on/off equivalence checks.
-    """
+    """A bounded least-recently-used memo table of ``maxsize`` entries."""
 
     __slots__ = ("maxsize", "hits", "misses", "_data")
 
     _MISSING = object()
 
-    def __init__(self, maxsize=None):
-        if maxsize is not None and maxsize < 0:
+    def __init__(self, maxsize=DEFAULT_CACHE_SIZE):
+        if maxsize < 1:
             raise ModelError(f"bad cache size {maxsize!r}")
         self.maxsize = maxsize
         self.hits = 0
@@ -344,13 +336,11 @@ class LRUCache:
         return value
 
     def put(self, key, value):
-        if self.maxsize == 0:
-            return
         data = self._data
         if key in data:
             data.move_to_end(key)
         data[key] = value
-        if self.maxsize is not None and len(data) > self.maxsize:
+        if len(data) > self.maxsize:
             data.popitem(last=False)
 
     def __contains__(self, key):

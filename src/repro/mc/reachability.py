@@ -25,7 +25,7 @@ differential testing and benchmarking.
 Both entry points are instrumented through :mod:`repro.obs`: with a
 collector installed they flush states-explored / passed-list / zone
 counters at the end of the search (plus the physical
-``mc.zone_interned`` / ``mc.succ_cache_hits`` cache deltas), emit a
+``mc.zone_interned`` interning delta), emit a
 ``mc.explore`` span, and send periodic
 :func:`~repro.obs.progress.heartbeat` events.  With a flight recorder
 active (:func:`repro.obs.flight.recording`) the same deterministic
@@ -73,21 +73,14 @@ class Reachability:
                 f"explored={self.states_explored})")
 
 
-#: Back-compatible name: the passed list now *is* the unified
-#: passed/waiting store of the exploration core.
-PassedList = PassedWaitingList
-
-
 def _cache_snapshot(graph):
-    """Physical cache counters of a graph (zeros when caching is off)."""
+    """The graph's zone-interning hits (zero for graphs without a store)."""
     store = getattr(graph, "zone_store", None)
-    cache = getattr(graph, "succ_cache", None)
-    return (store.hits if store is not None else 0,
-            cache.hits if cache is not None else 0)
+    return store.hits if store is not None else 0
 
 
 def _record_search(collector, result, passed, graph, zones_before,
-                   caches_before=(0, 0)):
+                   caches_before):
     """Flush one search's counters into the active collector."""
     collector.incr("mc.searches")
     collector.incr("mc.states_explored", result.states_explored)
@@ -105,13 +98,9 @@ def _record_search(collector, result, passed, graph, zones_before,
         collector.incr("mc.zones_pruned_empty", deltas[2])
         collector.incr("mc.lu_extrapolated", deltas[3])
         collector.incr("mc.inactive_clocks_freed", deltas[4])
-    interned, cache_hits = (
-        after - before
-        for after, before in zip(_cache_snapshot(graph), caches_before))
+    interned = _cache_snapshot(graph) - caches_before
     if interned:
         collector.incr("mc.zone_interned", interned)
-    if cache_hits:
-        collector.incr("mc.succ_cache_hits", cache_hits)
 
 
 def explore(graph, goal=None, on_state=None, use_inclusion=True,
@@ -196,18 +185,15 @@ def build_graph(graph, max_states=200000):
     initial_index)`` where ``nodes`` is a list of symbolic states and
     ``edges[i]`` the list of ``(transition, j)`` successors.
 
-    With an interning graph, node identity is ``(discrete part, zone
-    object)`` — exact zone equality resolved by the store, without
+    Node identity is ``(discrete part, zone object)``: the graph interns
+    its zones, so exact zone equality is resolved by its store without
     re-hashing the DBM per visit.  Exceeding ``max_states`` raises
     :class:`~repro.core.errors.SearchLimitError`.
     """
-    interned = getattr(graph, "zone_store", None) is not None
     recorder = active_recorder()
 
     def node_key(state):
-        if interned:
-            return (state.locs, state.valuation.values, id(state.zone))
-        return state.key()
+        return (state.locs, state.valuation.values, id(state.zone))
 
     with span("mc.build_graph") as sp:
         initial = graph.initial()

@@ -81,7 +81,6 @@ class IntegerClockSemantics:
         # Imported here, not at module top: the `repro.mc` package
         # imports `repro.ta`.
         from ..mc.explorecore import LRUCache
-        from .zonegraph import DEFAULT_CACHE_SIZE
 
         self.network = network.freeze()
         check_closed_diagonal_free(network, self.semantics_name)
@@ -90,7 +89,7 @@ class IntegerClockSemantics:
                           for c in network.max_constants(extra_constants))
         # Cap 0 keeps the reference clock at zero under ticked().
         self._tick_caps = (0,) + self.caps[1:]
-        self._configs = LRUCache(DEFAULT_CACHE_SIZE)
+        self._configs = LRUCache()
         # Invariant atoms resolved once per (process, location): the
         # clock indices never change, so the per-state work in
         # invariants_hold is just the holds() calls themselves.

@@ -18,23 +18,15 @@ terminates; the ``abstraction`` knob picks how coarsely:
 ``"none"``
     No abstraction (termination only on inherently bounded models).
 
-Zone storage and successor computation go through the shared
-exploration core (:mod:`repro.mc.explorecore`):
-
-* every zone handed out by the graph is **interned** in a
-  :class:`~repro.mc.explorecore.ZoneStore`, so all states, passed-list
-  buckets and graph nodes share one DBM object per distinct zone.
-  Interned zones must be copied before mutation (every operation below
-  already works on fresh copies);
-* :meth:`ZoneGraph._fire` is memoised in an LRU successor cache keyed
-  by ``(discrete_key, zone id, transition id)`` — sound because the
-  interned zone object *is* the identity of its zone, and transition
-  objects are themselves cached per discrete configuration.
-
-Caching is purely physical: a cache hit replays the zone/constraint
-counter deltas recorded when the entry was first computed, so the
-logical :class:`ZoneGraphStats` totals (and everything derived from
-them in :mod:`repro.obs`) are bit-identical with the cache on or off.
+Every zone handed out by the graph is **interned** in a
+:class:`~repro.mc.explorecore.ZoneStore`, so all states, passed-list
+buckets and graph nodes share one DBM object per distinct zone.
+Interned zones must be copied before mutation (every operation below
+already works on fresh copies).  The untimed data of each discrete
+configuration is memoised (:class:`_Config`); successor zones are not:
+one search expands each stored state once, and the only re-walks of a
+graph (liveness after safety, repeated queries on one verifier) saved
+less than the lookups cost on the deadlock query.
 """
 
 from __future__ import annotations
@@ -48,28 +40,22 @@ from .transitions import (
     has_urgent_sync,
 )
 
-#: Default bound on the successor / transition / deadlock caches.  Each
-#: entry is a handful of machine words; 64k entries comfortably cover
-#: the benchmark models while bounding memory on adversarial ones.
-DEFAULT_CACHE_SIZE = 1 << 16
-
 
 class _Config:
     """Memoised untimed data of one discrete configuration.
 
     Everything about a configuration that does not depend on the zone:
-    its candidate transitions, the fully pre-encoded firing data of each
-    (clock-guard constraint triples grouped per atom, resets, target
-    locations and valuation), and whether delay is blocked (committed /
-    urgent locations or an enabled urgent synchronisation).  Computed
-    once per ``(locs, valuation)`` and shared by every zone that reaches
-    the configuration.
+    the fully pre-encoded firing data of each candidate transition (the
+    transition, its clock-guard constraint triples grouped per atom,
+    resets, target locations and valuation), and whether delay is
+    blocked (committed / urgent locations or an enabled urgent
+    synchronisation).  Computed once per ``(locs, valuation)`` and
+    shared by every zone that reaches the configuration.
     """
 
-    __slots__ = ("transitions", "fires", "no_delay")
+    __slots__ = ("fires", "no_delay")
 
-    def __init__(self, transitions, fires, no_delay):
-        self.transitions = transitions
+    def __init__(self, fires, no_delay):
         self.fires = fires
         self.no_delay = no_delay
 
@@ -101,11 +87,6 @@ class ZoneGraphStats:
     the O(n^2) DBM work each operation performs, so counting stays on
     unconditionally; :func:`repro.mc.reachability.explore` flushes the
     *delta* of a search into the active metrics collector.
-
-    These are *logical* counters: successor-cache hits replay the
-    deltas of the original computation, so the totals are independent
-    of caching.  Physical cache effectiveness lives on the caches
-    themselves (``graph.succ_cache.hits``, ``graph.zone_store.hits``).
     """
 
     __slots__ = ("zones_created", "constraints_applied", "empty_zones",
@@ -123,14 +104,6 @@ class ZoneGraphStats:
                 self.empty_zones, self.lu_extrapolated,
                 self.inactive_clocks_freed)
 
-    def replay(self, deltas):
-        """Re-apply a recorded snapshot delta (cache-hit bookkeeping)."""
-        self.zones_created += deltas[0]
-        self.constraints_applied += deltas[1]
-        self.empty_zones += deltas[2]
-        self.lu_extrapolated += deltas[3]
-        self.inactive_clocks_freed += deltas[4]
-
     def __repr__(self):
         return (f"ZoneGraphStats(zones={self.zones_created}, "
                 f"constraints={self.constraints_applied}, "
@@ -142,17 +115,17 @@ class ZoneGraphStats:
 class ZoneGraph:
     """On-the-fly symbolic transition system of a network.
 
-    ``cache_size`` bounds the successor cache (``0`` disables caching,
-    ``None`` leaves it unbounded); ``intern_zones=False`` switches the
-    hash-consing layer off (then the successor cache is disabled too,
-    since its keys rely on zone identity).  ``abstraction`` selects the
-    finite abstraction (see the module docstring); ``extrapolate=False``
-    is kept as a back-compatible alias for ``abstraction="none"``.
+    ``abstraction`` selects the finite abstraction (see the module
+    docstring); ``extra_constants`` raises clock bounds beyond the
+    model's own constants (query clocks, see :class:`repro.mc.Verifier`).
     """
 
-    def __init__(self, network, extrapolate=True, extra_constants=None,
-                 intern_zones=True, cache_size=DEFAULT_CACHE_SIZE,
-                 abstraction="lu+"):
+    #: There is no successor cache.  The attribute stays because the
+    #: benchmark's workloads read ``verifier.graph.succ_cache`` and skip
+    #: a ``None`` value.
+    succ_cache = None
+
+    def __init__(self, network, extra_constants=None, abstraction="lu+"):
         # Imported here (not at module top) to avoid the package cycle
         # repro.ta -> repro.mc -> repro.mc.engine -> repro.ta.zonegraph.
         from ..mc.explorecore import LRUCache, ZoneStore
@@ -160,8 +133,6 @@ class ZoneGraph:
         self.network = network.freeze()
         if abstraction not in ("lu+", "k", "none"):
             raise ModelError(f"unknown abstraction {abstraction!r}")
-        if not extrapolate:
-            abstraction = "none"
         bounds = None
         if abstraction == "lu+":
             bounds = network_bounds(self.network, extra_constants)
@@ -172,16 +143,11 @@ class ZoneGraph:
                 bounds = None
         self.abstraction = abstraction
         self._bounds = bounds
-        self.extrapolate = abstraction != "none"
         self._max_constants = (network.max_constants(extra_constants)
                                if abstraction == "k" else None)
         self.stats = ZoneGraphStats()
-        self.zone_store = ZoneStore() if intern_zones else None
-        caching = intern_zones and cache_size != 0
-        self.succ_cache = LRUCache(cache_size) if caching else None
-        #: Memoised ``deadlocked_part`` results (see repro.mc.deadlock).
-        self.deadlock_cache = LRUCache(cache_size) if caching else None
-        self._trans_cache = LRUCache(cache_size)
+        self.zone_store = ZoneStore()
+        self._trans_cache = LRUCache()
         # Invariant atoms encoded once per (process, location): the
         # (i, j, bound) triples never change, so the per-zone work in
         # _apply_invariants is just the constrain calls themselves.
@@ -195,17 +161,10 @@ class ZoneGraph:
             for process in self.network.processes)
 
     def telemetry(self):
-        """In-flight cache-layer gauges for the flight recorder's
-        ``mc.explore`` time series: zone-store population and successor
-        cache size (keys present only for the layers enabled).  These
-        are *physical* quantities — they vary with cache configuration,
-        unlike the logical exploration counters."""
-        values = {}
-        if self.zone_store is not None:
-            values["zones_interned"] = self.zone_store.distinct
-        if self.succ_cache is not None:
-            values["succ_cache"] = len(self.succ_cache)
-        return values
+        """In-flight gauge for the flight recorder's ``mc.explore`` time
+        series: the zone-store population, a *physical* quantity unlike
+        the logical exploration counters."""
+        return {"zones_interned": self.zone_store.distinct}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -241,22 +200,15 @@ class ZoneGraph:
             lowers, uppers = bounds.lu_for(locs)
             zone.extrapolate_lu(lowers, uppers)
             stats.lu_extrapolated += 1
-        elif self.extrapolate:
+        elif self._max_constants is not None:
             zone.extrapolate(self._max_constants)
         return zone
-
-    def _intern(self, zone):
-        if self.zone_store is None:
-            return zone
-        return self.zone_store.intern(zone)
 
     def _config_for(self, locs, valuation):
         """The memoised :class:`_Config` of a discrete configuration.
 
         Reusing one record per configuration keeps enumeration and
-        constraint encoding off the hot path *and* gives every
-        transition a stable object identity, which is what the
-        successor-cache key relies on.
+        constraint encoding off the hot path.
         """
         key = (locs, valuation.values)
         config = self._trans_cache.get(key)
@@ -274,13 +226,9 @@ class ZoneGraph:
             for transition in transitions)
         no_delay = (delay_forbidden(network, locs)
                     or has_urgent_sync(network, locs, valuation, transitions))
-        config = _Config(transitions, fires, no_delay)
+        config = _Config(fires, no_delay)
         self._trans_cache.put(key, config)
         return config
-
-    def _transitions_for(self, locs, valuation):
-        """Candidate transitions of a discrete configuration, memoised."""
-        return self._config_for(locs, valuation).transitions
 
     # -- transition system ------------------------------------------------------
 
@@ -292,40 +240,17 @@ class ZoneGraph:
         zone = self._apply_invariants(zone, locs)
         zone = self._delay_close(zone, locs, self._config_for(locs, valuation))
         return SymState(locs, valuation,
-                        self._intern(self._finish(zone, locs)))
+                        self.zone_store.intern(self._finish(zone, locs)))
 
     def successors(self, state):
         """Yield ``(transition, successor)`` pairs."""
         out = []
         config = self._config_for(state.locs, state.valuation)
-        for index, entry in enumerate(config.fires):
-            succ = self._fire_cached(state, entry, index)
+        for entry in config.fires:
+            succ = self._fire(state, entry)
             if succ is not None:
                 out.append((entry[0], succ))
         return out
-
-    def _fire_cached(self, state, entry, index):
-        cache = self.succ_cache
-        if cache is None:
-            succ, _deltas = self._fire_counted(state, entry)
-            return succ
-        key = (state.locs, state.valuation.values, id(state.zone), index)
-        hit = cache.get(key)
-        if hit is not None:
-            succ, deltas = hit
-            self.stats.replay(deltas)
-            return succ
-        succ, deltas = self._fire_counted(state, entry)
-        cache.put(key, (succ, deltas))
-        return succ
-
-    def _fire_counted(self, state, entry):
-        """:meth:`_fire` plus the stat deltas it produced (for replay)."""
-        stats = self.stats
-        before = stats.snapshot()
-        succ = self._fire(state, entry)
-        deltas = tuple(a - b for a, b in zip(stats.snapshot(), before))
-        return succ, deltas
 
     def _fire(self, state, entry):
         stats = self.stats
@@ -357,7 +282,7 @@ class ZoneGraph:
             stats.empty_zones += 1
             return None
         return SymState(new_locs, new_valuation,
-                        self._intern(self._finish(zone, new_locs)))
+                        self.zone_store.intern(self._finish(zone, new_locs)))
 
     def enabled_action_zone_parts(self, state):
         """For each enabled transition, the part of the zone where its

@@ -4,9 +4,7 @@ structures and the old-vs-new differential equivalence contract.
 The contract (ISSUE: exploration rework): the production
 :func:`repro.mc.explore` must agree **bit for bit** with the preserved
 seed engine (:func:`repro.mc.reference.reference_explore`) — same
-verdicts, witnesses, state counts and logical observability totals —
-and must itself be invariant under switching the zone-interning /
-successor-cache layer on or off.
+verdicts, witnesses, state counts and logical observability totals.
 """
 
 import pytest
@@ -18,12 +16,14 @@ from repro.mc import (
     Frontier,
     LRUCache,
     TraceNode,
+    Verifier,
     ZoneStore,
     build_graph,
     explore,
     materialise,
     reconstruct_trace,
 )
+from repro.mc.explorecore import DEFAULT_CACHE_SIZE
 from repro.mc.reference import reference_explore
 from repro.models.brp import make_brp
 from repro.models.fischer import make_fischer
@@ -124,17 +124,12 @@ class TestLRUCache:
         assert "b" not in cache
         assert cache.get("a") == 1 and cache.get("c") == 3
 
-    def test_maxsize_zero_disables_storage(self):
-        cache = LRUCache(0)
-        cache.put("a", 1)
-        assert len(cache) == 0
-        assert cache.get("a") is None
+    def test_maxsize_zero_rejected(self):
+        with pytest.raises(ModelError):
+            LRUCache(0)
 
-    def test_maxsize_none_is_unbounded(self):
-        cache = LRUCache(None)
-        for i in range(1000):
-            cache.put(i, i)
-        assert len(cache) == 1000
+    def test_default_maxsize_is_the_shared_bound(self):
+        assert LRUCache().maxsize == DEFAULT_CACHE_SIZE
 
     def test_negative_size_rejected(self):
         with pytest.raises(ModelError):
@@ -158,9 +153,9 @@ MODELS = [
     pytest.param(lambda: make_brp(n_frames=2, max_retrans=1), id="brp"),
 ]
 
-#: Physical cache diagnostics, legitimately different across engine
-#: configurations; everything else under ``mc.`` must match exactly.
-PHYSICAL = ("mc.zone_interned", "mc.succ_cache_hits")
+#: Physical interning diagnostics, legitimately different across
+#: engines; everything else under ``mc.`` must match exactly.
+PHYSICAL = ("mc.zone_interned",)
 
 
 def _logical_mc(snapshot):
@@ -171,24 +166,17 @@ def _logical_mc(snapshot):
 def _run(engine, network, **kwargs):
     """One observed search; returns (result, graph stats, mc counters).
 
-    All engines run the *compat* configuration — classic
-    k-extrapolation and no waiting-list eviction — which is the
-    bit-identical anchor against the seed engine.  The coarser lu+
-    abstraction and bidirectional subsumption are checked separately
-    (:class:`TestAbstractionEquivalence`) with set-level assertions,
-    since they legitimately visit fewer states.
+    Both engines run the *compat* configuration — classic
+    k-extrapolation, and for the production engine no waiting-list
+    eviction — which is the bit-identical anchor against the seed
+    engine.  The coarser lu+ abstraction and bidirectional subsumption
+    are checked separately (:class:`TestAbstractionEquivalence`) with
+    set-level assertions, since they legitimately visit fewer states.
     """
+    graph = ZoneGraph(network, abstraction="k")
     if engine == "reference":
-        graph = ZoneGraph(network, intern_zones=False, cache_size=0,
-                          abstraction="k")
         search = reference_explore
-    elif engine == "uncached":
-        graph = ZoneGraph(network, intern_zones=False, cache_size=0,
-                          abstraction="k")
-        search = explore
-        kwargs = dict(kwargs, evict_waiting=False)
     else:
-        graph = ZoneGraph(network, abstraction="k")
         search = explore
         kwargs = dict(kwargs, evict_waiting=False)
     with collecting() as collector:
@@ -207,16 +195,13 @@ def _trace_key(trace):
 class TestEngineEquivalence:
     @pytest.mark.parametrize("make", MODELS)
     def test_full_exploration_bit_identical(self, make):
-        results = {engine: _run(engine, make())
-                   for engine in ("reference", "uncached", "cached")}
-        ref_result, ref_stats, ref_counters = results["reference"]
-        for engine in ("uncached", "cached"):
-            result, stats, counters = results[engine]
-            assert result.found == ref_result.found, engine
-            assert result.states_explored == ref_result.states_explored
-            assert result.states_stored == ref_result.states_stored
-            assert stats == ref_stats, engine
-            assert counters == ref_counters, engine
+        ref_result, ref_stats, ref_counters = _run("reference", make())
+        result, stats, counters = _run("core", make())
+        assert result.found == ref_result.found
+        assert result.states_explored == ref_result.states_explored
+        assert result.states_stored == ref_result.states_stored
+        assert stats == ref_stats
+        assert counters == ref_counters
 
     @pytest.mark.parametrize("make", MODELS)
     def test_witness_traces_match(self, make):
@@ -227,18 +212,17 @@ class TestEngineEquivalence:
             return any(li != 0 for li in state.locs)
 
         traces = {}
-        for engine in ("reference", "uncached", "cached"):
+        for engine in ("reference", "core"):
             result, _stats, _counters = _run(engine, network, goal=goal)
             assert result.found
             traces[engine] = _trace_key(result.trace)
-        assert traces["uncached"] == traces["reference"]
-        assert traces["cached"] == traces["reference"]
+        assert traces["core"] == traces["reference"]
 
     def test_max_states_and_no_inclusion_agree(self):
         network = make_fischer(3)
         for kwargs in ({"max_states": 40}, {"use_inclusion": False}):
             ref, ref_stats, _ = _run("reference", make_fischer(3), **kwargs)
-            new, new_stats, _ = _run("cached", network, **kwargs)
+            new, new_stats, _ = _run("core", network, **kwargs)
             assert (new.states_explored, new.states_stored) == \
                 (ref.states_explored, ref.states_stored)
             assert new_stats == ref_stats
@@ -247,9 +231,7 @@ class TestEngineEquivalence:
         """DFS visits a different sequence but the same reachable set."""
         dfs = explore(ZoneGraph(make_fischer(3), abstraction="k"),
                       order="dfs", evict_waiting=False)
-        ref = reference_explore(
-            ZoneGraph(make_fischer(3), intern_zones=False, cache_size=0,
-                      abstraction="k"))
+        ref = reference_explore(ZoneGraph(make_fischer(3), abstraction="k"))
         assert dfs.states_stored == ref.states_stored
 
 
@@ -281,18 +263,16 @@ def random_automata(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_automata())
 def test_random_automata_bit_identical(automaton):
-    """Property: on arbitrary small automata the three engine
-    configurations agree on counts, stats and counter totals."""
+    """Property: on arbitrary small automata the production engine and
+    the seed engine agree on counts, stats and counter totals."""
     network = Network("rand")
     network.add_process(automaton.name, automaton)
     ref, ref_stats, ref_counters = _run("reference", network)
-    for engine in ("uncached", "cached"):
-        result, stats, counters = _run(engine, network)
-        assert (result.found, result.states_explored,
-                result.states_stored) == \
-            (ref.found, ref.states_explored, ref.states_stored)
-        assert stats == ref_stats
-        assert counters == ref_counters
+    result, stats, counters = _run("core", network)
+    assert (result.found, result.states_explored, result.states_stored) == \
+        (ref.found, ref.states_explored, ref.states_stored)
+    assert stats == ref_stats
+    assert counters == ref_counters
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +323,7 @@ class TestAbstractionEquivalence:
 
     @pytest.mark.parametrize("make", MODELS)
     def test_lu_visits_no_more_states(self, make):
-        ref = reference_explore(ZoneGraph(make(), intern_zones=False,
-                                          cache_size=0, abstraction="k"))
+        ref = reference_explore(ZoneGraph(make(), abstraction="k"))
         lu, _ = _configs(ZoneGraph(make(), abstraction="lu+"))
         assert lu.states_stored <= ref.states_stored
         assert lu.states_explored <= ref.states_explored
@@ -417,22 +396,28 @@ class TestSearchLimits:
 
 
 # ---------------------------------------------------------------------------
-# Cache soundness on repeated searches over one graph.
+# Repeated searches over one graph (shared zone store and config memo).
 
 
 class TestSharedGraphCaching:
-    def test_second_search_hits_cache_with_identical_result(self):
+    def test_second_search_repeats_the_first(self):
         graph = ZoneGraph(make_fischer(3))
         first = explore(graph)
         stats_first = graph.stats.snapshot()
         second = explore(graph)
-        assert graph.succ_cache.hits > 0
         assert (second.found, second.states_explored,
                 second.states_stored) == \
             (first.found, first.states_explored, first.states_stored)
         # Logical stats of the second run == delta == the first run's.
         assert tuple(b - a for a, b in
                      zip(stats_first, graph.stats.snapshot())) == stats_first
+
+    def test_second_deadlock_query_repeats_the_first(self):
+        verifier = Verifier(make_traingate(3))
+        first = verifier.deadlock_free()
+        second = verifier.deadlock_free()
+        assert (second.holds, second.states_explored) == \
+            (first.holds, first.states_explored)
 
     def test_interning_shares_zone_objects(self):
         graph = ZoneGraph(make_fischer(3))

@@ -142,6 +142,19 @@ class TestDeadlock:
         with pytest.raises(QueryError):
             v.check(EF(And(Deadlock(), LocationIs("P", "s0"))))
 
+    @pytest.mark.parametrize("query", [
+        AF(Deadlock()),
+        EG(Not(Deadlock())),
+        LeadsTo(LocationIs("Train(0)", "Appr"), Deadlock()),
+    ], ids=["af", "eg", "leadsto"])
+    def test_deadlock_atom_rejected_in_liveness_before_search(self, query):
+        # A budget far below the graph size: the query must fail on its
+        # shape, not on the search limit, and build no graph.
+        v = Verifier(make_traingate(3), max_states=50)
+        with pytest.raises(QueryError, match="may only appear alone"):
+            v.check(query)
+        assert v._full_graph is None
+
 
 class TestLiveness:
     def _choice(self):
