@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from ..core.errors import AnalysisError, ModelError, SearchLimitError
 from ..core.rng import ensure_rng
-from ..obs.metrics import active
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import active, checkpoint, span
 
 
 class EngineTrace:
@@ -101,7 +99,7 @@ class BIPEngine:
                         f"invariant violated at step {index}: "
                         f"{self.state!r}")
                 if index & 255 == 0:
-                    heartbeat("bip.run", index, total=max_steps)
+                    checkpoint("bip.run", index, total=max_steps)
                 if self.step() is None:
                     return self.trace
                 if observer is not None:
@@ -157,8 +155,8 @@ def explore_statespace(system, max_states=100000):
                     seen[key] = succ
                     queue.append(succ)
                     if len(seen) & 1023 == 0:
-                        heartbeat("bip.explore", len(seen),
-                                  waiting=len(queue))
+                        checkpoint("bip.explore", len(seen),
+                                   waiting=len(queue))
                     if len(seen) > max_states:
                         raise SearchLimitError(
                             f"state space exceeds {max_states} states",

@@ -19,9 +19,7 @@ import heapq
 
 from ..core.errors import ModelError, SearchLimitError
 from ..mc.explorecore import TraceNode, reconstruct_trace
-from ..obs.metrics import active
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import active, checkpoint, span
 from ..ta.discrete import DiscreteSemantics
 
 
@@ -115,7 +113,7 @@ def min_cost_reachability(priced, goal, extra_constants=None,
                 continue
             explored += 1
             if explored & 1023 == 0:
-                heartbeat("cora.min_cost", explored)
+                checkpoint("cora.min_cost", explored)
             names = network.location_vector_names(state.locs)
             if goal(names, state.valuation, state.clocks):
                 result = CostResult(cost, state, _steps_of(node), explored)

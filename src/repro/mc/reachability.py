@@ -25,25 +25,19 @@ differential testing and benchmarking.
 Both entry points are instrumented through :mod:`repro.obs`: with a
 collector installed they flush states-explored / passed-list / zone
 counters at the end of the search (plus the physical
-``mc.zone_interned`` interning delta), emit a
-``mc.explore`` span, and send periodic
-:func:`~repro.obs.progress.heartbeat` events.  With a flight recorder
-active (:func:`repro.obs.flight.recording`) the same deterministic
-checkpoints additionally sample ``mc.explore.*`` time series
-(frontier / passed-list / zone-store sizes) and the searches log
-``mc.explore.done`` / ``mc.build_graph.done`` events.  All counting in
-the search loop itself is plain-int arithmetic, so the overhead with
-observability off is nil (the recorder costs one contextvar lookup per
-call, not per state).
+``mc.zone_interned`` interning delta), emit a ``mc.explore`` span, and
+call :func:`repro.obs.checkpoint` every 1024 states.  That one call
+delivers the progress heartbeat, beats a flight recorder's stall
+watchdog, and samples the ``mc.explore.*`` time series (frontier /
+passed-list / zone-store sizes); the searches log ``mc.explore.done`` /
+``mc.build_graph.done`` events.  All counting in the search loop itself
+is plain-int arithmetic, so the overhead with observability off is nil.
 """
 
 from __future__ import annotations
 
 from ..core.errors import SearchLimitError
-from ..obs.flight import active_recorder
-from ..obs.metrics import active
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import active, checkpoint, log, span
 from .explorecore import (
     Frontier,
     PassedWaitingList,
@@ -118,9 +112,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
     ``None`` for the initial state).
     """
     collector = active()
-    recorder = active_recorder()
-    telemetry = getattr(graph, "telemetry", None) \
-        if recorder is not None else None
+    telemetry = getattr(graph, "telemetry", dict)
     stats = getattr(graph, "stats", None)
     zones_before = stats.snapshot() if stats is not None else None
     caches_before = _cache_snapshot(graph)
@@ -142,14 +134,11 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
             state = node.state
             explored += 1
             if explored & 1023 == 0:
-                heartbeat("mc.explore", explored,
-                          waiting=len(waiting), stored=passed.size)
-                if recorder is not None:
-                    recorder.sample("mc.explore", explored=explored,
-                                    waiting=len(waiting),
-                                    stored=passed.size,
-                                    **(telemetry() if telemetry is not None
-                                       else {}))
+                checkpoint("mc.explore", explored,
+                           waiting=len(waiting), stored=passed.size,
+                           series=lambda: [dict(
+                               explored=explored, waiting=len(waiting),
+                               stored=passed.size, **telemetry())])
             if on_state is not None:
                 on_state(state)
             if goal is not None and goal(state):
@@ -168,9 +157,8 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
         sp.set("found", result.found)
         sp.set("states_explored", explored)
         sp.set("states_stored", passed.size)
-        if recorder is not None:
-            recorder.log("mc.explore.done", found=result.found,
-                         explored=explored, stored=passed.size)
+        log("mc.explore.done", found=result.found, explored=explored,
+            stored=passed.size)
     if collector is not None:
         _record_search(collector, result, passed, graph, zones_before,
                        caches_before)
@@ -190,8 +178,6 @@ def build_graph(graph, max_states=200000):
     re-hashing the DBM per visit.  Exceeding ``max_states`` raises
     :class:`~repro.core.errors.SearchLimitError`.
     """
-    recorder = active_recorder()
-
     def node_key(state):
         return (state.locs, state.valuation.values, id(state.zone))
 
@@ -216,12 +202,11 @@ def build_graph(graph, max_states=200000):
                     nodes.append(succ)
                     waiting.push(j)
                     if len(nodes) & 1023 == 0:
-                        heartbeat("mc.build_graph", len(nodes),
-                                  waiting=len(waiting))
-                        if recorder is not None:
-                            recorder.sample("mc.build_graph",
-                                            states=len(nodes),
-                                            waiting=len(waiting))
+                        checkpoint("mc.build_graph", len(nodes),
+                                   waiting=len(waiting),
+                                   series=lambda: [{
+                                       "states": len(nodes),
+                                       "waiting": len(waiting)}])
                     if len(nodes) > max_states:
                         raise SearchLimitError(
                             f"symbolic graph exceeds {max_states} states",
@@ -231,8 +216,7 @@ def build_graph(graph, max_states=200000):
         while len(edges) < len(nodes):
             edges.append([])
         sp.set("graph_states", len(nodes))
-        if recorder is not None:
-            recorder.log("mc.build_graph.done", states=len(nodes))
+        log("mc.build_graph.done", states=len(nodes))
     collector = active()
     if collector is not None:
         collector.incr("mc.graph_states", len(nodes))

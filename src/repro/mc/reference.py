@@ -18,9 +18,7 @@ Do not use it in production code paths.
 from __future__ import annotations
 
 from ..dbm.bounds import LE_ZERO
-from ..obs.metrics import active
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import active, checkpoint, span
 from .reachability import Reachability, _cache_snapshot, _record_search
 
 
@@ -96,8 +94,8 @@ def reference_explore(graph, goal=None, on_state=None, use_inclusion=True,
             state, chain = waiting.pop(0)
             explored += 1
             if explored & 1023 == 0:
-                heartbeat("mc.explore", explored,
-                          waiting=len(waiting), stored=passed.size)
+                checkpoint("mc.explore", explored,
+                           waiting=len(waiting), stored=passed.size)
             if on_state is not None:
                 on_state(state)
             if goal is not None and goal(state):

@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from ..core.errors import AnalysisError
-from ..obs.metrics import incr, observe
+from ..obs import incr, log, observe
 from .graph import maximal_end_components, topological_value_iteration
 from .model import MDP
 
@@ -253,14 +253,10 @@ def reachability_probability(mdp, targets, maximize=True, epsilon=1e-12,
         frozen[s] = True
     iterations = topological_value_iteration(
         mdp, values, frozen, maximize, epsilon=epsilon)
-    from ..obs.flight import active_recorder
-
-    recorder = active_recorder()
     if not interval:
         incr("mdp.vi_iterations", iterations)
-        if recorder is not None:
-            recorder.log("mdp.vi.done", iterations=iterations,
-                         states=mdp.num_states, maximize=maximize)
+        log("mdp.vi.done", iterations=iterations, states=mdp.num_states,
+            maximize=maximize)
         return values
     if maximize:
         upper, upper_iterations = _interval_upper_max(
@@ -275,10 +271,8 @@ def reachability_probability(mdp, targets, maximize=True, epsilon=1e-12,
         upper_iterations = topological_value_iteration(
             mdp, upper, frozen, maximize, epsilon=epsilon)
     incr("mdp.vi_iterations", iterations + upper_iterations)
-    if recorder is not None:
-        recorder.log("mdp.vi.done",
-                     iterations=iterations + upper_iterations,
-                     states=mdp.num_states, maximize=maximize)
+    log("mdp.vi.done", iterations=iterations + upper_iterations,
+        states=mdp.num_states, maximize=maximize)
     if np.any(upper + 1e-6 < values):
         raise AnalysisError("interval iteration bounds crossed")
     return (values + upper) / 2.0

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import AnalysisError
-from ..obs.metrics import set_gauge
+from ..obs import checkpoint, set_gauge
 
 
 def tarjan_scc(n, offsets, targets):
@@ -262,9 +262,6 @@ def topological_value_iteration(mdp, values, frozen, maximize,
     n = mdp.num_states
     if n == 0:
         return 0
-    from ..obs.flight import active_recorder
-
-    recorder = active_recorder()
     reduce_actions = np.maximum if maximize else np.minimum
     probs, cols = mdp.probs, mdp.cols
     action_offsets_all = g.action_offsets_all
@@ -322,9 +319,9 @@ def topological_value_iteration(mdp, values, frozen, maximize,
             delta = np.max(np.abs(new_values - values[live]))
             values[live] = new_values
             total_iterations += 1
-            if recorder is not None:
-                recorder.sample("mdp.vi", residual=float(delta),
-                                iteration=total_iterations)
+            checkpoint("mdp.vi", total_iterations,
+                       series=lambda: [{"residual": float(delta),
+                                        "iteration": total_iterations}])
             if delta <= epsilon:
                 break
         else:

@@ -28,9 +28,7 @@ from ..mdp.analysis import (
     expected_total_reward,
     reachability_probability,
 )
-from ..obs.metrics import incr, set_gauge
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import checkpoint, incr, set_gauge, span
 from ..pta.digital import build_digital_mdp
 from ..pta.overapprox import overapproximate_network
 from ..pta.pta import PTANetwork
@@ -300,7 +298,7 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
                 simulator.run(stop=stopper, observer=watch,
                               max_time=max_time)
                 if (index + 1) & 63 == 0:
-                    heartbeat("modest.modes", index + 1, total=runs)
+                    checkpoint("modest.modes", index + 1, total=runs)
                 _tally(reach_props, time_props, hit_time, observed,
                        durations)
         else:
@@ -314,7 +312,7 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
             for batch in executor.map(modes_batch, tasks,
                                       policy=fault_policy):
                 done += len(batch)
-                heartbeat("modest.modes", done, total=runs)
+                checkpoint("modest.modes", done, total=runs)
                 for hit_time in batch:
                     _tally(reach_props, time_props, hit_time, observed,
                            durations)

@@ -1,7 +1,12 @@
 """Unified observability: metrics, tracing, progress, reports.
 
 One layer across every analysis engine (``mc``, ``smc``, ``pta``,
-``bip``, ``tiga``, ``cora``, ``modest``, ``runtime``):
+``bip``, ``tiga``, ``cora``, ``modest``, ``runtime``).  Engines and the
+parallel runtime reach it through one surface: :func:`checkpoint` at
+coarse progress points, :func:`span` / :func:`incr` / :func:`log` at
+phase boundaries, and :func:`capture_spec` / :func:`capturing` /
+:func:`merge` to ship worker observations home
+(:mod:`repro.obs.surface`).  Behind it:
 
 * :mod:`repro.obs.metrics` — counters / gauges / histograms / timers in
   a context-installed :class:`Collector`;
@@ -38,7 +43,13 @@ per engine-boundary event when off; see ``docs/OBSERVABILITY.md`` and
 ``docs/PROFILING.md``.
 """
 
-from .flight import FlightRecorder, StallWatchdog, active_recorder, recording
+from .flight import (
+    FlightRecorder,
+    StallWatchdog,
+    active_recorder,
+    log,
+    recording,
+)
 from .metrics import (
     Collector,
     Counter,
@@ -62,10 +73,12 @@ from .profiler import (
 )
 from .progress import ProgressEvent, heartbeat, progress
 from .runstore import RunStore
+from .surface import capture_spec, capturing, checkpoint, merge
 from .trace import NULL_SPAN, Span, Tracer, active_tracer, span, tracing
 
 __all__ = [
-    "FlightRecorder", "StallWatchdog", "active_recorder", "recording",
+    "FlightRecorder", "StallWatchdog", "active_recorder", "log",
+    "recording",
     "Collector", "Counter", "Gauge", "Histogram", "MaxGauge",
     "active", "collecting", "incr", "observe", "set_gauge", "set_max",
     "timed",
@@ -73,5 +86,6 @@ __all__ = [
     "profiling",
     "ProgressEvent", "heartbeat", "progress",
     "RunStore",
+    "capture_spec", "capturing", "checkpoint", "merge",
     "NULL_SPAN", "Span", "Tracer", "active_tracer", "span", "tracing",
 ]

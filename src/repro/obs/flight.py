@@ -15,22 +15,21 @@ module is that trajectory view:
   and :func:`recording` can dump them as JSONL through an exception /
   ``atexit`` hook.
 * **Telemetry time series** — bounded per-name ``(t, value)`` traces
-  (:meth:`FlightRecorder.sample`) fed by the engines at their existing
-  coarse heartbeat checkpoints: waiting/passed/zone-store sizes during
-  exploration, Bellman residuals during value iteration, the SPRT LLR
-  walk, estimate±CI evolution, and opportunistic RSS readings.
+  (:meth:`FlightRecorder.sample`) fed by the engines'
+  :func:`repro.obs.checkpoint` calls: waiting/passed/zone-store sizes
+  during exploration, Bellman residuals during value iteration, the
+  SPRT LLR walk, estimate±CI evolution, and opportunistic RSS readings.
 * **Stall watchdog** — a daemon thread (:class:`StallWatchdog`) that
-  flags a recording whose beat (any log/sample/merge) has been silent
-  past a configurable window: it logs one ``obs.stall`` warning event
-  per silence episode carrying the live stacks of every thread (the
-  same ``sys._current_frames`` unwinding the sampling profiler uses)
-  and counts ``obs.stalls`` on the session collector.
+  flags a recording whose beat (any checkpoint, log, sample or merge)
+  has been silent past a configurable window: it logs one
+  ``obs.stall`` warning event per silence episode carrying the live
+  stacks of every thread (the same ``sys._current_frames`` unwinding
+  the sampling profiler uses) and counts ``obs.stalls`` on the session
+  collector.
 
 Like every other ambient observer, the recorder is **off by default**:
 without a :func:`recording` scope the module helpers are single
-context-variable lookups, and the engines hoist that lookup to one per
-analysis call, so the per-checkpoint cost with no recorder installed is
-a single ``is None`` test.
+context-variable lookups.
 
 Determinism contract (asserted by ``tests/test_flight.py``): event
 *timestamps* are physical (per-process monotonic seconds since the
@@ -389,8 +388,7 @@ def log(name, level="info", **fields):
 
 def sample(prefix, **values):
     """Record time-series points on the active recorder (no-op when
-    off).  Engines hoist :func:`active_recorder` out of their hot loops
-    instead of calling this per checkpoint."""
+    off)."""
     recorder = _ACTIVE.get()
     if recorder is not None:
         recorder.sample(prefix, **values)

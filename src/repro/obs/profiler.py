@@ -23,12 +23,12 @@ Design constraints (and how they are met):
 * **Mergeable, exactly like collector snapshots.**  A profile never
   crosses a process boundary; :meth:`Profile.to_dict` is a plain
   picklable snapshot and :meth:`Profile.merge` folds one in, summing
-  per-stack counts.  :class:`~repro.runtime.ParallelExecutor` runs each
-  task under a fresh worker-side profiler and merges the snapshots home
-  **in task order**, so a parallel campaign's merged profile equals the
-  serial run's logical profile (sample counts sum; a failed attempt's
-  profile dies with its worker and is never merged — replayed tasks
-  cannot double-count).
+  per-stack counts.  Parallel runs capture each task under a fresh
+  worker-side profiler and merge the snapshots home **in task order**
+  (:func:`repro.obs.capturing` / :func:`repro.obs.merge`), so a
+  parallel campaign's merged profile equals the serial run's logical
+  profile (sample counts sum; a failed attempt's profile dies with its
+  worker and is never merged — replayed tasks cannot double-count).
 * **Deterministic where it matters.**  Wall-clock sampling is
   inherently stochastic, but the *merge algebra* is exact; ``hz=0``
   gives a manual-mode profiler whose only samples come from
@@ -268,10 +268,6 @@ class Profiler:
                 collector.set_max("obs.profile.overhead",
                                   round(self.profile.overhead_ratio, 6))
         return self.profile
-
-    def merge_snapshot(self, snapshot):
-        """Fold a worker-side profile snapshot in (executor hook)."""
-        self.profile.merge(snapshot)
 
     def _sample_loop(self):
         interval = 1.0 / self.hz

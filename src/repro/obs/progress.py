@@ -12,10 +12,11 @@ cost when nobody is listening:
     with progress(show, min_interval=1.0):
         probability_estimate(network, predicate, horizon=100, runs=10**6)
 
-Engines call :func:`heartbeat` at coarse checkpoints (every N states or
-once per batch); the scope rate-limits delivery to ``min_interval``
-seconds so callbacks stay cheap even when checkpoints are frequent.
-Without a scope, :func:`heartbeat` is a single context-variable lookup.
+Engines reach :func:`heartbeat` through :func:`repro.obs.checkpoint` at
+coarse checkpoints (every N states or once per batch); the scope
+rate-limits delivery to ``min_interval`` seconds so callbacks stay cheap
+even when checkpoints are frequent.  Without a scope, :func:`heartbeat`
+is a single context-variable lookup.
 
 ``rate`` (and therefore ``eta``) is an exponentially weighted moving
 average of the *recent* throughput, not the whole-run mean: zone graphs

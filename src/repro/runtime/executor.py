@@ -35,30 +35,17 @@ per the policy's ``on_exhausted`` strategy.
 
 Observability (:mod:`repro.obs`): when a metrics collector is active in
 the coordinator, both executors record per-task wall times and counts
-under ``runtime.*``, and :class:`ParallelExecutor` additionally runs
-every task under a fresh worker-side collector whose snapshot rides
-back with the result and is merged into the coordinator's collector
-**in task order**.  Engine metrics recorded inside tasks (simulation
-runs, steps, ...) therefore reach the parent identically for serial and
-parallel execution — fixed-budget workloads report bit-identical
-logical totals for any worker count.  (Sequential tests that stop early
-are the one caveat: a parallel run may execute — and account — a few
-speculative runs past the stopping point inside already-dispatched
-chunks.)  Fault recovery keeps the guarantee: a failed attempt's
-worker-side collector dies with it, so exactly one clean attempt per
-task is merged.  When a profiler is active
-(:func:`repro.obs.profiler.profiling`), every task additionally runs
-under a fresh worker-side sampling profiler whose collapsed-stack
-snapshot ships home with the result and merges in task order too —
-same algebra, same single-clean-attempt guarantee — so a parallel
-campaign's merged profile equals the serial run's logical profile, and
-worker peak-RSS readings max-merge home through the collector's max
-gauges.  An active flight recorder (:func:`repro.obs.flight.recording`)
-gets the same treatment: each task runs under a fresh worker-side
-recorder whose snapshot ships home and merges in task order with its
-events tagged by physical worker id, so serial, parallel, and
-fault-recovered fixed-budget campaigns produce identical merged
-*logical* event sequences.  The recovery machinery itself counts under
+under ``runtime.*``.  When any observer is active (collector, profiler,
+flight recorder), :class:`ParallelExecutor` runs every task under
+:func:`repro.obs.capturing` and ships one snapshot home with its
+result, merged with :func:`repro.obs.merge` **in task order** — so
+fixed-budget workloads report bit-identical logical totals, merged
+profiles and logical event sequences for any worker count.  (Sequential
+tests that stop early are the one caveat: a parallel run may execute —
+and account — a few speculative runs past the stopping point inside
+already-dispatched chunks.)  Fault recovery keeps the guarantee: a
+failed attempt's snapshot dies with its worker, so exactly one clean
+attempt per task is merged.  The recovery machinery itself counts under
 ``runtime.retries`` / ``runtime.replayed`` / ``runtime.pool_rebuilds``
 / ``runtime.timeouts`` / ``runtime.skipped`` / ``runtime.degraded``.
 """
@@ -71,79 +58,38 @@ import time
 from collections import deque
 
 from ..core.errors import AnalysisError, TaskError
-from ..obs.metrics import active, incr
+from ..obs import active, capture_spec, capturing, incr, merge
 from .faults import task_seed
 
 
 class _WorkerTask:
-    """Worker-side wrapper: optional fault injection, metrics,
-    profiling, and flight recording.
+    """Worker-side wrapper: optional fault injection, then observation
+    capture.
 
     Called as ``(index, attempt, *args)`` so the injector can key on the
-    task's position and fire only on first attempts.  With ``collect``,
-    a ``profile_hz``, or ``flight``, the task runs under a fresh
-    worker-side collector / profiler / flight recorder and returns
-    ``(result, metrics snapshot or None, profile snapshot or None,
-    flight snapshot or None, worker pid, seconds)``; otherwise the bare
-    result.  Resource high-water marks are sampled into the collector's
-    max gauges after the task, so peak RSS max-merges home.  Picklable
-    as long as the wrapped function (and injector) are.
+    task's position and fire only on first attempts.  With a capture
+    ``spec`` (:func:`repro.obs.capture_spec`) the task runs under
+    :func:`repro.obs.capturing` and returns ``(result, snapshot, worker
+    pid, seconds)``; otherwise the bare result.  Picklable as long as
+    the wrapped function (and injector) are.
     """
 
-    __slots__ = ("fn", "injector", "collect", "profile_hz", "flight")
+    __slots__ = ("fn", "injector", "spec")
 
-    def __init__(self, fn, injector, collect, profile_hz=None,
-                 flight=False):
+    def __init__(self, fn, injector, spec):
         self.fn = fn
         self.injector = injector
-        self.collect = collect
-        self.profile_hz = profile_hz
-        self.flight = flight
+        self.spec = spec
 
     def __call__(self, index, attempt, *args):
         if self.injector is not None:
             self.injector(index, attempt)
-        if not self.collect and self.profile_hz is None \
-                and not self.flight:
+        if self.spec is None:
             return self.fn(*args)
-        from contextlib import ExitStack
-
-        from ..obs.metrics import Collector, collecting
-
-        collector = Collector("worker") if self.collect else None
-        profiler = None
-        recorder = None
         start = time.perf_counter()
-        with ExitStack() as stack:
-            if collector is not None:
-                stack.enter_context(collecting(collector))
-            if self.profile_hz is not None:
-                from ..obs.profiler import Profiler, profiling
-
-                profiler = Profiler(hz=self.profile_hz)
-                stack.enter_context(profiling(profiler=profiler))
-            if self.flight:
-                from ..obs.flight import FlightRecorder, recording
-
-                # No watchdog and no crash dump worker-side: the
-                # injector fires *before* this scope opens, and a
-                # failed attempt's recording dies with its worker —
-                # which is exactly what keeps merged logical sequences
-                # identical under fault recovery.
-                recorder = stack.enter_context(
-                    recording(FlightRecorder()))
+        with capturing(self.spec) as snapshot:
             result = self.fn(*args)
-        seconds = time.perf_counter() - start
-        if collector is not None:
-            from ..obs.resources import sample
-
-            sample(collector)
-        return (result,
-                collector.snapshot() if collector is not None else None,
-                profiler.profile.to_dict() if profiler is not None
-                else None,
-                recorder.to_dict() if recorder is not None else None,
-                os.getpid(), seconds)
+        return result, snapshot, os.getpid(), time.perf_counter() - start
 
 
 class _PendingTask:
@@ -345,21 +291,12 @@ class ParallelExecutor(Executor):
         pool.shutdown(wait=False, cancel_futures=True)
 
     def imap(self, fn, tasks, policy=None):
-        from ..obs.flight import active_recorder
-        from ..obs.profiler import active_profiler
-
         collector = active()
-        profiler = active_profiler()
-        recorder = active_recorder()
+        spec = capture_spec()
         injector = policy.injector if policy is not None else None
         timeout = policy.timeout if policy is not None else None
-        shipped = (collector is not None or profiler is not None
-                   or recorder is not None)
-        wrap = shipped or injector is not None
-        call = _WorkerTask(fn, injector, collector is not None,
-                           profiler.hz if profiler is not None else None,
-                           recorder is not None) \
-            if wrap else fn
+        wrap = spec is not None or injector is not None
+        call = _WorkerTask(fn, injector, spec) if wrap else fn
         worker_ids = {}
         if collector is not None:
             collector.set_gauge("runtime.workers", self.workers)
@@ -463,25 +400,17 @@ class ParallelExecutor(Executor):
             return result
 
         def absorb(outcome):
-            # Merge the worker's collector, profile, and flight
-            # snapshots in task order, so logical totals (and merged
-            # profiles / event sequences) match the serial aggregation
-            # exactly.  Only the one clean attempt's snapshots ever
-            # arrive here — a failed attempt's snapshots die with it.
-            result, snapshot, profile_snap, flight_snap, pid, seconds = \
-                outcome
+            # Only the one clean attempt's snapshot ever arrives here —
+            # a failed attempt's snapshot dies with it.
+            result, snapshot, pid, seconds = outcome
             index = worker_ids.setdefault(pid, len(worker_ids))
+            merge(snapshot, worker=index)
             if collector is not None:
-                collector.merge(snapshot)
                 collector.incr("runtime.tasks")
                 collector.incr(f"runtime.worker.{index}.tasks")
                 collector.observe("runtime.task_seconds", seconds)
                 collector.set_gauge("runtime.workers_seen",
                                     len(worker_ids))
-            if profiler is not None and profile_snap is not None:
-                profiler.merge_snapshot(profile_snap)
-            if recorder is not None and flight_snap is not None:
-                recorder.merge(flight_snap, worker=index)
             return result
 
         try:
@@ -536,7 +465,7 @@ class ParallelExecutor(Executor):
                     continue
                 if action == "degrade":
                     result = run_inline(head)
-                elif shipped:
+                elif spec is not None:
                     result = absorb(outcome)
                 else:
                     result = outcome  # bare, or injector-wrapped only

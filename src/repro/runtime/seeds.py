@@ -12,7 +12,7 @@ to the serial engines that already draw ``rng.spawn()`` per run.
 from __future__ import annotations
 
 from ..core.rng import RandomSource, ensure_rng
-from ..obs.flight import active_recorder
+from ..obs import log
 
 
 def seed_stream(rng_or_seed, n):
@@ -55,10 +55,8 @@ def run_batch(run_once, seeds):
     execution.
     """
     outcomes = [bool(run_once(RandomSource(seed))) for seed in seeds]
-    recorder = active_recorder()
-    if recorder is not None:
-        recorder.log("smc.batch", level="debug", runs=len(outcomes),
-                     successes=sum(outcomes))
+    log("smc.batch", level="debug", runs=len(outcomes),
+        successes=sum(outcomes))
     return outcomes
 
 
@@ -66,7 +64,5 @@ def sample_batch(run_once, seeds):
     """Like :func:`run_batch` but keeps the raw per-run values (for
     mean/quantile estimation)."""
     samples = [run_once(RandomSource(seed)) for seed in seeds]
-    recorder = active_recorder()
-    if recorder is not None:
-        recorder.log("smc.batch", level="debug", runs=len(samples))
+    log("smc.batch", level="debug", runs=len(samples))
     return samples

@@ -11,9 +11,7 @@ import math
 
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
-from ..obs.metrics import incr
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import checkpoint, incr, span
 
 
 def empirical_cdf(samples, grid):
@@ -109,7 +107,7 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
                      for chunk in batched(seeds, size)],
                     policy=fault_policy):
                 done += len(batch)
-                heartbeat("smc.cdf", done, total=runs)
+                checkpoint("smc.cdf", done, total=runs)
                 for times in batch:
                     for key, value in times.items():
                         samples[key].append(value)
@@ -127,7 +125,7 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
                 horizon, observer=recorder,
                 stop=lambda t, n, v, c: recorder.all_seen())
             if (index + 1) & 63 == 0:
-                heartbeat("smc.cdf", index + 1, total=runs)
+                checkpoint("smc.cdf", index + 1, total=runs)
             for key, value in recorder.times.items():
                 samples[key].append(value)
         return {key: empirical_cdf(vals, grid)

@@ -14,24 +14,21 @@ import contextlib
 import math
 from statistics import NormalDist
 
+from .. import obs
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
-from ..obs.flight import active_recorder
-from ..obs.metrics import active, collecting, incr
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import active, collecting, incr, span
 
 
-def _flight_sample_estimate(recorder, z, done, successes):
+def _estimate_point(confidence, done, successes):
     """One ``smc.estimate`` time-series point: running mean plus a
     cheap normal-approximation interval (the exact Clopper–Pearson
     interval is reserved for the final estimate — beta quantiles per
     checkpoint would dwarf the runs being measured)."""
     p = successes / done
-    half = z * math.sqrt(p * (1.0 - p) / done)
-    recorder.sample("smc.estimate", mean=round(p, 6),
-                    low=round(max(0.0, p - half), 6),
-                    high=round(min(1.0, p + half), 6))
+    half = _normal_quantile(confidence) * math.sqrt(p * (1.0 - p) / done)
+    return {"mean": round(p, 6), "low": round(max(0.0, p - half), 6),
+            "high": round(min(1.0, p + half), 6)}
 
 
 def _normal_quantile(confidence):
@@ -244,9 +241,6 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
     """
     _require_executor("estimate_probability", executor, fault_policy,
                       checkpoint)
-    recorder = active_recorder()
-    z = _normal_quantile(confidence) if recorder is not None \
-        else None
     with span("smc.estimate_probability", runs=runs) as sp:
         if executor is None:
             rng = ensure_rng(rng)
@@ -255,17 +249,15 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
                 if run_once(rng):
                     successes += 1
                 if (index + 1) & 63 == 0:
-                    heartbeat("smc.estimate", index + 1, total=runs,
-                              successes=successes)
-                    if recorder is not None:
-                        _flight_sample_estimate(recorder, z, index + 1,
-                                                successes)
+                    obs.checkpoint(
+                        "smc.estimate", index + 1, total=runs,
+                        successes=successes,
+                        series=lambda: [_estimate_point(
+                            confidence, index + 1, successes)])
             done = runs
             incr("smc.runs", runs)
             incr("smc.accepted", successes)
-            if recorder is not None:
-                recorder.log("smc.estimate.done", runs=done,
-                             successes=successes)
+            obs.log("smc.estimate.done", runs=done, successes=successes)
             sp.set("successes", successes)
             return ProbabilityEstimate(successes, done, confidence)
 
@@ -289,24 +281,22 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
             tasks = [(run_once, chunk) for chunk in chunks[completed:]]
             for outcomes in executor.imap(run_batch, tasks,
                                           policy=fault_policy):
-                if recorder is None:
-                    successes += sum(outcomes)
-                    done += len(outcomes)
-                else:
-                    # Walk the outcomes run by run so the in-flight
-                    # series samples at the same ``done & 63 == 0``
-                    # positions as the serial loop — the sample *count*
-                    # is then executor-independent.
-                    for outcome in outcomes:
-                        done += 1
-                        if outcome:
-                            successes += 1
-                        if done & 63 == 0:
-                            _flight_sample_estimate(recorder, z, done,
-                                                    successes)
+                # Walk the outcomes run by run so the series samples
+                # at the same ``done & 63 == 0`` positions as the
+                # serial loop — the sample *count* is then
+                # executor-independent.
+                marks = []
+                for outcome in outcomes:
+                    done += 1
+                    if outcome:
+                        successes += 1
+                    if done & 63 == 0:
+                        marks.append((done, successes))
                 completed += 1
-                heartbeat("smc.estimate", done, total=runs,
-                          successes=successes)
+                obs.checkpoint(
+                    "smc.estimate", done, total=runs, successes=successes,
+                    series=lambda: [_estimate_point(confidence, *mark)
+                                    for mark in marks])
                 if checkpoint is not None and checkpoint.due(completed):
                     checkpoint.save(fingerprint,
                                     {"batch": completed,
@@ -315,9 +305,7 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
                                     inner.snapshot())
             incr("smc.runs", done)
             incr("smc.accepted", successes)
-            if recorder is not None:
-                recorder.log("smc.estimate.done", runs=done,
-                             successes=successes)
+            obs.log("smc.estimate.done", runs=done, successes=successes)
         _campaign_finish(checkpoint, inner, outer)
         sp.set("successes", successes)
     return ProbabilityEstimate(successes, done, confidence)
@@ -334,7 +322,6 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
     the batching.
     """
     _require_executor("estimate_mean", executor, fault_policy, checkpoint)
-    recorder = active_recorder()
     total = 0.0
     with span("smc.estimate_mean", runs=runs):
         if executor is None:
@@ -343,17 +330,14 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
             for index in range(runs):
                 value = run_once(rng)
                 samples.append(value)
-                if recorder is not None:
-                    total += value
+                total += value
                 if (index + 1) & 63 == 0:
-                    heartbeat("smc.estimate_mean", index + 1, total=runs)
-                    if recorder is not None:
-                        recorder.sample(
-                            "smc.estimate_mean",
-                            mean=round(total / (index + 1), 6))
+                    obs.checkpoint(
+                        "smc.estimate_mean", index + 1, total=runs,
+                        series=lambda: [
+                            {"mean": round(total / (index + 1), 6)}])
             incr("smc.runs", runs)
-            if recorder is not None:
-                recorder.log("smc.estimate_mean.done", runs=runs)
+            obs.log("smc.estimate_mean.done", runs=runs)
             return MeanEstimate(samples, confidence)
 
         from ..runtime import batched, sample_batch, seed_stream
@@ -371,32 +355,26 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
         with scope:
             completed = state["batch"]
             samples = list(state["samples"])
-            # The running total is maintained only with a recorder
-            # active (seeded here for checkpoint resume) — the
-            # recorder-off path keeps its bulk extend.
-            total = sum(samples) if recorder is not None else 0.0
+            total = sum(samples)  # seeded for checkpoint resume
             tasks = [(run_once, chunk) for chunk in chunks[completed:]]
             for values in executor.imap(sample_batch, tasks,
                                         policy=fault_policy):
-                if recorder is None:
-                    samples.extend(values)
-                else:
-                    for value in values:
-                        samples.append(value)
-                        total += value
-                        if len(samples) & 63 == 0:
-                            recorder.sample(
-                                "smc.estimate_mean",
-                                mean=round(total / len(samples), 6))
+                points = []
+                for value in values:
+                    samples.append(value)
+                    total += value
+                    if len(samples) & 63 == 0:
+                        points.append(
+                            {"mean": round(total / len(samples), 6)})
                 completed += 1
-                heartbeat("smc.estimate_mean", len(samples), total=runs)
+                obs.checkpoint("smc.estimate_mean", len(samples),
+                               total=runs, series=lambda: points)
                 if checkpoint is not None and checkpoint.due(completed):
                     checkpoint.save(fingerprint,
                                     {"batch": completed,
                                      "samples": samples},
                                     inner.snapshot())
             incr("smc.runs", len(samples))
-            if recorder is not None:
-                recorder.log("smc.estimate_mean.done", runs=len(samples))
+            obs.log("smc.estimate_mean.done", runs=len(samples))
         _campaign_finish(checkpoint, inner, outer)
     return MeanEstimate(samples, confidence)

@@ -23,9 +23,7 @@ import functools
 import math
 
 from ..core.rng import ensure_rng
-from ..obs.metrics import incr
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import checkpoint, incr, span
 from .estimate import estimate_probability
 from .sprt import sprt
 from .stochastic import (
@@ -167,7 +165,7 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
                     [(run_once, chunk) for chunk in batched(seeds, size)],
                     policy=fault_policy):
                 done += len(values)
-                heartbeat("smc.expected_value", done, total=runs)
+                checkpoint("smc.expected_value", done, total=runs)
                 samples.extend(v for v in values if not math.isnan(v))
             return MeanEstimate(samples, confidence)
 
@@ -179,7 +177,7 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
                                      rng=rng.spawn(),
                                      default_rate=default_rate)
             if (index + 1) & 63 == 0:
-                heartbeat("smc.expected_value", index + 1, total=runs)
+                checkpoint("smc.expected_value", index + 1, total=runs)
             if not math.isnan(value):
                 samples.append(value)
         return MeanEstimate(samples, confidence)

@@ -26,9 +26,7 @@ import math
 
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
-from ..obs.metrics import incr
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import checkpoint, incr, span
 from ..pta.simulate import DigitalSimulator
 
 
@@ -142,7 +140,7 @@ def fixed_effort_splitting(network, level_of, max_level,
         incr("smc.splitting.stages")
         incr("smc.splitting.runs", runs_per_stage)
         incr("smc.splitting.hits", hits)
-        heartbeat("smc.splitting", level + 1, total=max_level, hits=hits)
+        checkpoint("smc.splitting", level + 1, total=max_level, hits=hits)
         stage_probabilities.append(hits / runs_per_stage)
         if hits == 0:
             return SplittingResult(0.0, stage_probabilities, total_runs)

@@ -11,10 +11,7 @@ import math
 
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
-from ..obs.flight import active_recorder
-from ..obs.metrics import incr
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import checkpoint, incr, log, span
 
 
 class SPRTResult:
@@ -38,10 +35,9 @@ class SPRTResult:
                 f"runs, {self.successes} successes)")
 
 
-def _record_verdict(result, recorder=None, log_a=None, log_b=None):
+def _record_verdict(result, log_a, log_b):
     """Flush one sequential test's logical totals into the registry
-    (and its verdict event into the flight recorder, when one is
-    active).
+    and log its verdict event.
 
     Recorded at the coordinator while walking outcomes in run order, so
     the counts are identical for serial and parallel execution even
@@ -51,10 +47,8 @@ def _record_verdict(result, recorder=None, log_a=None, log_b=None):
     incr("smc.sprt.runs", result.runs)
     incr("smc.sprt.successes", result.successes)
     incr("smc.sprt.accepted" if result.accept else "smc.sprt.rejected")
-    if recorder is not None:
-        recorder.log("smc.sprt.verdict", accept=result.accept,
-                     runs=result.runs, successes=result.successes,
-                     log_a=log_a, log_b=log_b)
+    log("smc.sprt.verdict", accept=result.accept, runs=result.runs,
+        successes=result.successes, log_a=log_a, log_b=log_b)
     return result
 
 
@@ -92,7 +86,6 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     inc_failure = math.log((1 - p1) / (1 - p0))
     successes = 0
 
-    recorder = active_recorder()
     if executor is None:
         with span("smc.sprt", theta=theta):
             for run in range(1, max_runs + 1):
@@ -102,19 +95,13 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
                 else:
                     llr += inc_failure
                 if run & 63 == 0:
-                    heartbeat("smc.sprt", run, successes=successes)
-                    if recorder is not None:
-                        recorder.sample("smc.sprt",
-                                        llr=round(llr, 6),
-                                        successes=successes)
-                if llr >= log_a:
+                    checkpoint("smc.sprt", run, successes=successes,
+                               series=lambda: [{"llr": round(llr, 6),
+                                                "successes": successes}])
+                if llr >= log_a or llr <= log_b:
                     return _record_verdict(SPRTResult(
-                        True, run, successes, theta, indifference),
-                        recorder, log_a, log_b)
-                if llr <= log_b:
-                    return _record_verdict(SPRTResult(
-                        False, run, successes, theta, indifference),
-                        recorder, log_a, log_b)
+                        llr >= log_a, run, successes, theta,
+                        indifference), log_a, log_b)
         raise AnalysisError(f"SPRT undecided after {max_runs} runs")
 
     from ..runtime import run_batch
@@ -134,7 +121,8 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
         with span("smc.sprt", theta=theta):
             for outcomes in results:
                 incr("smc.sprt.chunks")
-                heartbeat("smc.sprt", run, successes=successes)
+                points = []
+                decided = False
                 for outcome in outcomes:
                     run += 1
                     if outcome:
@@ -142,17 +130,20 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
                         llr += inc_success
                     else:
                         llr += inc_failure
-                    if run & 63 == 0 and recorder is not None:
-                        recorder.sample("smc.sprt", llr=round(llr, 6),
-                                        successes=successes)
-                    if llr >= log_a:
-                        return _record_verdict(SPRTResult(
-                            True, run, successes, theta, indifference),
-                            recorder, log_a, log_b)
-                    if llr <= log_b:
-                        return _record_verdict(SPRTResult(
-                            False, run, successes, theta, indifference),
-                            recorder, log_a, log_b)
+                    if run & 63 == 0:
+                        points.append({"llr": round(llr, 6),
+                                       "successes": successes})
+                    if llr >= log_a or llr <= log_b:
+                        decided = True
+                        break
+                # After the fold, so progress reports the runs this
+                # chunk contributed — including the deciding one.
+                checkpoint("smc.sprt", run, successes=successes,
+                           series=lambda: points)
+                if decided:
+                    return _record_verdict(SPRTResult(
+                        llr >= log_a, run, successes, theta,
+                        indifference), log_a, log_b)
     finally:
         results.close()
     raise AnalysisError(f"SPRT undecided after {max_runs} runs")

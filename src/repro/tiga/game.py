@@ -14,9 +14,7 @@ in the paper's example (see DESIGN.md).
 from __future__ import annotations
 
 from ..core.errors import AnalysisError
-from ..obs.metrics import active
-from ..obs.progress import heartbeat
-from ..obs.trace import span
+from ..obs import active, checkpoint, span
 from ..ta.discrete import DiscreteSemantics
 
 
@@ -71,8 +69,8 @@ class GameGraph:
                     if ticked is not None else None
                 expanded += 1
                 if expanded & 1023 == 0:
-                    heartbeat("tiga.explore", expanded,
-                              waiting=len(queue))
+                    checkpoint("tiga.explore", expanded,
+                               waiting=len(queue))
                 if len(self.states) > max_states:
                     raise AnalysisError(
                         f"game arena exceeds {max_states} states")

@@ -16,7 +16,14 @@ import pytest
 from repro.mc import explore
 from repro.mdp import MDP, reachability_probability
 from repro.models.traingate import cross_predicate, make_traingate
-from repro.obs import Collector, Tracer, collecting, span, tracing
+from repro.obs import (
+    Collector,
+    Tracer,
+    checkpoint,
+    collecting,
+    span,
+    tracing,
+)
 from repro.obs.dashboard import render
 from repro.obs.flight import (
     FlightRecorder,
@@ -209,6 +216,28 @@ class TestStallWatchdog:
         rec.touch()                                 # new activity
         assert rec.check_stall(window=0.0) is not None
         assert rec.stalls == 2
+
+    def test_checkpoint_beats_the_watchdog(self):
+        # A checkpoint without series points (what tiga, cora, bip,
+        # modes, cdfs, expected values and splitting emit) still counts
+        # as activity: the watchdog must not flag an analysis that
+        # makes progress.
+        with recording(FlightRecorder(rss_interval=None)) as rec:
+            rec.last_beat -= 60.0          # a minute of silence so far
+            checkpoint("tiga.explore", 1024, waiting=3)
+            assert rec.check_stall(window=30.0) is None
+        assert rec.stalls == 0 and rec.to_dict()["series"] == {}
+
+    def test_heartbeat_only_engine_beats_the_watchdog(self):
+        from repro.bip import BIPEngine
+        from repro.models.dala import make_dala
+
+        engine = BIPEngine(make_dala(with_controller=True,
+                                     counter_bound=4), rng=3)
+        with recording(FlightRecorder(rss_interval=None)) as rec:
+            rec.last_beat -= 60.0
+            engine.run(max_steps=10)       # checkpoints at step 0
+            assert rec.check_stall(window=30.0) is None
 
     def test_live_stacks_excludes_caller(self):
         stacks = live_stacks()

@@ -7,7 +7,10 @@ acceptance criterion: a parallel SMC run reports logical engine totals
 identical to the serial run on the Fig. 4 train-gate workload.
 """
 
+import ast
 import json
+import os
+import pathlib
 import threading
 
 import pytest
@@ -18,13 +21,20 @@ from repro.obs import (
     Collector,
     ProgressEvent,
     Tracer,
+    FlightRecorder,
     active,
     active_tracer,
+    capture_spec,
+    capturing,
+    checkpoint,
     collecting,
     heartbeat,
     incr,
+    log,
+    merge,
     observe,
     progress,
+    recording,
     set_gauge,
     span,
     timed,
@@ -33,17 +43,22 @@ from repro.obs import (
 from repro.obs.report import SCHEMA_VERSION, Report, check_files, validate
 from repro.obs.trace import NULL_SPAN
 from repro.runtime import ParallelExecutor, SerialExecutor, Spec
-from repro.smc import probability_estimate
+from repro.smc import probability_estimate, sprt
 from repro.ta import ZoneGraph
 
 TRAINGATE = Spec(make_traingate, 3)
 CROSS0 = Spec(cross_predicate, 0)
+MP_START = os.environ.get("REPRO_MP_START") or None
 
 
 @pytest.fixture(scope="module")
 def pool2():
-    with ParallelExecutor(workers=2) as executor:
+    with ParallelExecutor(workers=2, mp_context=MP_START) as executor:
         yield executor
+
+
+def coin_p03(rng):
+    return rng.random() < 0.3
 
 
 class TestCollector:
@@ -251,6 +266,26 @@ class TestProgress:
             assert heartbeat("x", 3, force=True) is not None
         assert [e.done for e in events] == [1, 3]
 
+    def test_checkpoint_delivers_heartbeat(self):
+        events = []
+        with progress(events.append, min_interval=0.0):
+            checkpoint("mc.explore", 1024, waiting=7,
+                       series=lambda: [{"waiting": 7}])
+        assert [(e.kind, e.done, e.info) for e in events] == \
+            [("mc.explore", 1024, {"waiting": 7})]
+
+    def test_batched_sprt_reports_folded_runs(self):
+        # Each chunk's checkpoint comes after its fold, so the deciding
+        # chunk is reported and the last value is the verdict's count.
+        events = []
+        with progress(events.append, min_interval=0.0):
+            result = sprt(coin_p03, 0.5, indifference=0.05, rng=7,
+                          executor=SerialExecutor(), batch_size=32)
+        done = [e.done for e in events if e.kind == "smc.sprt"]
+        assert done and done[0] > 0
+        assert all(a < b for a, b in zip(done, done[1:]))
+        assert done[-1] == result.runs
+
 
 class TestReport:
     def test_schema_and_validate(self):
@@ -444,6 +479,25 @@ class TestParallelMetricsEquivalence:
         assert snap["counters"]["runtime.tasks"] >= 1
         assert snap["histograms"]["runtime.task_seconds"]["count"] == \
             snap["counters"]["runtime.tasks"]
+
+    def test_capture_round_trip_in_process(self):
+        # What a worker task does, minus the process: capture under the
+        # coordinator's spec, then merge the one snapshot back.
+        assert capture_spec() is None
+        with collecting() as c, \
+                recording(FlightRecorder(rss_interval=None)) as rec:
+            spec = capture_spec()
+            assert spec == (True, None, True)
+            with capturing(spec) as snapshot:
+                incr("smc.runs", 3)
+                log("smc.batch", runs=3)
+            assert c.value("smc.runs") == 0   # not merged yet
+            merge(snapshot, worker=1)
+        assert set(snapshot) == {"metrics", "flight"}
+        assert c.value("smc.runs") == 3
+        assert "obs.gc_collections" in c.snapshot()["max_gauges"]
+        event, = rec.to_dict()["events"]
+        assert (event["name"], event["worker"]) == ("smc.batch", 1)
 
 
 class TestDemoSession:
@@ -669,3 +723,64 @@ class TestCheckOneMultiError:
         assert "3 invalid line(s)" in message
         assert "1 valid records would be kept" in message
         assert "not JSON" in message
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+OBS_PRIVATE_MODULES = ("flight", "progress", "profiler", "resources")
+OBS_PRIVATE_NAMES = ("active_recorder", "heartbeat")
+
+
+def obs_bypasses(path, root):
+    """The ways the module at ``path`` (a package file under ``root``)
+    reaches past the :mod:`repro.obs` surface: imports of the observer
+    modules behind it, and any use of the names engines must not call."""
+    package = path.relative_to(root).parent.parts
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else ()
+            module = ".".join(base + tuple(filter(None, [node.module])))
+            targets = [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            targets = []
+            if name in OBS_PRIVATE_NAMES:
+                found.add(name)
+        for target in targets:
+            parts = target.split(".")
+            if parts[-1] in OBS_PRIVATE_NAMES or (
+                    parts[:2] == ["repro", "obs"] and len(parts) > 2
+                    and parts[2] in OBS_PRIVATE_MODULES):
+                found.add(target)
+    return found
+
+
+class TestInstrumentationBoundary:
+    """Engines reach observability only through the :mod:`repro.obs`
+    surface (``checkpoint``, ``span``, ``incr``, ``log``, the worker
+    capture pair) — never through the observer modules behind it."""
+
+    def test_no_module_outside_obs_bypasses_the_surface(self):
+        package = SRC / "repro"
+        modules = [path for path in sorted(package.rglob("*.py"))
+                   if package / "obs" not in path.parents]
+        assert len(modules) > 50
+        offenders = {str(path.relative_to(SRC)): found
+                     for path in modules
+                     if (found := obs_bypasses(path, SRC))}
+        assert offenders == {}
+
+    def test_detects_each_kind_of_bypass(self, tmp_path):
+        bad = tmp_path / "repro" / "mc" / "bad.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("from ..obs.flight import log\n"
+                       "from ..obs import heartbeat\n"
+                       "import repro.obs.profiler\n"
+                       "from . import obs\n"
+                       "recorder = obs.active_recorder()\n")
+        assert obs_bypasses(bad, tmp_path) == {
+            "repro.obs.flight.log", "repro.obs.heartbeat",
+            "repro.obs.profiler", "active_recorder"}
