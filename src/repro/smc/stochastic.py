@@ -8,12 +8,26 @@ uniformly among its enabled output/internal edges; matching receivers
 are chosen uniformly (all of them for broadcast).  Committed and urgent
 locations act without delay.
 
-Limitations (documented, checked at model load): diagonal clock guards
-are not supported, and receiver edges are assumed clock-guard-free or
-enabled whenever their sender fires (true for all models in this
-repository except the train's ``stop`` reception, whose guard is
-checked and, failing, suppresses the receiver — matching UPPAAL-SMC's
-input-enabled filtering).
+Everything a step needs that depends only on (process, location) — the
+location's flags and rate, its upper-bound invariant atoms and each
+edge's clock guard with resolved clock indices, its output/internal
+edges, and its receive edges grouped by channel — is compiled once per
+frozen network into a :class:`LocationPlan`, built lazily on the first
+visit and shared by every simulator of that network.
+
+The random stream is a contract: one step draws, in process order, an
+``expovariate`` or ``uniform`` delay for every bidding component, then
+one ``choice`` for the winner's edge, then, in process order, one
+``choice`` among each ready receiver's edges and (binary channels) one
+``choice`` among the ready receivers.  A seed thus fixes every run.
+
+Limitations: diagonal clock constraints (``x - y ~ c``) in guards or
+invariants are not supported and are rejected with :class:`ModelError`
+when the simulator is constructed; receiver edges are assumed
+clock-guard-free or enabled whenever their sender fires (true for all
+models in this repository except the train's ``stop`` reception, whose
+guard is checked and, failing, suppresses the receiver — matching
+UPPAAL-SMC's input-enabled filtering).
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import math
 
 from ..core.errors import AnalysisError, ModelError
+from ..core.expressions import Expr
 from ..core.rng import RandomSource, ensure_rng
 from ..obs.metrics import active
 
@@ -41,34 +56,101 @@ class ConcreteState:
         return f"ConcreteState(locs={self.locs})"
 
 
-def _edge_window(process, edge, clocks):
-    """Relative-delay window [lo, hi] in which the edge's clock guard
-    holds (hi may be inf)."""
-    lo, hi = 0.0, INFINITY
-    for atom in edge.guard:
-        if atom.other is not None:
-            raise ModelError("stochastic semantics: diagonal guards "
-                             f"unsupported ({atom!r})")
-        value = clocks[process.resolve_clock(atom.clock)]
-        if atom.op in (">", ">="):
-            lo = max(lo, atom.bound - value)
-        elif atom.op in ("<", "<="):
-            hi = min(hi, atom.bound - value)
-        else:  # ==
-            lo = max(lo, atom.bound - value)
-            hi = min(hi, atom.bound - value)
-    return lo, hi
+# -- per-location plans ----------------------------------------------------------
+
+class EdgePlan:
+    """An edge with its data-guard test, clock guard and resets compiled
+    against the process's clock indices."""
+
+    __slots__ = ("edge", "test", "lowers", "uppers", "target", "resets")
+
+    def __init__(self, process, edge):
+        self.edge = edge
+        guard = edge.data_guard
+        if guard is None or callable(guard):
+            self.test = guard
+        elif isinstance(guard, Expr):
+            self.test = guard.eval
+        else:
+            raise ModelError(f"bad data guard {guard!r}")
+        lowers, uppers = [], []
+        for atom in edge.guard:
+            gap = (process.resolve_clock(atom.clock), atom.bound)
+            if atom.op in (">", ">=", "=="):
+                lowers.append(gap)
+            if atom.is_upper_bound():
+                uppers.append(gap)
+        self.lowers = tuple(lowers)
+        self.uppers = tuple(uppers)
+        self.target = process.location_index[edge.target]
+        self.resets = tuple((process.resolve_clock(clock), float(value))
+                            for clock, value in edge.resets)
+
+    def window(self, clocks):
+        """Relative-delay window ``(lo, hi)`` in which the clock guard
+        holds (``hi`` may be inf)."""
+        lo, hi = 0.0, INFINITY
+        for index, bound in self.lowers:
+            lo = max(lo, bound - clocks[index])
+        for index, bound in self.uppers:
+            hi = min(hi, bound - clocks[index])
+        return lo, hi
 
 
-def _invariant_bound(process, loc, clocks):
-    """Maximum delay allowed by the location invariant (inf if none)."""
-    bound = INFINITY
-    for atom in loc.invariant:
-        if not atom.is_upper_bound():
-            continue
-        value = clocks[process.resolve_clock(atom.clock)]
-        bound = min(bound, atom.bound - value)
-    return bound
+class LocationPlan:
+    """What a step needs of one process standing in one location."""
+
+    __slots__ = ("committed", "instant", "rate", "invariant", "outputs",
+                 "receives")
+
+    def __init__(self, process, loc_index):
+        loc = process.location(loc_index)
+        self.committed = loc.committed
+        self.instant = loc.committed or loc.urgent
+        self.rate = loc.rate
+        #: ``(clock index, bound)`` of the upper-bound invariant atoms.
+        self.invariant = tuple(
+            (process.resolve_clock(atom.clock), atom.bound)
+            for atom in loc.invariant if atom.is_upper_bound())
+        outputs, receives = [], {}
+        for edge in process.edges_from(loc_index):
+            plan = EdgePlan(process, edge)
+            if edge.sync is not None and edge.sync[1] == "?":
+                receives.setdefault(edge.sync[0], []).append(plan)
+            else:
+                outputs.append(plan)
+        self.outputs = tuple(outputs)
+        self.receives = {channel: tuple(plans)
+                         for channel, plans in receives.items()}
+
+
+def _reject_diagonals(network):
+    for process in network.processes:
+        constraints = [loc.invariant for loc in process.locations]
+        constraints += [edge.guard for edge in process.automaton.edges]
+        for atoms in constraints:
+            for atom in atoms:
+                if atom.other is not None:
+                    raise ModelError(
+                        f"stochastic semantics: {process.name}: diagonal "
+                        f"constraint unsupported ({atom!r})")
+
+
+def location_plans(network):
+    """The per-process tables of :class:`LocationPlan` (``None`` until a
+    location is first visited) for a frozen network.
+
+    Built once per network and cached on it, like
+    :meth:`~repro.ta.Network.max_constants`; the first call rejects
+    diagonal clock constraints.
+    """
+    plans = getattr(network, "_location_plans", None)
+    if plans is None:
+        _reject_diagonals(network)
+        plans = network._location_plans = [
+            [None] * len(process.locations)
+            for process in network.processes]
+    return plans
 
 
 class StochasticSimulator:
@@ -78,6 +160,7 @@ class StochasticSimulator:
         self.network = network.freeze()
         self.rng = ensure_rng(rng)
         self.default_rate = default_rate
+        self._plans = location_plans(self.network)
 
     def initial(self):
         return ConcreteState(
@@ -85,45 +168,12 @@ class StochasticSimulator:
             self.network.initial_valuation(),
             (0.0,) * self.network.dbm_size)
 
-    # -- per-component delay sampling ------------------------------------------
-
-    def _active_edges(self, process, state):
-        """Output/internal edges whose data guards hold."""
-        from ..ta.transitions import eval_data_guard
-
-        out = []
-        for edge in process.edges_from(state.locs[process.index]):
-            if edge.sync is not None and edge.sync[1] == "?":
-                continue
-            if eval_data_guard(edge, state.valuation):
-                out.append(edge)
-        return out
-
-    def _sample_delay(self, process, state):
-        """(delay, edges) — the component's bid in the race."""
-        loc = process.location(state.locs[process.index])
-        edges = self._active_edges(process, state)
-        inv = _invariant_bound(process, loc, state.clocks)
-        if not edges:
-            return INFINITY, []
-        if loc.committed or loc.urgent:
-            return 0.0, edges
-        windows = []
-        for edge in edges:
-            lo, hi = _edge_window(process, edge, state.clocks)
-            hi = min(hi, inv)
-            if lo <= hi:
-                windows.append((lo, hi, edge))
-        if not windows:
-            return INFINITY, []
-        lower = min(lo for lo, _hi, _e in windows)
-        if math.isinf(inv):
-            rate = loc.rate if loc.rate is not None else self.default_rate
-            delay = lower + self.rng.expovariate(rate)
-        else:
-            delay = self.rng.uniform(lower, inv)
-        enabled = [e for lo, hi, e in windows if lo <= delay <= hi]
-        return delay, enabled
+    def _plan(self, process, loc_index):
+        # Threads sharing a network may both build a missing plan; the
+        # copies are equal, so whichever lands last is as good.
+        plan = LocationPlan(process, loc_index)
+        self._plans[process.index][loc_index] = plan
+        return plan
 
     # -- one step of the race ------------------------------------------------------
 
@@ -133,39 +183,80 @@ class StochasticSimulator:
         Returns ``(delay, transition_description, new_state)`` or ``None``
         when no component can ever act (the run ends).
         """
-        bids = []
+        move = self._advance(state)
+        if move is None:
+            return None
+        delay, participants, new_state = move
+        if participants is None:
+            return (delay, None, new_state)
+        description = " || ".join(
+            f"{p.name}:{e.edge.source}->{e.edge.target}"
+            for p, e in participants)
+        return (delay, description, new_state)
+
+    def _advance(self, state):
+        """One race: ``(delay, participants, new_state)`` with the
+        ``(process, EdgePlan)`` pairs that moved (``None`` for an output
+        that found no receiver), or ``None`` when the run ends."""
+        clocks = state.clocks
+        valuation = state.valuation
+        rng = self.rng
         inv_cap = INFINITY
-        for process in self.network.processes:
-            loc = process.location(state.locs[process.index])
-            inv_cap = min(inv_cap,
-                          _invariant_bound(process, loc, state.clocks))
-            delay, edges = self._sample_delay(process, state)
-            if edges:
-                bids.append((delay, process, edges))
-        if not bids:
+        best = first_committed = None
+        for process, plans, loc_index in zip(self.network.processes,
+                                             self._plans, state.locs):
+            plan = plans[loc_index] or self._plan(process, loc_index)
+            inv = INFINITY
+            for index, bound in plan.invariant:
+                inv = min(inv, bound - clocks[index])
+            inv_cap = min(inv_cap, inv)
+            edges = [e for e in plan.outputs
+                     if e.test is None or e.test(valuation)]
+            if not edges:
+                continue
+            if plan.instant:
+                delay = 0.0
+                if plan.committed and first_committed is None:
+                    first_committed = (delay, process, edges)
+            else:
+                windows = []
+                for edge in edges:
+                    lo, hi = edge.window(clocks)
+                    hi = min(hi, inv)
+                    if lo <= hi:
+                        windows.append((lo, hi, edge))
+                if not windows:
+                    continue
+                lower = min(lo for lo, _hi, _e in windows)
+                if inv == INFINITY:
+                    rate = plan.rate if plan.rate is not None \
+                        else self.default_rate
+                    delay = lower + rng.expovariate(rate)
+                else:
+                    delay = rng.uniform(lower, inv)
+                edges = [e for lo, hi, e in windows if lo <= delay <= hi]
+                if not edges:
+                    continue
+            if best is None or delay < best[0]:
+                best = (delay, process, edges)
+        winner = first_committed or best
+        if winner is None:
             return None
-        committed = [b for b in bids if b[0] == 0.0 and (
-            self.network.processes[b[1].index].location(
-                state.locs[b[1].index]).committed)]
-        pool = committed if committed else bids
-        delay, process, edges = min(pool, key=lambda b: b[0])
-        if math.isinf(delay):
-            return None
+        delay, process, edges = winner
         if delay > inv_cap + 1e-9:
             # Another component's invariant expires first but it has no
             # action: timelock.  End the run.
             return None
-        new_clocks = tuple(c + delay for c in state.clocks)
-        mid = ConcreteState(state.locs, state.valuation, new_clocks)
-        edge = self.rng.choice(edges)
-        return self._fire(mid, process, edge, delay)
+        mid = ConcreteState(state.locs, valuation,
+                            tuple([c + delay for c in clocks]))
+        return self._fire(mid, process, rng.choice(edges), delay)
 
     def _fire(self, state, process, edge, delay):
         participants = [(process, edge)]
-        if edge.sync is not None:
-            channel = self.network.channels[edge.sync[0]]
-            receivers = self._ready_receivers(state, process, edge.sync[0])
-            if channel.broadcast:
+        sync = edge.edge.sync
+        if sync is not None:
+            receivers = self._ready_receivers(state, process, sync[0])
+            if self.network.channels[sync[0]].broadcast:
                 participants.extend(receivers)
             else:
                 if not receivers:
@@ -175,35 +266,31 @@ class StochasticSimulator:
         env = state.valuation.env()
         locs = list(state.locs)
         clocks = list(state.clocks)
-        for proc, e in participants:
-            locs[proc.index] = proc.location_index[e.target]
-            for update in e.update:
+        for proc, plan in participants:
+            locs[proc.index] = plan.target
+            for update in plan.edge.update:
                 if callable(update):
                     update(env)
                 else:
                     update.apply(env)
-            for clock, value in e.resets:
-                clocks[proc.resolve_clock(clock)] = float(value)
-        description = " || ".join(
-            f"{p.name}:{e.source}->{e.target}" for p, e in participants)
-        return (delay,
-                description,
+            for index, value in plan.resets:
+                clocks[index] = value
+        return (delay, participants,
                 ConcreteState(tuple(locs), env.commit(), tuple(clocks)))
 
     def _ready_receivers(self, state, sender, channel_name):
-        from ..ta.transitions import eval_data_guard
-
+        valuation = state.valuation
         out = []
-        for process in self.network.processes:
-            if process.index == sender.index:
+        for process, plans, loc_index in zip(self.network.processes,
+                                             self._plans, state.locs):
+            if process is sender:
                 continue
+            plan = plans[loc_index] or self._plan(process, loc_index)
             candidates = []
-            for edge in process.edges_from(state.locs[process.index]):
-                if edge.sync != (channel_name, "?"):
+            for edge in plan.receives.get(channel_name, ()):
+                if edge.test is not None and not edge.test(valuation):
                     continue
-                if not eval_data_guard(edge, state.valuation):
-                    continue
-                lo, hi = _edge_window(process, edge, state.clocks)
+                lo, hi = edge.window(state.clocks)
                 if lo <= 0.0 <= hi:
                     candidates.append(edge)
             if candidates:
@@ -236,10 +323,10 @@ class StochasticSimulator:
                     return elapsed
                 if elapsed >= max_time:
                     return elapsed
-                move = self.step(state)
+                move = self._advance(state)
                 if move is None:
                     return elapsed
-                delay, _description, state = move
+                delay, _participants, state = move
                 elapsed += delay
             raise AnalysisError(f"run exceeded {max_steps} steps")
         finally:
