@@ -270,16 +270,22 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     *that scheduler*, the standard caveat of simulating nondeterministic
     models (paper, Section III-A).
 
-    With an ``executor`` (see :mod:`repro.runtime`) the ``runs`` budget
-    fans out to worker processes in batches with per-run seeds spawned
-    from ``rng``; ``model`` must then be MODEST source text or a
-    :class:`~repro.runtime.Spec` (both picklable), and property
-    predicates module-level functions or specs.  Estimates are
-    bit-identical for any worker count and batch size —
-    ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) keeps
-    that guarantee across crashed, raising, or hung workers by
-    replaying the failed batches from their seeds.
+    The ``runs`` budget goes through ``executor`` (see
+    :mod:`repro.runtime`; ``None`` means
+    :class:`~repro.runtime.SerialExecutor`) in batches with per-run
+    seeds spawned from ``rng``, so estimates are bit-identical for any
+    executor, worker count and batch size.  A
+    :class:`~repro.runtime.ParallelExecutor` needs ``model`` as MODEST
+    source text or a :class:`~repro.runtime.Spec` (both picklable), and
+    property predicates as module-level functions or specs.
+    ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) keeps the
+    guarantee across crashed, raising, or hung workers by replaying the
+    failed batches from their seeds; estimates divide by the runs that
+    completed, so batches it skips do not count.
     """
+    from ..runtime import SerialExecutor, batched, seed_stream
+
+    executor = SerialExecutor() if executor is None else executor
     reach_props = [p for p in properties
                    if isinstance(p, (Reach, Pmax, Pmin))]
     time_props = [p for p in properties if isinstance(p, (Emax, Emin))]
@@ -287,39 +293,23 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     durations = {p.name: [] for p in time_props}
 
     with span("modest.modes", runs=runs, policy=policy):
-        incr("modest.modes.runs", runs)
         incr("modest.modes.properties", len(properties))
-        if executor is None:
-            network = load_cached(model)
-            simulator = DigitalSimulator(network, policy=policy, rng=rng)
-            for index in range(runs):
-                hit_time = {p.name: None for p in properties}
-                watch, stopper = _watch_hits(properties, hit_time)
-                simulator.run(stop=stopper, observer=watch,
-                              max_time=max_time)
-                if (index + 1) & 63 == 0:
-                    checkpoint("modest.modes", index + 1, total=runs)
+        seeds = seed_stream(rng, runs)
+        size = batch_size or executor.batch_size_for(runs)
+        tasks = [(model, properties, policy, max_time, chunk)
+                 for chunk in batched(seeds, size)]
+        done = 0
+        for batch in executor.imap(modes_batch, tasks, policy=fault_policy):
+            done += len(batch)
+            checkpoint("modest.modes", done, total=runs)
+            for hit_time in batch:
                 _tally(reach_props, time_props, hit_time, observed,
                        durations)
-        else:
-            from ..runtime import batched, seed_stream
-
-            seeds = seed_stream(rng, runs)
-            size = batch_size or executor.batch_size_for(runs)
-            tasks = [(model, properties, policy, max_time, chunk)
-                     for chunk in batched(seeds, size)]
-            done = 0
-            for batch in executor.map(modes_batch, tasks,
-                                      policy=fault_policy):
-                done += len(batch)
-                checkpoint("modest.modes", done, total=runs)
-                for hit_time in batch:
-                    _tally(reach_props, time_props, hit_time, observed,
-                           durations)
+        incr("modest.modes.runs", done)
 
     results = {}
     for p in reach_props:
-        results[p.name] = ProbabilityEstimate(observed[p.name], runs,
+        results[p.name] = ProbabilityEstimate(observed[p.name], done,
                                               confidence)
     for p in time_props:
         samples = [d for d in durations[p.name] if not math.isinf(d)]

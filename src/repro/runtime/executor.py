@@ -5,7 +5,8 @@ UPPAAL-SMC and modes papers both stress this), so the statistical
 engines fan batches of runs out through an *executor*:
 
 * :class:`SerialExecutor` — runs batches inline, in order.  The default
-  everywhere; zero overhead, no pickling requirements.
+  everywhere (``executor=None`` means ``SerialExecutor()``); zero
+  overhead, no pickling requirements.
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
   behind the same interface.  Batch functions and their arguments must
   be picklable (module-level functions, :class:`~repro.runtime.Spec`
@@ -107,6 +108,9 @@ class _PendingTask:
         self.generation = -1
 
 
+#: Largest serial batch — the checkpoint cadence of a serial campaign.
+SERIAL_BATCH_RUNS = 64
+
 #: Sentinel distinguishing "task skipped" from a ``None`` result.
 _SKIPPED = object()
 
@@ -167,6 +171,12 @@ class SerialExecutor(Executor):
     """
 
     workers = 1
+
+    def batch_size_for(self, runs):
+        """At most :data:`SERIAL_BATCH_RUNS` runs per batch: each batch
+        ends in a progress checkpoint, so a serial campaign of any size
+        reports (and feeds the stall watchdog) every 64 runs."""
+        return max(1, min(runs, SERIAL_BATCH_RUNS))
 
     def imap(self, fn, tasks, policy=None):
         collector = active()

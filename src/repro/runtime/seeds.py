@@ -5,8 +5,7 @@ The contract that makes parallel SMC reproducible: a master
 seed *per run* (via :meth:`~repro.core.rng.RandomSource.spawn`), runs
 are numbered by their position in that stream, and batching merely
 partitions the stream.  Estimates aggregated in run order are therefore
-bit-identical for any worker count and any batch size — and identical
-to the serial engines that already draw ``rng.spawn()`` per run.
+bit-identical for any executor, worker count and batch size.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from ..obs import log
 def seed_stream(rng_or_seed, n):
     """The first ``n`` per-run seeds spawned from a master source.
 
-    Equals ``[rng.spawn().seed for _ in range(n)]`` — i.e. exactly the
-    seeds the serial engines hand to successive runs.
+    Equals ``[rng.spawn().seed for _ in range(n)]``.
     """
     rng = ensure_rng(rng_or_seed)
     return [rng.spawn().seed for _ in range(n)]

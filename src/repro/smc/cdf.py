@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from ..core.errors import AnalysisError
-from ..core.rng import ensure_rng
 from ..obs import checkpoint, incr, span
 
 
@@ -82,51 +81,35 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     ``run(max_time, observer=..., stop=...)`` (the SMC and digital
     simulators both do).  Returns ``{key: [probabilities over grid]}``.
 
-    With an ``executor`` (see :mod:`repro.runtime`), batches of seeded
-    runs are fanned out to workers; the factory must then be picklable
+    Batches of seeded runs go through ``executor`` (see
+    :mod:`repro.runtime`; ``None`` means
+    :class:`~repro.runtime.SerialExecutor`).  A
+    :class:`~repro.runtime.ParallelExecutor` needs a picklable factory
     — e.g. ``functools.partial(repro.smc.stochastic.network_simulator,
     Spec(make_traingate, 3))``.  Runs draw one spawned child source
-    each either way, so serial and parallel samples are identical.
+    each, so every executor yields identical samples.
     ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) replays
     failed batches from their seeds, keeping the samples identical
     across worker faults.
     """
-    rng = ensure_rng(rng)
+    from ..runtime import SerialExecutor, batched, seed_stream
+
+    executor = SerialExecutor() if executor is None else executor
     with span("smc.first_passage_cdfs", runs=runs):
-        incr("smc.cdf.runs", runs)
-        if executor is not None:
-            from ..runtime import batched, seed_stream
-
-            seeds = seed_stream(rng, runs)
-            size = batch_size or executor.batch_size_for(runs)
-            samples = {key: [] for key in predicates}
-            done = 0
-            for batch in executor.map(
-                    first_passage_batch,
-                    [(simulator_factory, predicates, horizon, chunk)
-                     for chunk in batched(seeds, size)],
-                    policy=fault_policy):
-                done += len(batch)
-                checkpoint("smc.cdf", done, total=runs)
-                for times in batch:
-                    for key, value in times.items():
-                        samples[key].append(value)
-            return {key: empirical_cdf(vals, grid)
-                    for key, vals in samples.items()}
-        from .stochastic import resolve_predicate
-
-        predicates = {key: resolve_predicate(p)
-                      for key, p in predicates.items()}
+        seeds = seed_stream(rng, runs)
+        size = batch_size or executor.batch_size_for(runs)
         samples = {key: [] for key in predicates}
-        for index in range(runs):
-            simulator = simulator_factory(rng.spawn())
-            recorder = FirstPassageRecorder(predicates)
-            simulator.run(
-                horizon, observer=recorder,
-                stop=lambda t, n, v, c: recorder.all_seen())
-            if (index + 1) & 63 == 0:
-                checkpoint("smc.cdf", index + 1, total=runs)
-            for key, value in recorder.times.items():
-                samples[key].append(value)
+        done = 0
+        for batch in executor.imap(
+                first_passage_batch,
+                [(simulator_factory, predicates, horizon, chunk)
+                 for chunk in batched(seeds, size)],
+                policy=fault_policy):
+            done += len(batch)
+            checkpoint("smc.cdf", done, total=runs)
+            for times in batch:
+                for key, value in times.items():
+                    samples[key].append(value)
+        incr("smc.cdf.runs", done)
         return {key: empirical_cdf(vals, grid)
                 for key, vals in samples.items()}

@@ -16,7 +16,6 @@ from statistics import NormalDist
 
 from .. import obs
 from ..core.errors import AnalysisError
-from ..core.rng import ensure_rng
 from ..obs import active, collecting, incr, span
 
 
@@ -210,59 +209,33 @@ def _campaign_finish(checkpoint, inner, outer):
     checkpoint.clear()
 
 
-def _require_executor(name, executor, fault_policy, checkpoint):
-    if executor is None and (fault_policy is not None
-                             or checkpoint is not None):
-        raise AnalysisError(
-            f"{name}: fault_policy/checkpoint apply to the batched "
-            f"executor path — pass executor=SerialExecutor() or a "
-            f"ParallelExecutor")
-
-
 def estimate_probability(run_once, runs, rng=None, confidence=0.95,
                          executor=None, batch_size=None,
                          fault_policy=None, checkpoint=None):
     """Estimate P(run_once(rng) is truthy) from ``runs`` samples.
 
-    With an ``executor`` (see :mod:`repro.runtime`) the budget is split
-    into batches of per-run seeds spawned from ``rng`` and fanned out;
-    ``run_once`` must then be picklable (a module-level function, or a
+    The budget is split into batches of per-run seeds spawned from
+    ``rng`` and run by ``executor`` (see :mod:`repro.runtime`; the
+    default ``None`` means :class:`~repro.runtime.SerialExecutor`).  A
+    :class:`~repro.runtime.ParallelExecutor` needs a picklable
+    ``run_once`` (a module-level function, or a
     :func:`functools.partial` over one).  Results are bit-identical for
     any executor, worker count, and batch size.
 
     ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) makes the
     campaign survive crashed / raising / hung workers by replaying the
-    failed batches from their seeds — still bit-identical.
+    failed batches from their seeds — still bit-identical; with
+    ``on_exhausted="skip"`` the estimate covers the completed runs.
     ``checkpoint`` (a :class:`~repro.runtime.Checkpoint`) snapshots the
     tally and metrics every few batches and resumes a matching
     interrupted campaign exactly; a campaign whose fault policy skipped
-    batches (``on_exhausted="skip"``) should not be checkpointed, as
-    resume assumes the completed batches form a prefix.
+    batches should not be checkpointed, as resume assumes the completed
+    batches form a prefix.
     """
-    _require_executor("estimate_probability", executor, fault_policy,
-                      checkpoint)
+    from ..runtime import SerialExecutor, batched, run_batch, seed_stream
+
+    executor = SerialExecutor() if executor is None else executor
     with span("smc.estimate_probability", runs=runs) as sp:
-        if executor is None:
-            rng = ensure_rng(rng)
-            successes = 0
-            for index in range(runs):
-                if run_once(rng):
-                    successes += 1
-                if (index + 1) & 63 == 0:
-                    obs.checkpoint(
-                        "smc.estimate", index + 1, total=runs,
-                        successes=successes,
-                        series=lambda: [_estimate_point(
-                            confidence, index + 1, successes)])
-            done = runs
-            incr("smc.runs", runs)
-            incr("smc.accepted", successes)
-            obs.log("smc.estimate.done", runs=done, successes=successes)
-            sp.set("successes", successes)
-            return ProbabilityEstimate(successes, done, confidence)
-
-        from ..runtime import batched, run_batch, seed_stream
-
         seeds = seed_stream(rng, runs)
         size = batch_size or executor.batch_size_for(runs)
         chunks = batched(seeds, size)
@@ -282,9 +255,8 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
             for outcomes in executor.imap(run_batch, tasks,
                                           policy=fault_policy):
                 # Walk the outcomes run by run so the series samples
-                # at the same ``done & 63 == 0`` positions as the
-                # serial loop — the sample *count* is then
-                # executor-independent.
+                # at every ``done & 63 == 0`` position — the sample
+                # *count* is then independent of the batching.
                 marks = []
                 for outcome in outcomes:
                     done += 1
@@ -321,27 +293,10 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
     run order, so the estimate (and its interval) does not depend on
     the batching.
     """
-    _require_executor("estimate_mean", executor, fault_policy, checkpoint)
-    total = 0.0
+    from ..runtime import SerialExecutor, batched, sample_batch, seed_stream
+
+    executor = SerialExecutor() if executor is None else executor
     with span("smc.estimate_mean", runs=runs):
-        if executor is None:
-            rng = ensure_rng(rng)
-            samples = []
-            for index in range(runs):
-                value = run_once(rng)
-                samples.append(value)
-                total += value
-                if (index + 1) & 63 == 0:
-                    obs.checkpoint(
-                        "smc.estimate_mean", index + 1, total=runs,
-                        series=lambda: [
-                            {"mean": round(total / (index + 1), 6)}])
-            incr("smc.runs", runs)
-            obs.log("smc.estimate_mean.done", runs=runs)
-            return MeanEstimate(samples, confidence)
-
-        from ..runtime import batched, sample_batch, seed_stream
-
         seeds = seed_stream(rng, runs)
         size = batch_size or executor.batch_size_for(runs)
         chunks = batched(seeds, size)

@@ -8,13 +8,14 @@ single call answers a probability-threshold query over a TA network,
 and to fixed-budget estimation for the quantitative variant.
 
 Every entry point takes an optional ``executor`` (see
-:mod:`repro.runtime`) that fans the independent runs out over worker
-processes.  Because networks carry unpicklable guard/update callables,
-parallel callers pass :class:`~repro.runtime.Spec` references to
-module-level model and predicate factories instead of live objects;
-workers rebuild them once per process.  Per-run seeds come from the
-master ``rng``'s spawn stream, so results are bit-identical for any
-worker count and batch size.
+:mod:`repro.runtime`; the default runs serially) that may fan the
+independent runs out over worker processes.  Because networks carry
+unpicklable guard/update callables, parallel callers pass
+:class:`~repro.runtime.Spec` references to module-level model and
+predicate factories instead of live objects; workers rebuild them once
+per process.  Per-run seeds come from the master ``rng``'s spawn
+stream, so results are bit-identical for any executor, worker count
+and batch size.
 """
 
 from __future__ import annotations
@@ -34,23 +35,6 @@ from .stochastic import (
 )
 
 
-def _make_run_once(network, predicate, horizon, default_rate=1.0):
-    def run_once(rng):
-        simulator = StochasticSimulator(network, rng=rng,
-                                        default_rate=default_rate)
-        hit = []
-
-        def observer(t, names, valuation, clocks):
-            if not hit and predicate(names, valuation, clocks):
-                hit.append(t)
-
-        simulator.run(max_time=horizon, observer=observer,
-                      stop=lambda t, n, v, c: bool(hit))
-        return bool(hit)
-
-    return run_once
-
-
 def _spec_run_once(network, predicate, horizon, default_rate):
     """A picklable run closure: a partial over the module-level
     :func:`~repro.smc.stochastic.simulate_once`."""
@@ -68,17 +52,10 @@ def probability_at_least(network, predicate, theta, horizon,
     ``predicate`` takes ``(location_names, valuation, clocks)``.
     Returns an :class:`~repro.smc.SPRTResult`; truthiness is the
     verdict.  Error probabilities are bounded by ``alpha``/``beta``
-    outside the indifference region.  With an ``executor``, runs are
-    dispatched in chunks and dispatch stops once the SPRT boundary is
-    crossed; ``network``/``predicate`` may be specs.
+    outside the indifference region.  Runs are dispatched in chunks
+    and dispatch stops once the SPRT boundary is crossed.
     """
-    rng = ensure_rng(rng)
-    if executor is None:
-        run_once = _make_run_once(resolve_model(network),
-                                  resolve_predicate(predicate),
-                                  horizon, default_rate)
-    else:
-        run_once = _spec_run_once(network, predicate, horizon, default_rate)
+    run_once = _spec_run_once(network, predicate, horizon, default_rate)
     return sprt(run_once, theta, indifference=indifference, alpha=alpha,
                 beta=beta, rng=rng, max_runs=max_runs, executor=executor,
                 batch_size=batch_size, fault_policy=fault_policy)
@@ -92,13 +69,7 @@ def probability_estimate(network, predicate, horizon, runs=738,
     Clopper–Pearson interval (default budget = the Chernoff count for
     eps = delta = 0.05).  ``fault_policy`` and ``checkpoint`` behave as
     in :func:`~repro.smc.estimate_probability`."""
-    rng = ensure_rng(rng)
-    if executor is None:
-        run_once = _make_run_once(resolve_model(network),
-                                  resolve_predicate(predicate),
-                                  horizon, default_rate)
-    else:
-        run_once = _spec_run_once(network, predicate, horizon, default_rate)
+    run_once = _spec_run_once(network, predicate, horizon, default_rate)
     return estimate_probability(run_once, runs=runs, rng=rng,
                                 confidence=confidence, executor=executor,
                                 batch_size=batch_size,
@@ -137,47 +108,31 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
     ``observe(names, valuation, clocks) -> number`` is evaluated at
     every visited state; per run the maximum (``mode="max"``), minimum
     (``"min"``) or last (``"final"``) observation is kept, and a
-    :class:`~repro.smc.MeanEstimate` over the runs is returned.  Runs
-    already use one spawned child source each, so the serial path and
-    any executor see identical per-run seeds — and return identical
-    samples.
+    :class:`~repro.smc.MeanEstimate` over the runs is returned.  Each
+    run draws one spawned child source, so every executor sees
+    identical per-run seeds — and returns identical samples.
     """
     from ..core.errors import AnalysisError
+    from ..runtime import SerialExecutor, batched, sample_batch, seed_stream
     from .estimate import MeanEstimate
 
     if mode not in ("max", "min", "final"):
         raise AnalysisError(f"unknown mode {mode!r}")
-    rng = ensure_rng(rng)
+    executor = SerialExecutor() if executor is None else executor
     with span("smc.expected_value", runs=runs, mode=mode):
-        incr("smc.runs", runs)
-        if executor is not None:
-            from ..runtime import batched, sample_batch, seed_stream
-
-            run_once = functools.partial(observe_extremum, network, observe,
-                                         horizon, mode,
-                                         default_rate=default_rate)
-            seeds = seed_stream(rng, runs)
-            size = batch_size or executor.batch_size_for(runs)
-            samples = []
-            done = 0
-            for values in executor.map(
-                    sample_batch,
-                    [(run_once, chunk) for chunk in batched(seeds, size)],
-                    policy=fault_policy):
-                done += len(values)
-                checkpoint("smc.expected_value", done, total=runs)
-                samples.extend(v for v in values if not math.isnan(v))
-            return MeanEstimate(samples, confidence)
-
-        model = resolve_model(network)
-        predicate = resolve_predicate(observe)
-        samples = []
-        for index in range(runs):
-            value = observe_extremum(model, predicate, horizon, mode,
-                                     rng=rng.spawn(),
+        run_once = functools.partial(observe_extremum, network, observe,
+                                     horizon, mode,
                                      default_rate=default_rate)
-            if (index + 1) & 63 == 0:
-                checkpoint("smc.expected_value", index + 1, total=runs)
-            if not math.isnan(value):
-                samples.append(value)
+        seeds = seed_stream(rng, runs)
+        size = batch_size or executor.batch_size_for(runs)
+        samples = []
+        done = 0
+        for values in executor.imap(
+                sample_batch,
+                [(run_once, chunk) for chunk in batched(seeds, size)],
+                policy=fault_policy):
+            done += len(values)
+            checkpoint("smc.expected_value", done, total=runs)
+            samples.extend(v for v in values if not math.isnan(v))
+        incr("smc.runs", done)
         return MeanEstimate(samples, confidence)

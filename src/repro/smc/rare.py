@@ -81,20 +81,24 @@ def fixed_effort_splitting(network, level_of, max_level,
     :class:`SplittingResult` whose ``probability`` is the product of
     the per-stage conditional estimates (0.0 if any stage dies out).
 
-    With an ``executor`` (see :mod:`repro.runtime`) each stage's runs
-    fan out to workers: the coordinator pre-draws every run's start
-    state and seed from the master ``rng``, so the estimate is
-    bit-identical for any worker count and batch size.  ``network`` and
-    ``level_of`` may then be specs (required across processes — the
-    digital states themselves pickle fine).
+    Each stage's runs go through ``executor`` (see :mod:`repro.runtime`;
+    ``None`` means :class:`~repro.runtime.SerialExecutor`): the
+    coordinator pre-draws every run's start state and seed from the
+    master ``rng``, so the estimate is bit-identical for any executor,
+    worker count and batch size.  A
+    :class:`~repro.runtime.ParallelExecutor` needs ``network`` and
+    ``level_of`` as specs (the digital states themselves pickle fine).
+    A stage's conditional estimate divides its hits by the runs that
+    completed, so batches a ``fault_policy`` skipped do not count.
     """
+    from ..runtime import SerialExecutor, batched, seed_stream
     from .stochastic import resolve_model, resolve_predicate
 
+    executor = SerialExecutor() if executor is None else executor
     rng = ensure_rng(rng)
     model = resolve_model(network)
     level_fn = resolve_predicate(level_of)
-    simulator = DigitalSimulator(model, policy=policy, rng=rng)
-    initial = simulator.initial()
+    initial = DigitalSimulator(model, policy=policy).initial()
     names0 = model.location_vector_names(initial.locs)
     if level_fn(names0, initial.valuation, initial.clocks) != 0:
         raise AnalysisError("the initial state must be at level 0")
@@ -105,43 +109,33 @@ def fixed_effort_splitting(network, level_of, max_level,
     for level in range(max_level):
         next_entries = []
         hits = 0
+        done = 0
         with span("smc.splitting.stage", level=level + 1) as sp:
-            if executor is None:
-                for _ in range(runs_per_stage):
-                    total_runs += 1
-                    start = entry_states[
-                        rng.randint(0, len(entry_states) - 1)]
-                    reached = _run_until_level(
-                        simulator, model, start, level_fn, level + 1,
-                        max_steps)
+            starts = [entry_states[rng.randint(0, len(entry_states) - 1)]
+                      for _ in range(runs_per_stage)]
+            seeds = seed_stream(rng, runs_per_stage)
+            size = batch_size or executor.batch_size_for(runs_per_stage)
+            tasks = [(network, level_of, s, z, level + 1, policy,
+                      max_steps)
+                     for s, z in zip(batched(starts, size),
+                                     batched(seeds, size))]
+            for reached_batch in executor.imap(splitting_batch, tasks,
+                                               policy=fault_policy):
+                done += len(reached_batch)
+                for reached in reached_batch:
                     if reached is not None:
                         hits += 1
                         next_entries.append(reached)
-            else:
-                from ..runtime import batched, seed_stream
-
-                starts = [entry_states[rng.randint(0,
-                                                   len(entry_states) - 1)]
-                          for _ in range(runs_per_stage)]
-                seeds = seed_stream(rng, runs_per_stage)
-                size = batch_size or executor.batch_size_for(runs_per_stage)
-                tasks = [(network, level_of, s, z, level + 1, policy,
-                          max_steps)
-                         for s, z in zip(batched(starts, size),
-                                         batched(seeds, size))]
-                for reached_batch in executor.map(splitting_batch, tasks,
-                                                  policy=fault_policy):
-                    for reached in reached_batch:
-                        total_runs += 1
-                        if reached is not None:
-                            hits += 1
-                            next_entries.append(reached)
             sp.set("hits", hits)
+        if done == 0:
+            raise AnalysisError(f"splitting stage {level + 1}: no run "
+                                f"completed")
+        total_runs += done
         incr("smc.splitting.stages")
-        incr("smc.splitting.runs", runs_per_stage)
+        incr("smc.splitting.runs", done)
         incr("smc.splitting.hits", hits)
         checkpoint("smc.splitting", level + 1, total=max_level, hits=hits)
-        stage_probabilities.append(hits / runs_per_stage)
+        stage_probabilities.append(hits / done)
         if hits == 0:
             return SplittingResult(0.0, stage_probabilities, total_runs)
         entry_states = next_entries

@@ -61,14 +61,15 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     ``beta`` the converse.  Returns an :class:`SPRTResult` whose
     ``accept`` is True when H1 (probability at least theta) is accepted.
 
-    With an ``executor`` (see :mod:`repro.runtime`) runs are dispatched
-    in chunks of per-run seeds spawned from ``rng``; workers return
-    per-run outcome tallies, and the coordinator walks them in run
-    order, stopping dispatch as soon as the Wald boundary is crossed.
-    The verdict, run count, and success count are bit-identical to the
-    serial seeded walk for any worker count and chunk size (a few
-    in-flight chunks may be discarded unread on early stop).
-    ``run_once`` must then be picklable.  ``fault_policy`` (a
+    Runs are dispatched through ``executor`` (see :mod:`repro.runtime`;
+    ``None`` means :class:`~repro.runtime.SerialExecutor`) in chunks of
+    per-run seeds spawned from ``rng``; the coordinator walks the
+    per-run outcomes in run order and stops dispatch as soon as the
+    Wald boundary is crossed.  The verdict, run count, and success
+    count are bit-identical for any executor, worker count, and chunk
+    size (a parallel run may discard a few in-flight chunks unread on
+    early stop).  A :class:`~repro.runtime.ParallelExecutor` needs a
+    picklable ``run_once``.  ``fault_policy`` (a
     :class:`~repro.runtime.FaultPolicy`) lets the dispatch survive
     crashed / raising / hung workers by replaying the failed chunks
     from their seeds — the verdict stays bit-identical.
@@ -86,26 +87,9 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     inc_failure = math.log((1 - p1) / (1 - p0))
     successes = 0
 
-    if executor is None:
-        with span("smc.sprt", theta=theta):
-            for run in range(1, max_runs + 1):
-                if run_once(rng):
-                    successes += 1
-                    llr += inc_success
-                else:
-                    llr += inc_failure
-                if run & 63 == 0:
-                    checkpoint("smc.sprt", run, successes=successes,
-                               series=lambda: [{"llr": round(llr, 6),
-                                                "successes": successes}])
-                if llr >= log_a or llr <= log_b:
-                    return _record_verdict(SPRTResult(
-                        llr >= log_a, run, successes, theta,
-                        indifference), log_a, log_b)
-        raise AnalysisError(f"SPRT undecided after {max_runs} runs")
+    from ..runtime import SerialExecutor, run_batch
 
-    from ..runtime import run_batch
-
+    executor = SerialExecutor() if executor is None else executor
     chunk = batch_size or 32
 
     def tasks():

@@ -27,7 +27,12 @@ from repro.runtime import (
     SerialExecutor,
     task_seed,
 )
-from repro.smc import estimate_mean, estimate_probability, sprt
+from repro.smc import (
+    estimate_mean,
+    estimate_probability,
+    fixed_effort_splitting,
+    sprt,
+)
 
 MP_START = os.environ.get("REPRO_MP_START") or None
 
@@ -57,6 +62,11 @@ def snapshot_probability(executor, fault_policy=None, checkpoint=None,
             batch_size=10, fault_policy=fault_policy,
             checkpoint=checkpoint)
     return estimate, collector.snapshot()["counters"]
+
+
+def retransmission_level(_names, valuation, _clocks):
+    """BRP importance function: the retransmission counter."""
+    return min(valuation.get("rc", 0), 1)
 
 
 def logical(counters):
@@ -159,6 +169,74 @@ class TestSerialRecovery:
                 identity, [(0,), (1,), (2,)], policy=policy))
         assert results == [0, 1, 2]
         assert collector.snapshot()["counters"]["runtime.degraded"] == 1
+
+
+class TestSkippedBatches:
+    """``on_exhausted="skip"`` drops whole batches; every estimate must
+    then divide by the runs that completed, not the planned budget."""
+
+    SKIP3 = FaultPolicy(max_retries=0, backoff=0.0, on_exhausted="skip",
+                        injector=FaultInjector(raises={1, 3, 5}))
+
+    def test_estimate_probability_counts_completed_runs(self):
+        estimate, counters = snapshot_probability(
+            None, fault_policy=self.SKIP3, runs=80)
+        assert estimate.runs == counters["smc.runs"] == 50
+
+    def test_modes_counts_completed_runs(self):
+        from repro.models import brp_modest as bm
+        from repro.modest.toolset import Pmax, modes
+
+        collector = Collector("modes")
+        with collecting(collector):
+            result = modes(bm.brp_modest_source(2, 1, 1),
+                           [Pmax("P1", bm.not_success)], runs=80, rng=6,
+                           batch_size=10, fault_policy=self.SKIP3)
+        assert result["P1"].runs == 50
+        assert collector.snapshot()["counters"]["modest.modes.runs"] == 50
+
+    def test_splitting_divides_by_completed_runs(self):
+        from repro.models import brp
+
+        collector = Collector("splitting")
+        with collecting(collector):
+            result = fixed_effort_splitting(
+                brp.make_brp(8, 1, 1), retransmission_level, max_level=1,
+                runs_per_stage=60, rng=11, batch_size=10,
+                fault_policy=self.SKIP3)
+        counters = collector.snapshot()["counters"]
+        assert result.total_runs == counters["smc.splitting.runs"] == 30
+        assert result.stage_probabilities == \
+            [counters["smc.splitting.hits"] / 30]
+
+    def test_cdf_and_expected_value_count_completed_runs(self):
+        from repro.models.traingate import cross_predicate, make_traingate
+        from repro.smc import expected_value, first_passage_cdfs
+        from repro.smc.stochastic import network_simulator
+
+        network = make_traingate(2)
+        collector = Collector("cdf")
+        with collecting(collector):
+            first_passage_cdfs(
+                lambda rng: network_simulator(network, rng),
+                {0: cross_predicate(0)}, horizon=50, runs=80, grid=[25],
+                rng=3, batch_size=10, fault_policy=self.SKIP3)
+            expected_value(network, cross_predicate(0), horizon=50,
+                           runs=80, rng=3, batch_size=10,
+                           fault_policy=self.SKIP3)
+        counters = collector.snapshot()["counters"]
+        assert counters["smc.cdf.runs"] == counters["smc.runs"] == 50
+
+    def test_splitting_stage_without_completed_runs_raises(self):
+        from repro.models import brp
+
+        skip_all = FaultPolicy(max_retries=0, backoff=0.0,
+                               on_exhausted="skip",
+                               injector=FaultInjector(raises={0}))
+        with pytest.raises(AnalysisError, match="no run completed"):
+            fixed_effort_splitting(
+                brp.make_brp(8, 1, 1), retransmission_level, max_level=1,
+                runs_per_stage=10, rng=11, fault_policy=skip_all)
 
 
 class TestParallelRecovery:
@@ -328,11 +406,25 @@ class TestCheckpoint:
         checkpoint.clear()  # idempotent
         assert not os.path.exists(path)
 
-    def test_checkpoint_requires_executor(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            estimate_probability(biased_coin, runs=10, rng=1,
-                                 checkpoint=Checkpoint(
-                                     str(tmp_path / "x.json")))
-        with pytest.raises(AnalysisError):
-            estimate_probability(biased_coin, runs=10, rng=1,
-                                 fault_policy=FaultPolicy())
+    def test_default_executor_checkpoints_and_resumes(self, tmp_path):
+        """``checkpoint``/``fault_policy`` need no explicit executor:
+        the default serial campaign recovers, and resumes exactly."""
+        path = str(tmp_path / "default.json")
+        reference, ref_counters = snapshot_probability(None)
+        retry = FaultPolicy(max_retries=1, backoff=0.0,
+                            injector=FaultInjector(raises={4}))
+        recovered, _ = snapshot_probability(None, fault_policy=retry)
+        assert recovered.successes == reference.successes
+        fail = FaultPolicy(max_retries=0, backoff=0.0,
+                           injector=FaultInjector(raises={12}))
+        with pytest.raises(TaskError):
+            snapshot_probability(None, fault_policy=fail,
+                                 checkpoint=Checkpoint(path, every=1))
+        assert json.loads(open(path).read())["state"]["batch"] == 12
+        resumed, counters = snapshot_probability(
+            None, checkpoint=Checkpoint(path, every=1))
+        assert (resumed.successes, resumed.runs, resumed.low,
+                resumed.high) == (reference.successes, reference.runs,
+                                  reference.low, reference.high)
+        assert logical(counters) == logical(ref_counters)
+        assert not os.path.exists(path), "cleared on completion"

@@ -43,7 +43,7 @@ from repro.obs import (
 from repro.obs.report import SCHEMA_VERSION, Report, check_files, validate
 from repro.obs.trace import NULL_SPAN
 from repro.runtime import ParallelExecutor, SerialExecutor, Spec
-from repro.smc import probability_estimate, sprt
+from repro.smc import estimate_probability, probability_estimate, sprt
 from repro.ta import ZoneGraph
 
 TRAINGATE = Spec(make_traingate, 3)
@@ -285,6 +285,16 @@ class TestProgress:
         assert done and done[0] > 0
         assert all(a < b for a, b in zip(done, done[1:]))
         assert done[-1] == result.runs
+
+    def test_default_campaign_heartbeats_every_64_runs(self):
+        # The default executor runs serial batches of at most 64 runs,
+        # so a large campaign reports throughout, not once per quarter.
+        events = []
+        with progress(events.append, min_interval=0.0):
+            estimate_probability(coin_p03, runs=1000, rng=3)
+        done = [e.done for e in events if e.kind == "smc.estimate"]
+        assert len(done) >= 15
+        assert done[-1] == 1000
 
 
 class TestReport:

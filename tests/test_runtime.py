@@ -1,13 +1,19 @@
 """Tests for the parallel simulation runtime (:mod:`repro.runtime`).
 
 The load-bearing property: for any SMC entry point, a ``(seed, n_runs)``
-pair yields bit-identical results for :class:`SerialExecutor` and
-:class:`ParallelExecutor` with any worker count and batch size, because
-all randomness flows through the master source's deterministic spawn
-stream and results are aggregated in run order.
+pair yields bit-identical results for the default call (no executor),
+:class:`SerialExecutor` and :class:`ParallelExecutor` with any worker
+count and batch size, because all randomness flows through the master
+source's deterministic spawn stream and results are aggregated in run
+order.
+
+The process-pool tests honour ``REPRO_MP_START`` (``fork`` / ``spawn``)
+so CI can check the serial == parallel equality under both
+multiprocessing start methods.
 """
 
 import functools
+import os
 
 import pytest
 
@@ -37,17 +43,18 @@ from repro.smc.stochastic import network_simulator
 
 TRAINGATE = Spec(make_traingate, 3)
 CROSS0 = Spec(cross_predicate, 0)
+MP_START = os.environ.get("REPRO_MP_START") or None
 
 
 @pytest.fixture(scope="module")
 def pool2():
-    with ParallelExecutor(workers=2) as executor:
+    with ParallelExecutor(workers=2, mp_context=MP_START) as executor:
         yield executor
 
 
 @pytest.fixture(scope="module")
 def pool4():
-    with ParallelExecutor(workers=4) as executor:
+    with ParallelExecutor(workers=4, mp_context=MP_START) as executor:
         yield executor
 
 
@@ -166,9 +173,12 @@ class TestExecutors:
         assert len(drawn) <= 2 * pool2.inflight
 
     def test_batch_size_for(self):
-        assert SerialExecutor().batch_size_for(100) == 25
-        assert ParallelExecutor(workers=4).batch_size_for(100) == 7
+        # Serial batches are capped at 64 runs, so a serial campaign of
+        # any size checkpoints every 64 runs.
+        assert SerialExecutor().batch_size_for(100) == 64
+        assert SerialExecutor().batch_size_for(10 ** 6) == 64
         assert SerialExecutor().batch_size_for(1) == 1
+        assert ParallelExecutor(workers=4).batch_size_for(100) == 7
 
     def test_workers_validation(self):
         with pytest.raises(AnalysisError):
@@ -180,7 +190,7 @@ class TestGenericEstimators:
         kwargs = dict(runs=300, rng=13)
         serial = estimate_probability(biased_coin, executor=SerialExecutor(),
                                       **kwargs)
-        for pool in (pool2, pool4):
+        for pool in (None, pool2, pool4):
             par = estimate_probability(biased_coin, executor=pool, **kwargs)
             assert (par.successes, par.runs, par.low, par.high) == \
                 (serial.successes, serial.runs, serial.low, serial.high)
@@ -197,35 +207,37 @@ class TestGenericEstimators:
     def test_estimate_mean_equivalence(self, pool2):
         serial = estimate_mean(uniform_sample, runs=200, rng=2,
                                executor=SerialExecutor())
+        default = estimate_mean(uniform_sample, runs=200, rng=2)
         par = estimate_mean(uniform_sample, runs=200, rng=2, executor=pool2)
-        assert par.samples == serial.samples
+        assert default.samples == serial.samples == par.samples
 
 
 class TestTraingateEquivalence:
     """The acceptance-criterion tests: identical ProbabilityEstimate and
-    SPRT verdicts for serial and 2/4-worker parallel execution on the
-    train-gate model."""
+    SPRT verdicts for the default call, serial and 2/4-worker parallel
+    execution on the train-gate model."""
 
     def test_probability_estimate(self, pool2, pool4):
-        kwargs = dict(horizon=100, runs=60, rng=42)
+        # Horizon 20: train 0 crosses in about a third of the runs.
+        kwargs = dict(horizon=20, runs=60, rng=42)
         serial = probability_estimate(TRAINGATE, CROSS0,
                                       executor=SerialExecutor(), **kwargs)
-        for pool in (pool2, pool4):
+        for pool in (None, pool2, pool4):
             par = probability_estimate(TRAINGATE, CROSS0, executor=pool,
                                        **kwargs)
             assert (par.successes, par.runs, par.low, par.high) == \
                 (serial.successes, serial.runs, serial.low, serial.high)
 
     def test_sprt_verdict(self, pool2, pool4):
-        kwargs = dict(theta=0.5, horizon=100, indifference=0.1, rng=7)
+        kwargs = dict(theta=0.5, horizon=20, indifference=0.1, rng=7)
         serial = probability_at_least(TRAINGATE, CROSS0,
                                       executor=SerialExecutor(), **kwargs)
-        for pool in (pool2, pool4):
+        for pool in (None, pool2, pool4):
             par = probability_at_least(TRAINGATE, CROSS0, executor=pool,
                                        **kwargs)
             assert (par.accept, par.runs, par.successes) == \
                 (serial.accept, serial.runs, serial.successes)
-        assert serial.accept  # trains do cross within 100 t.u.
+        assert not serial.accept  # P(cross by t = 20) is about 1/3
 
     def test_sprt_chunk_invariance(self, pool2):
         serial = probability_at_least(TRAINGATE, CROSS0, theta=0.5,
@@ -240,8 +252,8 @@ class TestTraingateEquivalence:
                                                   serial.runs)
 
     def test_expected_value_matches_default_serial(self, pool2):
-        """The default (no-executor) path already spawns one child
-        source per run, so executor runs see identical seeds."""
+        """Live objects by default, specs through executors: every run
+        sees the same spawned seed either way."""
         default = expected_value(make_traingate(3), cross_predicate(0),
                                  horizon=50, runs=40, rng=4)
         serial = expected_value(TRAINGATE, CROSS0, horizon=50, runs=40,
@@ -278,10 +290,11 @@ class TestModesEquivalence:
         props = [Pmax("P1", bm.not_success), Emax("E", bm.reported)]
         serial = modes(source, props, runs=60, rng=6,
                        executor=SerialExecutor())
-        par = modes(source, props, runs=60, rng=6, executor=pool2)
-        assert (serial["P1"].successes, serial["P1"].runs) == \
-            (par["P1"].successes, par["P1"].runs)
-        assert serial["E"].samples == par["E"].samples
+        for executor in (None, pool2):
+            other = modes(source, props, runs=60, rng=6, executor=executor)
+            assert (serial["P1"].successes, serial["P1"].runs) == \
+                (other["P1"].successes, other["P1"].runs)
+            assert serial["E"].samples == other["E"].samples
         assert 3.0 < serial["E"].mean < 6.0
 
 
@@ -294,12 +307,14 @@ class TestSplittingEquivalence:
         serial = fixed_effort_splitting(
             model, retransmission_level, max_level=1, runs_per_stage=60,
             rng=11, executor=SerialExecutor())
-        par = fixed_effort_splitting(
-            model, retransmission_level, max_level=1, runs_per_stage=60,
-            rng=11, executor=pool2)
-        assert serial.probability == par.probability
-        assert serial.stage_probabilities == par.stage_probabilities
-        assert serial.total_runs == par.total_runs
+        for executor in (None, pool2):
+            other = fixed_effort_splitting(
+                model, retransmission_level, max_level=1,
+                runs_per_stage=60, rng=11, executor=executor)
+            assert serial.probability == other.probability
+            assert serial.stage_probabilities == \
+                other.stage_probabilities
+            assert serial.total_runs == other.total_runs
 
 
 def retransmission_level(_names, valuation, _clocks):
