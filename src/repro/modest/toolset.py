@@ -220,15 +220,19 @@ def load_cached(model):
 
 
 def _watch_hits(properties, hit_time):
+    unsettled = sum(t is None for t in hit_time.values())
+
     def watch(elapsed, names, valuation, clocks):
+        nonlocal unsettled
         for p in properties:
             if hit_time[p.name] is None and p.predicate(
                     names, valuation, clocks):
                 hit_time[p.name] = elapsed
+                unsettled -= 1
 
     def stopper(names, valuation, clocks):
         # Stop early once every watched predicate is settled.
-        return all(t is not None for t in hit_time.values())
+        return not unsettled
 
     return watch, stopper
 

@@ -18,7 +18,10 @@ location vectors) and the delay-forbidden flag are computed once per
 ``(locs, valuation)`` and shared by every clock vector that reaches the
 configuration — both by :func:`build_digital_mdp` and by the
 :class:`~repro.pta.simulate.DigitalSimulator` (modes), which obtain a
-shared per-network instance from :func:`digital_semantics`.
+shared per-network instance from :func:`digital_semantics`.  Both take
+a state's successors from :meth:`DigitalSemantics.successors`; the
+simulator also keeps one step plan per visited state in the instance's
+bounded ``step_plans`` table.
 
 The pre-memoization builder is preserved verbatim in
 :mod:`repro.mdp.reference` as the differential-test oracle.
@@ -137,6 +140,15 @@ class DigitalSemantics(IntegerClockSemantics):
 
     semantics_name = "digital-clocks semantics"
 
+    def __init__(self, network, extra_constants=None):
+        from ..mc.explorecore import LRUCache
+
+        super().__init__(network, extra_constants)
+        #: state key -> the simulator's step plan, bounded like the
+        #: config table and filled by
+        #: :class:`~repro.pta.simulate.DigitalSimulator`
+        self.step_plans = LRUCache()
+
     def initial_state(self):
         network = self.network
         state = DigitalState(
@@ -217,6 +229,32 @@ class DigitalSemantics(IntegerClockSemantics):
                 (probability, DigitalState(locs, valuation, new_clocks)))
         return results
 
+    def successors(self, state):
+        """The successor data of a digital state: ``(fires, ticked)``.
+
+        ``fires`` lists ``(fire, outcomes)`` for every clock-enabled
+        fire whose :meth:`fire` outcome list is not empty (a disabled
+        Dirac step is left out); ``ticked`` is the unit-delay successor
+        state, or ``None`` when delay is forbidden or the ticked clocks
+        break an invariant.
+        """
+        config = self.config_for(state.locs, state.valuation)
+        clocks = state.clocks
+        fires = []
+        for fire in config.fires:
+            if all(atom.holds(clocks[index])
+                   for index, atom in fire.guard):
+                outcomes = self.fire(fire, clocks)
+                if outcomes:
+                    fires.append((fire, outcomes))
+        ticked = None
+        if not config.no_delay:
+            ticked_clocks = self.ticked(clocks)
+            if self.invariants_hold(state.locs, ticked_clocks):
+                ticked = DigitalState(state.locs, state.valuation,
+                                      ticked_clocks)
+        return fires, ticked
+
 
 #: network -> {constants key -> DigitalSemantics}; weak so dropping the
 #: network drops its memoised tables.
@@ -272,25 +310,11 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
 
     while queue:
         current = queue.pop()
-        state = states[current]
-        config = sem.config_for(state.locs, state.valuation)
-        clocks = state.clocks
-        # Discrete actions.
-        for fire in config.fires:
-            if not all(atom.holds(clocks[index])
-                       for index, atom in fire.guard):
-                continue
-            outcomes = sem.fire(fire, clocks)
-            if not outcomes:
-                continue
+        fires, ticked = sem.successors(states[current])
+        for fire, outcomes in fires:
             pairs = [(p, intern(s)) for p, s in outcomes]
             mdp.add_action(current, pairs, label=fire.label, reward=0.0)
-        # Tick.
-        if not config.no_delay:
-            ticked = sem.ticked(clocks)
-            if sem.invariants_hold(state.locs, ticked):
-                succ = DigitalState(state.locs, state.valuation, ticked)
-                mdp.add_action(current, [(1.0, intern(succ))],
-                               label="tick",
-                               reward=1.0 if time_reward else 0.0)
+        if ticked is not None:
+            mdp.add_action(current, [(1.0, intern(ticked))], label="tick",
+                           reward=1.0 if time_reward else 0.0)
     return DigitalMDP(mdp, states, network)

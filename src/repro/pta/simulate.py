@@ -16,14 +16,36 @@ Policies:
   resolved when provably confluent (pairwise-independent transitions;
   see :mod:`repro.pta.por`) — otherwise the simulation aborts, the
   sound scheduler-free mode the paper attributes to modes.
+
+Runs revisit few distinct states, so each digital state's step data is
+computed once, by :meth:`~repro.pta.digital.DigitalSemantics.successors`
+(the same method :func:`~repro.pta.digital.build_digital_mdp` explores
+with), and kept as a step plan: the location names, the enabled
+actions with their outcome lists as cumulative branch tables, and the
+saturation-checked tick successor.  The plans live in a bounded
+:class:`~repro.mc.explorecore.LRUCache` on the network's shared
+semantics (``step_plans``), so every per-seed simulator of a batch
+walks one table.  Building a plan computes every enabled action's
+outcomes, so a probabilistic branch that breaks its target invariant
+raises :class:`~repro.core.errors.ModelError` on the first visit to
+the state, and a Dirac edge into a broken invariant is never enabled.
+
+The RNG draw order is a contract.  Per step: under ``"uniform"`` only,
+one ``randint(0, len(actions))`` when both a tick and an action are
+possible (0 means tick); then, for an action, one ``choice`` among the
+enabled actions and one ``random()`` for its branch (drawn even for a
+single-branch edge).  ``tests/test_pta_stream.py`` pins the stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from math import inf
+
 from ..core.errors import AnalysisError, ModelError
 from ..core.rng import ensure_rng
 from ..obs.metrics import active
-from .digital import DigitalState, digital_semantics
+from .digital import digital_semantics
 
 POLICIES = ("max-delay", "min-delay", "uniform", "por")
 
@@ -43,13 +65,50 @@ class SimulationRun:
         return f"SimulationRun(elapsed={self.elapsed}, steps={self.steps})"
 
 
+class _Action:
+    """One enabled fire of a step plan: its transition and its branch
+    table, the cumulative branch probabilities (the last one replaced
+    by infinity, so it catches any remaining probability) with the
+    successor state of each branch."""
+
+    __slots__ = ("transition", "cumulative", "successors")
+
+    def __init__(self, transition, outcomes):
+        self.transition = transition
+        cumulative = []
+        acc = 0.0
+        for probability, _succ in outcomes:
+            acc += probability
+            cumulative.append(acc)
+        cumulative[-1] = inf
+        self.cumulative = cumulative
+        self.successors = tuple(succ for _p, succ in outcomes)
+
+
+class _StepPlan:
+    """Everything a step needs from one digital state: the location
+    names, the enabled actions in firing-table order, and the tick
+    successor (``None`` when time may not pass or every clock is
+    saturated).  A plan with neither a tick nor an action is stuck."""
+
+    __slots__ = ("names", "actions", "tick")
+
+    def __init__(self, semantics, state):
+        fires, ticked = semantics.successors(state)
+        self.names = semantics.network.location_vector_names(state.locs)
+        self.actions = tuple(_Action(fire.transition, outcomes)
+                             for fire, outcomes in fires)
+        if ticked is not None and ticked.clocks == state.clocks:
+            ticked = None
+        self.tick = ticked
+
+
 class DigitalSimulator:
     """Simulates runs of a PTA network under a scheduler policy.
 
-    The untimed firing tables come from the network's shared
+    Steps walk the step plans of the network's shared
     :class:`~repro.pta.digital.DigitalSemantics`, so the per-seed
-    simulator instances a modes batch creates all reuse one memoised
-    set of transition data.
+    simulator instances a modes batch creates all reuse one table.
     """
 
     def __init__(self, network, policy="max-delay", rng=None):
@@ -61,48 +120,28 @@ class DigitalSimulator:
         self.rng = ensure_rng(rng)
         self.semantics = digital_semantics(network)
         self.caps = self.semantics.caps
+        self._plans = self.semantics.step_plans
 
     def initial(self):
         return self.semantics.initial_state()
 
-    def _enabled_actions(self, state):
-        config = self.semantics.config_for(state.locs, state.valuation)
-        clocks = state.clocks
-        return [fire for fire in config.fires
-                if all(atom.holds(clocks[index])
-                       for index, atom in fire.guard)]
+    def _plan(self, state):
+        key = state.key()
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = _StepPlan(self.semantics, state)
+            self._plans.put(key, plan)
+        return plan
 
-    def _ticked(self, clocks):
-        # The reference clock (index 0) stays at zero.
-        return self.semantics.ticked(clocks)
-
-    def _can_tick(self, state):
-        if self.semantics.config_for(state.locs, state.valuation).no_delay:
-            return False
-        return self.semantics.invariants_hold(state.locs,
-                                              self._ticked(state.clocks))
-
-    def step(self, state):
-        """One scheduler move; returns (kind, new_state, time_advance)
-        or None when the run is stuck (deadlock or quiescence: all
-        clocks saturated and no action will ever become enabled)."""
-        actions = self._enabled_actions(state)
-        ticked = self._ticked(state.clocks)
-        saturated = ticked == state.clocks
-        tick_ok = self._can_tick(state) and not saturated
-        if saturated and not actions:
-            return None  # nothing can ever change again
-        take_tick = False
-        if tick_ok and not actions:
-            take_tick = True
-        elif tick_ok and actions:
-            if self.policy == "max-delay":
-                take_tick = True
-            elif self.policy == "uniform":
-                take_tick = self.rng.randint(0, len(actions)) == 0
-        if take_tick:
-            return ("tick",
-                    DigitalState(state.locs, state.valuation, ticked), 1)
+    def _move(self, plan):
+        """The scheduler move out of a plan's state: ``(kind,
+        new_state, time_advance)``, or ``None`` when it is stuck."""
+        actions = plan.actions
+        if plan.tick is not None and (
+                not actions or self.policy == "max-delay"
+                or (self.policy == "uniform"
+                    and self.rng.randint(0, len(actions)) == 0)):
+            return ("tick", plan.tick, 1)
         if not actions:
             return None
         if self.policy == "por" and len(actions) > 1:
@@ -112,16 +151,16 @@ class DigitalSimulator:
             # taken (avoiding starvation of either component).
             from .por import check_confluent
 
-            check_confluent([fire.transition for fire in actions])
-        fire = self.rng.choice(actions)
-        outcomes = self.semantics.fire(fire, state.clocks)
-        x = self.rng.random()
-        acc = 0.0
-        for probability, succ in outcomes:
-            acc += probability
-            if x < acc:
-                return (fire.transition, succ, 0)
-        return (fire.transition, outcomes[-1][1], 0)
+            check_confluent([action.transition for action in actions])
+        action = self.rng.choice(actions)
+        branch = bisect_right(action.cumulative, self.rng.random())
+        return (action.transition, action.successors[branch], 0)
+
+    def step(self, state):
+        """One scheduler move; returns (kind, new_state, time_advance)
+        or None when the run is stuck (deadlock or quiescence: all
+        clocks saturated and no action will ever become enabled)."""
+        return self._move(self._plan(state))
 
     def run(self, stop=None, max_time=None, max_steps=100000,
             record_trace=False, observer=None, start=None):
@@ -143,7 +182,8 @@ class DigitalSimulator:
         trace = [] if record_trace else None
         try:
             for steps in range(max_steps):
-                names = self.network.location_vector_names(state.locs)
+                plan = self._plan(state)
+                names = plan.names
                 if observer is not None:
                     observer(elapsed, names, state.valuation, state.clocks)
                 if stop is not None and stop(names, state.valuation,
@@ -151,7 +191,7 @@ class DigitalSimulator:
                     return SimulationRun(state, elapsed, steps, trace)
                 if max_time is not None and elapsed >= max_time:
                     return SimulationRun(state, elapsed, steps, trace)
-                move = self.step(state)
+                move = self._move(plan)
                 if move is None:
                     return SimulationRun(state, elapsed, steps, trace)
                 kind, state, dt = move

@@ -1,0 +1,219 @@
+"""The digital-clocks simulator (:mod:`repro.pta.simulate`, the modes
+backend): its random stream, its per-state step plans, and the edges it
+must treat as disabled.
+
+The golden values pin the stream: a seed must give the same traces, the
+same Table I ``modes`` hit times and the same splitting estimate, in a
+single process and across a worker pool.  The pool test honours
+``REPRO_MP_START`` (``fork`` / ``spawn``); under spawn every worker
+rebuilds the model from its ``Spec`` and builds its own step plans.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.core import ModelError
+from repro.models import brp
+from repro.modest import Emax, Pmax, Reach, modes
+from repro.modest.toolset import modes_batch
+from repro.obs import collecting
+from repro.pta import (
+    PTA,
+    DigitalSimulator,
+    PTANetwork,
+    build_digital_mdp,
+    digital_semantics,
+)
+from repro.runtime import (
+    ParallelExecutor,
+    SerialExecutor,
+    Spec,
+    batched,
+    seed_stream,
+)
+from repro.smc import fixed_effort_splitting
+from repro.ta import clk
+
+MP_START = os.environ.get("REPRO_MP_START") or None
+
+TRACE_SEEDS = (1, 2, 3)
+
+#: Per policy: sha256 of the JSON-encoded ``record_trace`` traces of
+#: ``brp.make_brp(16, 2, 1)`` from ``TRACE_SEEDS`` (``max_time`` 200,
+#: transitions by their description), and the length of each trace.
+GOLDEN_TRACES = {
+    "max-delay": (
+        "eef6dbbf1a31031d07cb62eef75ff6ea14158f9c9adf6cd95bda542aef4a4ba6",
+        [114, 131, 114]),
+    "min-delay": (
+        "9fc2f8f3bcc49f22cf2e68c173baca9cfbc5732eb493b144f1ba4a51f32e437e",
+        [84, 101, 84]),
+    "uniform": (
+        "4eb03422f2a9bc9ec5c1bc426f01a51962919a4209ee01c864a53c37ee752f82",
+        [101, 100, 101]),
+}
+
+#: sha256 of the JSON-encoded per-run hit times of 200 Table I ``modes``
+#: runs (seed 2012, max-delay, ``max_time`` 200) and their
+#: ``pta.sim.steps``.
+GOLDEN_HITS_SHA256 = (
+    "e88275cdcdfe485e41f99f4f8cbdbde5c135a89ceeb5985ec08247e55302eb62")
+GOLDEN_HITS_STEPS = 23399
+
+#: ``fixed_effort_splitting`` on the single-frame BRP of
+#: ``tests/test_rare_events.py`` (300 runs per stage, seed 7).
+GOLDEN_SPLITTING = (
+    5.296296296296296e-05,
+    [0.03333333333333333, 0.03666666666666667, 0.043333333333333335])
+
+TABLE1_PROPERTIES = [Reach("TA1", brp.premature_timeout),
+                     Pmax("P1", brp.not_success),
+                     Pmax("P2", brp.uncertainty),
+                     Emax("Emax", brp.reported)]
+
+
+def digest(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def brp_traces(policy):
+    network = brp.make_brp(16, 2, 1)
+    traces = []
+    for seed in TRACE_SEEDS:
+        run = DigitalSimulator(network, policy=policy, rng=seed).run(
+            max_time=200, record_trace=True)
+        traces.append([(kind if kind == "tick" else kind.describe(),
+                        elapsed) for kind, elapsed in run.trace])
+    return digest(traces), [len(trace) for trace in traces]
+
+
+def table1_hits(executor):
+    """The per-run hit dicts of 200 seeded modes runs, digested, with
+    the steps they took."""
+    tasks = [(Spec(brp.make_brp, 16, 2, 1), TABLE1_PROPERTIES,
+              "max-delay", 200, chunk)
+             for chunk in batched(seed_stream(2012, 200), 25)]
+    with collecting() as collector:
+        hits = [hit for batch in executor.imap(modes_batch, tasks)
+                for hit in batch]
+    return (digest(hits), collector.value("pta.sim.steps"),
+            collector.value("pta.sim.runs"))
+
+
+def frame_level(names, valuation, _clocks):
+    if names[0] in ("s_nok", "s_dk"):
+        return 3
+    return valuation["rc"]
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_TRACES))
+    def test_brp_traces(self, policy):
+        sha, lengths = GOLDEN_TRACES[policy]
+        assert brp_traces(policy) == (sha, lengths)
+
+    def test_table1_hits_serial(self):
+        assert table1_hits(SerialExecutor()) == (
+            GOLDEN_HITS_SHA256, GOLDEN_HITS_STEPS, 200)
+
+    def test_table1_hits_parallel_equal_serial(self):
+        with ParallelExecutor(workers=2, mp_context=MP_START) as executor:
+            parallel = table1_hits(executor)
+        assert parallel == (GOLDEN_HITS_SHA256, GOLDEN_HITS_STEPS, 200)
+
+    def test_splitting_follows_the_step_stream(self):
+        result = fixed_effort_splitting(
+            brp.make_brp(1, 2, 1), frame_level, max_level=3,
+            runs_per_stage=300, rng=7)
+        assert (result.probability,
+                result.stage_probabilities) == GOLDEN_SPLITTING
+        assert result.total_runs == 900
+
+
+def table1_modes(network, runs=100):
+    with collecting() as collector:
+        result = modes(network, TABLE1_PROPERTIES, runs=runs, rng=2012,
+                       max_time=200)
+    values = {name: (estimate.successes if name != "Emax"
+                     else estimate.samples)
+              for name, estimate in result.items()}
+    return values, collector.value("pta.sim.steps")
+
+
+class TestStepPlans:
+    def test_shared_by_every_simulator_of_a_network(self):
+        network = brp.make_brp(2, 2, 1)
+        plans = digital_semantics(network).step_plans
+        for seed in range(5):
+            DigitalSimulator(network, rng=seed).run(max_time=200)
+        assert 0 < len(plans) < plans.hits
+        assert DigitalSimulator(network)._plans is plans
+
+    def test_bounded_table_gives_the_unbounded_outputs(self):
+        unbounded = table1_modes(brp.make_brp(16, 2, 1))
+        network = brp.make_brp(16, 2, 1)
+        plans = digital_semantics(network).step_plans
+        plans.maxsize = 4  # on this instance only; not a parameter
+        assert table1_modes(network) == unbounded
+        sizes = []
+        DigitalSimulator(network, rng=3).run(
+            max_time=200, observer=lambda *_: sizes.append(len(plans)))
+        assert max(sizes) == 4
+        assert plans.misses > len(sizes) // 2
+
+
+def guarded_choice_network():
+    """From ``s`` at ``x >= 3``: a Dirac edge into ``bad``, whose
+    invariant ``x <= 2`` it would break, and one into ``ok``."""
+    a = PTA("P", clocks=["x"])
+    a.add_location("s")
+    a.add_location("bad", invariant=[clk("x", "<=", 2)])
+    a.add_location("ok")
+    a.initial_location = "s"
+    a.add_edge("s", "bad", guard=[clk("x", ">=", 3)])
+    a.add_edge("s", "ok", guard=[clk("x", ">=", 3)])
+    net = PTANetwork()
+    net.add_process("P", a)
+    return net.freeze()
+
+
+def is_ok(names, _valuation, _clocks):
+    return names[0] == "ok"
+
+
+class TestDisabledEdges:
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_dirac_edge_into_a_broken_invariant_is_never_taken(self, seed):
+        simulator = DigitalSimulator(guarded_choice_network(),
+                                     policy="min-delay", rng=seed)
+        run = simulator.run(stop=is_ok)
+        assert simulator.network.location_vector_names(
+            run.final_state.locs) == ("ok",)
+        assert run.elapsed == 3
+
+    def test_probabilistic_branch_breaking_an_invariant_raises_on_visit(
+            self):
+        """Outcomes are computed when a state's plan is built, so the
+        error surfaces on the first visit to a state where the edge is
+        enabled, as in ``build_digital_mdp``, even when the scheduler
+        would have let time pass there instead."""
+        a = PTA("P", clocks=["x"])
+        a.add_location("s")
+        a.add_location("bad", invariant=[clk("x", "<=", 0)])
+        a.add_location("ok")
+        a.initial_location = "s"
+        a.add_prob_edge("s", [(0.5, "bad"), (0.5, "ok")],
+                        guard=[clk("x", ">=", 1)])
+        net = PTANetwork()
+        net.add_process("P", a)
+        net.freeze()
+        simulator = DigitalSimulator(net, policy="max-delay", rng=1)
+        kind, state, _dt = simulator.step(simulator.initial())
+        assert kind == "tick"
+        with pytest.raises(ModelError, match="probabilistic branch"):
+            simulator.step(state)
+        with pytest.raises(ModelError, match="probabilistic branch"):
+            build_digital_mdp(net)
