@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..core.errors import AnalysisError, ModelError, SearchLimitError
 from ..core.rng import ensure_rng
-from ..obs import active, checkpoint, span
+from ..obs import checkpoint, incr, span
 
 
 class EngineTrace:
@@ -106,15 +106,11 @@ class BIPEngine:
                     observer(self.state)
             return self.trace
         finally:
-            collector = active()
-            if collector is not None:
-                collector.incr("bip.runs")
-                collector.incr("bip.steps",
-                               len(self.trace.steps) - steps_before)
-                collector.incr("bip.blocked",
-                               self.trace.blocked_count - blocked_before)
-                if self.trace.deadlocked and not was_deadlocked:
-                    collector.incr("bip.deadlocks")
+            incr("bip.runs")
+            incr("bip.steps", len(self.trace.steps) - steps_before)
+            incr("bip.blocked", self.trace.blocked_count - blocked_before)
+            if self.trace.deadlocked and not was_deadlocked:
+                incr("bip.deadlocks")
 
     def inject_place(self, component_name, place):
         """Fault injection helper: teleport a component to a place."""
@@ -163,8 +159,6 @@ def explore_statespace(system, max_states=100000):
                             limit=max_states)
         sp.set("states", len(seen))
         sp.set("deadlocks", len(deadlocks))
-    collector = active()
-    if collector is not None:
-        collector.incr("bip.states", len(seen))
-        collector.incr("bip.deadlock_states", len(deadlocks))
+    incr("bip.states", len(seen))
+    incr("bip.deadlock_states", len(deadlocks))
     return list(seen.values()), deadlocks

@@ -19,7 +19,7 @@ import heapq
 
 from ..core.errors import ModelError, SearchLimitError
 from ..mc.explorecore import TraceNode, reconstruct_trace
-from ..obs import active, checkpoint, span
+from ..obs import checkpoint, incr, span
 from ..ta.discrete import DiscreteSemantics
 
 
@@ -148,12 +148,9 @@ def min_cost_reachability(priced, goal, extra_constants=None,
 
 
 def _record_search(kind, result):
-    collector = active()
-    if collector is not None:
-        collector.incr("cora.searches")
-        collector.incr("cora.states_explored", result.states_explored)
-        collector.incr(f"cora.{kind}."
-                       + ("found" if result else "unreachable"))
+    incr("cora.searches")
+    incr("cora.states_explored", result.states_explored)
+    incr(f"cora.{kind}." + ("found" if result else "unreachable"))
 
 
 def max_cost_reachability(priced, goal, extra_constants=None,

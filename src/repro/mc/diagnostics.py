@@ -16,7 +16,7 @@ counts.
 from __future__ import annotations
 
 from ..dbm.bounds import INF
-from ..obs.metrics import active
+from ..obs.metrics import incr
 
 
 def _clock_bounds(network, zone):
@@ -64,10 +64,8 @@ def trace_stats(trace):
     """
     states = len(trace) if trace is not None else 0
     steps = max(states - 1, 0)
-    collector = active()
-    if collector is not None:
-        collector.incr("mc.traces_rendered")
-        collector.incr("mc.trace_steps", steps)
+    incr("mc.traces_rendered")
+    incr("mc.trace_steps", steps)
     return {"states": states, "steps": steps}
 
 

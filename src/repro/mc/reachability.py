@@ -37,7 +37,7 @@ is plain-int arithmetic, so the overhead with observability off is nil.
 from __future__ import annotations
 
 from ..core.errors import SearchLimitError
-from ..obs import active, checkpoint, log, span
+from ..obs import active, checkpoint, incr, log, span
 from .explorecore import (
     Frontier,
     PassedWaitingList,
@@ -217,7 +217,5 @@ def build_graph(graph, max_states=200000):
             edges.append([])
         sp.set("graph_states", len(nodes))
         log("mc.build_graph.done", states=len(nodes))
-    collector = active()
-    if collector is not None:
-        collector.incr("mc.graph_states", len(nodes))
+    incr("mc.graph_states", len(nodes))
     return nodes, edges, 0

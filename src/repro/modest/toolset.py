@@ -263,7 +263,7 @@ def modes_batch(model, properties, policy, max_time, seeds):
 
 
 def modes(model, properties, runs=10000, rng=None, policy="max-delay",
-          max_time=None, confidence=0.95, executor=None, batch_size=None,
+          max_time=None, confidence=0.95, executor=None,
           fault_policy=None):
     """Statistical estimation by discrete-event simulation.
 
@@ -277,8 +277,9 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     The ``runs`` budget goes through ``executor`` (see
     :mod:`repro.runtime`; ``None`` means
     :class:`~repro.runtime.SerialExecutor`) in batches with per-run
-    seeds spawned from ``rng``, so estimates are bit-identical for any
-    executor, worker count and batch size.  A
+    seeds spawned from ``rng`` (the executor decides how many runs a
+    batch carries), so estimates are bit-identical for any executor and
+    worker count.  A
     :class:`~repro.runtime.ParallelExecutor` needs ``model`` as MODEST
     source text or a :class:`~repro.runtime.Spec` (both picklable), and
     property predicates as module-level functions or specs.
@@ -287,9 +288,8 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     failed batches from their seeds; estimates divide by the runs that
     completed, so batches it skips do not count.
     """
-    from ..runtime import SerialExecutor, batched, seed_stream
+    from ..runtime import seed_stream, seeded_batches
 
-    executor = SerialExecutor() if executor is None else executor
     reach_props = [p for p in properties
                    if isinstance(p, (Reach, Pmax, Pmin))]
     time_props = [p for p in properties if isinstance(p, (Emax, Emin))]
@@ -299,11 +299,10 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     with span("modest.modes", runs=runs, policy=policy):
         incr("modest.modes.properties", len(properties))
         seeds = seed_stream(rng, runs)
-        size = batch_size or executor.batch_size_for(runs)
-        tasks = [(model, properties, policy, max_time, chunk)
-                 for chunk in batched(seeds, size)]
         done = 0
-        for batch in executor.imap(modes_batch, tasks, policy=fault_policy):
+        for batch in seeded_batches(modes_batch,
+                                    (model, properties, policy, max_time),
+                                    seeds, executor, fault_policy):
             done += len(batch)
             checkpoint("modest.modes", done, total=runs)
             for hit_time in batch:

@@ -44,7 +44,7 @@ from math import inf
 
 from ..core.errors import AnalysisError, ModelError
 from ..core.rng import ensure_rng
-from ..obs.metrics import active
+from ..obs.metrics import incr
 from .digital import digital_semantics
 
 POLICIES = ("max-delay", "min-delay", "uniform", "por")
@@ -173,8 +173,8 @@ class DigitalSimulator:
         overrides the initial state (used by rare-event splitting).
 
         Each completed run flushes ``pta.sim.runs`` / ``.steps`` /
-        ``.time`` into the active metrics collector (one no-op lookup
-        per run when observability is off).
+        ``.time`` into the active metrics collector (no-op lookups once
+        per run, not per step, when observability is off).
         """
         state = self.initial() if start is None else start
         elapsed = 0
@@ -200,8 +200,6 @@ class DigitalSimulator:
                     trace.append((kind, elapsed))
             raise AnalysisError(f"run exceeded {max_steps} steps")
         finally:
-            collector = active()
-            if collector is not None:
-                collector.incr("pta.sim.runs")
-                collector.incr("pta.sim.steps", steps)
-                collector.incr("pta.sim.time", elapsed)
+            incr("pta.sim.runs")
+            incr("pta.sim.steps", steps)
+            incr("pta.sim.time", elapsed)

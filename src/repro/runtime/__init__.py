@@ -3,8 +3,9 @@ fault tolerance, and campaign checkpoints.
 
 The execution layer behind the statistical engines (:mod:`repro.smc`,
 ``modes`` in :mod:`repro.modest.toolset`): batched runs with
-deterministic per-run seed streams, fanned out serially or across a
-process pool with bit-identical results either way.  A
+deterministic per-run seed streams (:func:`seeded_batches`, the one
+loop every entry point runs), fanned out serially or across a process
+pool with bit-identical results either way.  A
 :class:`FaultPolicy` makes the pool survive crashed, raising, or hung
 workers by replaying the affected tasks from their spawn-keyed seeds
 (still bit-identical); a :class:`Checkpoint` makes fixed-budget
@@ -14,13 +15,13 @@ campaigns resumable mid-flight.
 from .checkpoint import Checkpoint
 from .executor import Executor, ParallelExecutor, SerialExecutor
 from .faults import FaultInjector, FaultPolicy, InjectedFault, task_seed
-from .seeds import batched, run_batch, sample_batch, seed_stream, spawn_seeds
+from .seeds import run_batch, sample_batch, seed_stream, seeded_batches
 from .spec import Spec, build_cached
 
 __all__ = [
     "Executor", "ParallelExecutor", "SerialExecutor",
     "FaultInjector", "FaultPolicy", "InjectedFault", "task_seed",
     "Checkpoint",
-    "batched", "run_batch", "sample_batch", "seed_stream", "spawn_seeds",
+    "run_batch", "sample_batch", "seed_stream", "seeded_batches",
     "Spec", "build_cached",
 ]

@@ -15,7 +15,9 @@ engines fan batches of runs out through an *executor*:
 Both yield results **in task order**, and all randomness comes from the
 per-run seeds inside the tasks, so the executor choice can never change
 an estimate: any ``(seed, n_runs)`` pair gives bit-identical results
-for any worker count and batch size.
+for any worker count.  How many runs a task carries is the executor's
+one decision (:meth:`Executor.batch_size_for`); the entry points cut
+their seed streams through :func:`repro.runtime.seeded_batches`.
 
 :meth:`Executor.imap` is lazy with a bounded in-flight window, which is
 what the sequential tests (SPRT) use for chunked early stopping: the
@@ -32,7 +34,9 @@ functions of their seed chunks, so a recovered run is bit-identical to
 a fault-free run.  When the policy is exhausted the task either raises
 :class:`~repro.core.errors.TaskError` (carrying its index and seed for
 reproduction), is skipped, or is degraded to an inline serial run,
-per the policy's ``on_exhausted`` strategy.
+per the policy's ``on_exhausted`` strategy.  Both executors take this
+one decision; without a policy a task that raises fails at once with
+:class:`~repro.core.errors.TaskError`, serial or pooled.
 
 Observability (:mod:`repro.obs`): when a metrics collector is active in
 the coordinator, both executors record per-task wall times and counts
@@ -111,9 +115,6 @@ class _PendingTask:
 #: Largest serial batch — the checkpoint cadence of a serial campaign.
 SERIAL_BATCH_RUNS = 64
 
-#: Sentinel distinguishing "task skipped" from a ``None`` result.
-_SKIPPED = object()
-
 
 def _task_error(record, exc, suffix=""):
     seed = task_seed(record.task)
@@ -126,10 +127,45 @@ def _task_error(record, exc, suffix=""):
         index=record.index, seed=seed)
 
 
+def _failure_decision(record, exc, policy):
+    """The failure decision both executors share, for a task whose
+    latest attempt raised ``exc``: charge the attempt, then return
+    ``"retry"`` (after the policy's deterministic backoff), ``"skip"``
+    or ``"degrade"`` per ``on_exhausted``; raise
+    :class:`~repro.core.errors.TaskError` when the policy is spent or
+    there is none."""
+    record.attempts += 1
+    if policy is not None and record.attempts <= policy.max_retries:
+        seed = task_seed(record.task)
+        incr("runtime.retries")
+        time.sleep(policy.delay(record.attempts - 1,
+                                seed if seed is not None else record.index))
+        return "retry"
+    strategy = policy.on_exhausted if policy is not None else "fail"
+    if strategy == "skip":
+        incr("runtime.skipped")
+        return "skip"
+    if strategy == "degrade-to-serial":
+        incr("runtime.degraded")
+        return "degrade"
+    raise _task_error(record, exc) from exc
+
+
+def _run_degraded(fn, record):
+    """Last-resort degrade-to-serial: one final clean run of the task in
+    the coordinator, no pool involved (injections fire on first
+    attempts only)."""
+    try:
+        return fn(*record.task)
+    except Exception as exc:
+        raise _task_error(record, exc,
+                          suffix=" (and one degraded retry)") from exc
+
+
 class Executor:
     """Interface: ordered (optionally lazy) map over picklable tasks."""
 
-    #: Degree of parallelism; used to pick default batch sizes.
+    #: Degree of parallelism; used to pick batch sizes.
     workers = 1
 
     def map(self, fn, tasks, policy=None):
@@ -164,10 +200,12 @@ class SerialExecutor(Executor):
 
     Exists so callers can write one aggregation loop: serial and
     parallel runs share the seed-stream protocol and therefore agree
-    bit for bit.  A :class:`~repro.runtime.FaultPolicy` is honoured for
-    task-raised exceptions (retry / skip / degrade — ``kill``
-    injections have no worker to kill and surface as ordinary faults);
-    per-task timeouts require a process pool and are ignored here.
+    bit for bit.  Failures take the same decision as in the pool: a
+    task that raises ends in :class:`~repro.core.errors.TaskError`
+    unless a :class:`~repro.runtime.FaultPolicy` retries, skips or
+    degrades it (``kill`` injections have no worker to kill and surface
+    as ordinary faults); per-task timeouts require a process pool and
+    are ignored here.
     """
 
     workers = 1
@@ -180,61 +218,31 @@ class SerialExecutor(Executor):
 
     def imap(self, fn, tasks, policy=None):
         collector = active()
-        if collector is None and policy is None:
-            for task in tasks:
-                yield fn(*task)
-            return
         injector = policy.injector if policy is not None else None
         if collector is not None:
             collector.set_gauge("runtime.workers", self.workers)
         for index, task in enumerate(tasks):
+            record = _PendingTask(index, task)
             start = time.perf_counter()
-            try:
-                if injector is not None:
-                    injector(index, 0, in_worker=False)
-                result = fn(*task)
-            except Exception as exc:
-                if policy is None:
-                    raise
-                result = self._recover(fn, task, index, policy, exc)
-                if result is _SKIPPED:
-                    continue
+            while True:
+                try:
+                    if injector is not None:
+                        injector(index, record.attempts, in_worker=False)
+                    result = fn(*record.task)
+                    action = "ok"
+                except Exception as exc:
+                    action = _failure_decision(record, exc, policy)
+                if action != "retry":
+                    break
+            if action == "skip":
+                continue
+            if action == "degrade":
+                result = _run_degraded(fn, record)
             if collector is not None:
                 collector.incr("runtime.tasks")
                 collector.observe("runtime.task_seconds",
                                   time.perf_counter() - start)
             yield result
-
-    def _recover(self, fn, task, index, policy, exc):
-        """Retry per policy; apply the exhaustion strategy when spent."""
-        record = _PendingTask(index, task)
-        record.attempts = 1
-        seed = task_seed(task)
-        while record.attempts <= policy.max_retries:
-            incr("runtime.retries")
-            time.sleep(policy.delay(record.attempts - 1,
-                                    seed if seed is not None else index))
-            try:
-                if policy.injector is not None:
-                    policy.injector(index, record.attempts, in_worker=False)
-                return fn(*task)
-            except Exception as retry_exc:
-                exc = retry_exc
-                record.attempts += 1
-        if policy.on_exhausted == "skip":
-            incr("runtime.skipped")
-            return _SKIPPED
-        if policy.on_exhausted == "degrade-to-serial":
-            # Already serial: one final clean attempt (injections fire
-            # on the first attempt only).
-            incr("runtime.degraded")
-            try:
-                return fn(*task)
-            except Exception as final_exc:
-                raise _task_error(record, final_exc,
-                                  suffix=" (and one degraded retry)") \
-                    from final_exc
-        raise _task_error(record, exc) from exc
 
     def __repr__(self):
         return "SerialExecutor()"
@@ -370,39 +378,17 @@ class ParallelExecutor(Executor):
                     incr("runtime.replayed")
 
         def recover(head, exc):
-            """Handle one fault of the head task.  Returns ``"retry"``
-            (resubmitted), ``"skip"``, or ``"degrade"``; raises
-            :class:`TaskError` when the policy is absent or spent."""
-            head.attempts += 1
-            if policy is not None and head.attempts <= policy.max_retries:
-                seed = task_seed(head.task)
-                incr("runtime.retries")
-                time.sleep(policy.delay(
-                    head.attempts - 1,
-                    seed if seed is not None else head.index))
+            action = _failure_decision(head, exc, policy)
+            if action == "retry":
                 submit(head)
-                return "retry"
-            strategy = policy.on_exhausted if policy is not None else "fail"
-            if strategy == "skip":
-                incr("runtime.skipped")
-                return "skip"
-            if strategy == "degrade-to-serial":
-                incr("runtime.degraded")
-                return "degrade"
-            raise _task_error(head, exc) from exc
+            return action
 
         def run_inline(head):
-            # Last-resort degrade-to-serial: run the task in the
-            # coordinator with no pool involved.  Metrics the task
-            # records go straight to the active collector — at the same
-            # position in task order a pooled merge would take.
+            # Metrics the degraded task records go straight to the
+            # active collector — at the same position in task order a
+            # pooled merge would take.
             start = time.perf_counter()
-            try:
-                result = fn(*head.task)
-            except Exception as exc:
-                raise _task_error(head, exc,
-                                  suffix=" (and one degraded retry)") \
-                    from exc
+            result = _run_degraded(fn, head)
             if collector is not None:
                 collector.incr("runtime.tasks")
                 collector.observe("runtime.task_seconds",

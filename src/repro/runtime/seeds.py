@@ -1,17 +1,24 @@
-"""Deterministic seed streams and batched run helpers.
+"""Deterministic seed streams and the one seeded-batch loop.
 
 The contract that makes parallel SMC reproducible: a master
 :class:`~repro.core.rng.RandomSource` deterministically yields one child
 seed *per run* (via :meth:`~repro.core.rng.RandomSource.spawn`), runs
 are numbered by their position in that stream, and batching merely
 partitions the stream.  Estimates aggregated in run order are therefore
-bit-identical for any executor, worker count and batch size.
+bit-identical for any executor and worker count.
+
+:func:`seeded_batches` is the only place that turns a campaign's runs
+into executor tasks; how many runs a task carries is the executor's
+decision (:meth:`~repro.runtime.Executor.batch_size_for`).
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ..core.rng import RandomSource, ensure_rng
 from ..obs import log
+from .executor import SerialExecutor
 
 
 def seed_stream(rng_or_seed, n):
@@ -23,19 +30,37 @@ def seed_stream(rng_or_seed, n):
     return [rng.spawn().seed for _ in range(n)]
 
 
-def spawn_seeds(master_seed, n):
-    """Module-level (hence picklable) variant of :func:`seed_stream`
-    starting from a fresh source — used to check, cross-process, that
-    the same master seed yields the same spawned streams everywhere."""
-    return seed_stream(RandomSource(master_seed), n)
+def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
+                   per_run=None):
+    """Run a seeded campaign as tasks ``fn(*args, chunk)``, where
+    ``chunk`` is the next run of consecutive per-run ``seeds``; yield the
+    task results in run order.
 
+    ``executor`` ``None`` means :class:`SerialExecutor`; ``policy`` is
+    its :class:`~repro.runtime.FaultPolicy`.  A task carries
+    ``executor.batch_size_for(len(seeds))`` runs unless ``size`` fixes
+    it.  ``seeds`` may be a lazy iterator (then ``size`` is required):
+    each task then draws its chunk only when the executor pulls it, so
+    a consumer that closes this generator early never draws the rest.
+    ``per_run`` is an optional sequence aligned with ``seeds`` (start
+    states, say), cut on the same boundaries and passed just before
+    the seed chunk, which stays the task's last argument so
+    :func:`~repro.runtime.task_seed` finds it.
+    """
+    executor = SerialExecutor() if executor is None else executor
+    if size is None:
+        size = executor.batch_size_for(len(seeds))
+    seeds = iter(seeds)
+    extra = iter(per_run) if per_run is not None else None
 
-def batched(sequence, size):
-    """Split ``sequence`` into consecutive lists of at most ``size``."""
-    if size <= 0:
-        raise ValueError(f"batch size must be positive, got {size}")
-    return [list(sequence[i:i + size])
-            for i in range(0, len(sequence), size)]
+    def tasks():
+        while chunk := list(islice(seeds, size)):
+            if extra is None:
+                yield (*args, chunk)
+            else:
+                yield (*args, list(islice(extra, len(chunk))), chunk)
+
+    yield from executor.imap(fn, tasks(), policy=policy)
 
 
 def run_batch(run_once, seeds):

@@ -73,8 +73,7 @@ def first_passage_batch(simulator_factory, predicates, horizon, seeds):
 
 
 def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
-                       rng=None, executor=None, batch_size=None,
-                       fault_policy=None):
+                       rng=None, executor=None, fault_policy=None):
     """Estimate, for each predicate, the CDF of its first-passage time.
 
     ``simulator_factory(rng)`` builds a fresh simulator exposing
@@ -92,19 +91,16 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     failed batches from their seeds, keeping the samples identical
     across worker faults.
     """
-    from ..runtime import SerialExecutor, batched, seed_stream
+    from ..runtime import seed_stream, seeded_batches
 
-    executor = SerialExecutor() if executor is None else executor
     with span("smc.first_passage_cdfs", runs=runs):
         seeds = seed_stream(rng, runs)
-        size = batch_size or executor.batch_size_for(runs)
         samples = {key: [] for key in predicates}
         done = 0
-        for batch in executor.imap(
+        for batch in seeded_batches(
                 first_passage_batch,
-                [(simulator_factory, predicates, horizon, chunk)
-                 for chunk in batched(seeds, size)],
-                policy=fault_policy):
+                (simulator_factory, predicates, horizon), seeds, executor,
+                fault_policy):
             done += len(batch)
             checkpoint("smc.cdf", done, total=runs)
             for times in batch:

@@ -175,20 +175,28 @@ def chernoff_runs(epsilon, delta):
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
 
-def _campaign_setup(checkpoint, fingerprint, initial_state):
+def _campaign_setup(checkpoint, kind, seeds, executor, initial_state):
     """Checkpoint scaffolding shared by the fixed-budget estimators.
 
-    Returns ``(state, inner, outer)``: the (possibly resumed) campaign
-    state, the campaign-local collector capturing exactly this
-    campaign's metrics (``None`` without a checkpoint), and the
-    coordinator's ambient collector to merge into on completion.
+    Returns ``(fingerprint, size, state, inner, outer)``: the campaign's
+    checkpoint fingerprint and batch size (the executor's choice, pinned
+    so a resumed campaign keeps its batch boundaries), the (possibly
+    resumed) campaign state, the campaign-local collector capturing
+    exactly this campaign's metrics, and the coordinator's ambient
+    collector to merge into on completion.  Without a checkpoint only
+    ``state`` is set and the batch size is left to the executor.
     Resuming a matching checkpoint merges its saved metrics snapshot,
     so the final logical totals equal an uninterrupted run's.
     """
     if checkpoint is None:
-        return initial_state, None, None
+        return None, None, initial_state, None, None
     from ..obs.metrics import Collector
+    from ..runtime import SerialExecutor
 
+    size = (SerialExecutor() if executor is None
+            else executor).batch_size_for(len(seeds))
+    fingerprint = {"kind": kind, "runs": len(seeds), "batch_size": size,
+                   "seeds": seeds[:1] + seeds[-1:]}
     outer = active()
     inner = Collector("smc.checkpoint")
     state = initial_state
@@ -196,7 +204,7 @@ def _campaign_setup(checkpoint, fingerprint, initial_state):
     if loaded is not None:
         state = loaded["state"]
         inner.merge(loaded.get("metrics", {}))
-    return state, inner, outer
+    return fingerprint, size, state, inner, outer
 
 
 def _campaign_finish(checkpoint, inner, outer):
@@ -210,17 +218,18 @@ def _campaign_finish(checkpoint, inner, outer):
 
 
 def estimate_probability(run_once, runs, rng=None, confidence=0.95,
-                         executor=None, batch_size=None,
-                         fault_policy=None, checkpoint=None):
+                         executor=None, fault_policy=None,
+                         checkpoint=None):
     """Estimate P(run_once(rng) is truthy) from ``runs`` samples.
 
     The budget is split into batches of per-run seeds spawned from
     ``rng`` and run by ``executor`` (see :mod:`repro.runtime`; the
-    default ``None`` means :class:`~repro.runtime.SerialExecutor`).  A
+    default ``None`` means :class:`~repro.runtime.SerialExecutor`),
+    which also decides how many runs a batch carries.  A
     :class:`~repro.runtime.ParallelExecutor` needs a picklable
     ``run_once`` (a module-level function, or a
     :func:`functools.partial` over one).  Results are bit-identical for
-    any executor, worker count, and batch size.
+    any executor and worker count.
 
     ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) makes the
     campaign survive crashed / raising / hung workers by replaying the
@@ -232,18 +241,12 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
     batches should not be checkpointed, as resume assumes the completed
     batches form a prefix.
     """
-    from ..runtime import SerialExecutor, batched, run_batch, seed_stream
+    from ..runtime import run_batch, seed_stream, seeded_batches
 
-    executor = SerialExecutor() if executor is None else executor
     with span("smc.estimate_probability", runs=runs) as sp:
         seeds = seed_stream(rng, runs)
-        size = batch_size or executor.batch_size_for(runs)
-        chunks = batched(seeds, size)
-        fingerprint = {"kind": "smc.estimate_probability", "runs": runs,
-                       "batch_size": size,
-                       "seeds": seeds[:1] + seeds[-1:]}
-        state, inner, outer = _campaign_setup(
-            checkpoint, fingerprint,
+        fingerprint, size, state, inner, outer = _campaign_setup(
+            checkpoint, "smc.estimate_probability", seeds, executor,
             {"batch": 0, "successes": 0, "done": 0})
         scope = collecting(inner) if inner is not None \
             else contextlib.nullcontext()
@@ -251,9 +254,9 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
             completed = state["batch"]
             successes = state["successes"]
             done = state["done"]
-            tasks = [(run_once, chunk) for chunk in chunks[completed:]]
-            for outcomes in executor.imap(run_batch, tasks,
-                                          policy=fault_policy):
+            for outcomes in seeded_batches(run_batch, (run_once,),
+                                           seeds[done:], executor,
+                                           fault_policy, size):
                 # Walk the outcomes run by run so the series samples
                 # at every ``done & 63 == 0`` position — the sample
                 # *count* is then independent of the batching.
@@ -284,8 +287,7 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
 
 
 def estimate_mean(run_once, runs, rng=None, confidence=0.95,
-                  executor=None, batch_size=None,
-                  fault_policy=None, checkpoint=None):
+                  executor=None, fault_policy=None, checkpoint=None):
     """Estimate E[run_once(rng)] from ``runs`` samples.
 
     Executor semantics as in :func:`estimate_probability` (including
@@ -293,27 +295,22 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
     run order, so the estimate (and its interval) does not depend on
     the batching.
     """
-    from ..runtime import SerialExecutor, batched, sample_batch, seed_stream
+    from ..runtime import sample_batch, seed_stream, seeded_batches
 
-    executor = SerialExecutor() if executor is None else executor
     with span("smc.estimate_mean", runs=runs):
         seeds = seed_stream(rng, runs)
-        size = batch_size or executor.batch_size_for(runs)
-        chunks = batched(seeds, size)
-        fingerprint = {"kind": "smc.estimate_mean", "runs": runs,
-                       "batch_size": size,
-                       "seeds": seeds[:1] + seeds[-1:]}
-        state, inner, outer = _campaign_setup(
-            checkpoint, fingerprint, {"batch": 0, "samples": []})
+        fingerprint, size, state, inner, outer = _campaign_setup(
+            checkpoint, "smc.estimate_mean", seeds, executor,
+            {"batch": 0, "samples": []})
         scope = collecting(inner) if inner is not None \
             else contextlib.nullcontext()
         with scope:
             completed = state["batch"]
             samples = list(state["samples"])
             total = sum(samples)  # seeded for checkpoint resume
-            tasks = [(run_once, chunk) for chunk in chunks[completed:]]
-            for values in executor.imap(sample_batch, tasks,
-                                        policy=fault_policy):
+            for values in seeded_batches(sample_batch, (run_once,),
+                                         seeds[len(samples):], executor,
+                                         fault_policy, size):
                 points = []
                 for value in values:
                     samples.append(value)

@@ -14,8 +14,8 @@ unpicklable guard/update callables, parallel callers pass
 :class:`~repro.runtime.Spec` references to module-level model and
 predicate factories instead of live objects; workers rebuild them once
 per process.  Per-run seeds come from the master ``rng``'s spawn
-stream, so results are bit-identical for any executor, worker count
-and batch size.
+stream, so results are bit-identical for any executor and worker
+count.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ def _spec_run_once(network, predicate, horizon, default_rate):
 def probability_at_least(network, predicate, theta, horizon,
                          indifference=0.01, alpha=0.05, beta=0.05,
                          rng=None, default_rate=1.0, max_runs=1000000,
-                         executor=None, batch_size=None,
-                         fault_policy=None):
+                         executor=None, fault_policy=None):
     """Test ``Pr[<= horizon](<> predicate) >= theta`` sequentially.
 
     ``predicate`` takes ``(location_names, valuation, clocks)``.
@@ -58,13 +57,13 @@ def probability_at_least(network, predicate, theta, horizon,
     run_once = _spec_run_once(network, predicate, horizon, default_rate)
     return sprt(run_once, theta, indifference=indifference, alpha=alpha,
                 beta=beta, rng=rng, max_runs=max_runs, executor=executor,
-                batch_size=batch_size, fault_policy=fault_policy)
+                fault_policy=fault_policy)
 
 
 def probability_estimate(network, predicate, horizon, runs=738,
                          confidence=0.95, rng=None, default_rate=1.0,
-                         executor=None, batch_size=None,
-                         fault_policy=None, checkpoint=None):
+                         executor=None, fault_policy=None,
+                         checkpoint=None):
     """Quantitative variant: ``Pr[<= horizon](<> predicate)`` with a
     Clopper–Pearson interval (default budget = the Chernoff count for
     eps = delta = 0.05).  ``fault_policy`` and ``checkpoint`` behave as
@@ -72,7 +71,6 @@ def probability_estimate(network, predicate, horizon, runs=738,
     run_once = _spec_run_once(network, predicate, horizon, default_rate)
     return estimate_probability(run_once, runs=runs, rng=rng,
                                 confidence=confidence, executor=executor,
-                                batch_size=batch_size,
                                 fault_policy=fault_policy,
                                 checkpoint=checkpoint)
 
@@ -102,7 +100,7 @@ def observe_extremum(model, observe, horizon, mode, rng=None,
 
 def expected_value(network, observe, horizon, runs=500, mode="max",
                    confidence=0.95, rng=None, default_rate=1.0,
-                   executor=None, batch_size=None, fault_policy=None):
+                   executor=None, fault_policy=None):
     """Estimate UPPAAL-SMC's ``E[<= horizon](max|min|final: expr)``.
 
     ``observe(names, valuation, clocks) -> number`` is evaluated at
@@ -113,24 +111,20 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
     identical per-run seeds — and returns identical samples.
     """
     from ..core.errors import AnalysisError
-    from ..runtime import SerialExecutor, batched, sample_batch, seed_stream
+    from ..runtime import sample_batch, seed_stream, seeded_batches
     from .estimate import MeanEstimate
 
     if mode not in ("max", "min", "final"):
         raise AnalysisError(f"unknown mode {mode!r}")
-    executor = SerialExecutor() if executor is None else executor
     with span("smc.expected_value", runs=runs, mode=mode):
         run_once = functools.partial(observe_extremum, network, observe,
                                      horizon, mode,
                                      default_rate=default_rate)
         seeds = seed_stream(rng, runs)
-        size = batch_size or executor.batch_size_for(runs)
         samples = []
         done = 0
-        for values in executor.imap(
-                sample_batch,
-                [(run_once, chunk) for chunk in batched(seeds, size)],
-                policy=fault_policy):
+        for values in seeded_batches(sample_batch, (run_once,), seeds,
+                                     executor, fault_policy):
             done += len(values)
             checkpoint("smc.expected_value", done, total=runs)
             samples.extend(v for v in values if not math.isnan(v))

@@ -46,8 +46,8 @@ class SplittingResult:
                 f"{self.total_runs} runs)")
 
 
-def splitting_batch(model, level_of, starts, seeds, target_level,
-                    policy, max_steps):
+def splitting_batch(model, level_of, target_level, policy, max_steps,
+                    starts, seeds):
     """One batch of splitting runs: from each start state, with its own
     seeded source, climb towards ``target_level``.
 
@@ -72,8 +72,7 @@ def splitting_batch(model, level_of, starts, seeds, target_level,
 def fixed_effort_splitting(network, level_of, max_level,
                            runs_per_stage=400, rng=None,
                            policy="max-delay", max_steps=100000,
-                           executor=None, batch_size=None,
-                           fault_policy=None):
+                           executor=None, fault_policy=None):
     """Estimate ``P(eventually level_of(state) >= max_level)``.
 
     ``level_of(names, valuation, clocks) -> int`` is the importance
@@ -84,17 +83,16 @@ def fixed_effort_splitting(network, level_of, max_level,
     Each stage's runs go through ``executor`` (see :mod:`repro.runtime`;
     ``None`` means :class:`~repro.runtime.SerialExecutor`): the
     coordinator pre-draws every run's start state and seed from the
-    master ``rng``, so the estimate is bit-identical for any executor,
-    worker count and batch size.  A
+    master ``rng``, so the estimate is bit-identical for any executor
+    and worker count.  A
     :class:`~repro.runtime.ParallelExecutor` needs ``network`` and
     ``level_of`` as specs (the digital states themselves pickle fine).
     A stage's conditional estimate divides its hits by the runs that
     completed, so batches a ``fault_policy`` skipped do not count.
     """
-    from ..runtime import SerialExecutor, batched, seed_stream
+    from ..runtime import seed_stream, seeded_batches
     from .stochastic import resolve_model, resolve_predicate
 
-    executor = SerialExecutor() if executor is None else executor
     rng = ensure_rng(rng)
     model = resolve_model(network)
     level_fn = resolve_predicate(level_of)
@@ -114,13 +112,10 @@ def fixed_effort_splitting(network, level_of, max_level,
             starts = [entry_states[rng.randint(0, len(entry_states) - 1)]
                       for _ in range(runs_per_stage)]
             seeds = seed_stream(rng, runs_per_stage)
-            size = batch_size or executor.batch_size_for(runs_per_stage)
-            tasks = [(network, level_of, s, z, level + 1, policy,
-                      max_steps)
-                     for s, z in zip(batched(starts, size),
-                                     batched(seeds, size))]
-            for reached_batch in executor.imap(splitting_batch, tasks,
-                                               policy=fault_policy):
+            for reached_batch in seeded_batches(
+                    splitting_batch,
+                    (network, level_of, level + 1, policy, max_steps),
+                    seeds, executor, fault_policy, per_run=starts):
                 done += len(reached_batch)
                 for reached in reached_batch:
                     if reached is not None:

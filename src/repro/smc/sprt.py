@@ -13,6 +13,10 @@ from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
 from ..obs import checkpoint, incr, log, span
 
+#: Runs per SPRT task.  Seeds are drawn one chunk per task the executor
+#: pulls, so an early stop never draws the rest of ``max_runs``.
+CHUNK_RUNS = 32
+
 
 class SPRTResult:
     """Verdict of a sequential test."""
@@ -53,8 +57,7 @@ def _record_verdict(result, log_a, log_b):
 
 
 def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
-         rng=None, max_runs=1000000, executor=None, batch_size=None,
-         fault_policy=None):
+         rng=None, max_runs=1000000, executor=None, fault_policy=None):
     """Sequentially test H1: p >= theta + delta vs H0: p <= theta - delta.
 
     ``alpha`` bounds the probability of accepting H1 when H0 holds,
@@ -63,13 +66,14 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
 
     Runs are dispatched through ``executor`` (see :mod:`repro.runtime`;
     ``None`` means :class:`~repro.runtime.SerialExecutor`) in chunks of
-    per-run seeds spawned from ``rng``; the coordinator walks the
-    per-run outcomes in run order and stops dispatch as soon as the
-    Wald boundary is crossed.  The verdict, run count, and success
-    count are bit-identical for any executor, worker count, and chunk
-    size (a parallel run may discard a few in-flight chunks unread on
-    early stop).  A :class:`~repro.runtime.ParallelExecutor` needs a
-    picklable ``run_once``.  ``fault_policy`` (a
+    :data:`CHUNK_RUNS` per-run seeds spawned from ``rng``; the
+    coordinator walks the per-run outcomes in run order and stops
+    dispatch as soon as the Wald boundary is crossed.  The verdict, run
+    count, and success count are bit-identical for any executor, worker
+    count, and chunk size (a parallel run may discard a few in-flight
+    chunks unread on early stop).  A
+    :class:`~repro.runtime.ParallelExecutor` needs a picklable
+    ``run_once``.  ``fault_policy`` (a
     :class:`~repro.runtime.FaultPolicy`) lets the dispatch survive
     crashed / raising / hung workers by replaying the failed chunks
     from their seeds — the verdict stays bit-identical.
@@ -87,20 +91,12 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     inc_failure = math.log((1 - p1) / (1 - p0))
     successes = 0
 
-    from ..runtime import SerialExecutor, run_batch
-
-    executor = SerialExecutor() if executor is None else executor
-    chunk = batch_size or 32
-
-    def tasks():
-        dispatched = 0
-        while dispatched < max_runs:
-            size = min(chunk, max_runs - dispatched)
-            yield (run_once, [rng.spawn().seed for _ in range(size)])
-            dispatched += size
+    from ..runtime import run_batch, seeded_batches
 
     run = 0
-    results = executor.imap(run_batch, tasks(), policy=fault_policy)
+    seeds = (rng.spawn().seed for _ in range(max_runs))
+    results = seeded_batches(run_batch, (run_once,), seeds, executor,
+                             fault_policy, CHUNK_RUNS)
     try:
         with span("smc.sprt", theta=theta):
             for outcomes in results:

@@ -37,7 +37,7 @@ import math
 from ..core.errors import AnalysisError, ModelError
 from ..core.expressions import Expr
 from ..core.rng import RandomSource, ensure_rng
-from ..obs.metrics import active
+from ..obs.metrics import incr
 
 INFINITY = math.inf
 
@@ -330,10 +330,8 @@ class StochasticSimulator:
                 elapsed += delay
             raise AnalysisError(f"run exceeded {max_steps} steps")
         finally:
-            collector = active()
-            if collector is not None:
-                collector.incr("smc.sim.runs")
-                collector.incr("smc.sim.steps", steps)
+            incr("smc.sim.runs")
+            incr("smc.sim.steps", steps)
 
 
 # -- module-level run entry points (picklable, for the parallel runtime) ------

@@ -13,8 +13,8 @@ in the paper's example (see DESIGN.md).
 
 from __future__ import annotations
 
-from ..core.errors import AnalysisError
-from ..obs import active, checkpoint, span
+from ..core.errors import SearchLimitError
+from ..obs import checkpoint, incr, span
 from ..ta.discrete import DiscreteSemantics
 
 
@@ -72,17 +72,16 @@ class GameGraph:
                     checkpoint("tiga.explore", expanded,
                                waiting=len(queue))
                 if len(self.states) > max_states:
-                    raise AnalysisError(
-                        f"game arena exceeds {max_states} states")
+                    raise SearchLimitError(
+                        f"game arena exceeds {max_states} states",
+                        limit=max_states)
             # Pad arrays for states discovered last.
             while len(self.ctrl) < len(self.states):
                 self.ctrl.append([])
                 self.unc.append([])
                 self.tick.append(None)
             sp.set("states", len(self.states))
-        collector = active()
-        if collector is not None:
-            collector.incr("tiga.arena_states", len(self.states))
+        incr("tiga.arena_states", len(self.states))
 
     def _names(self, locs):
         names = self._names_by_locs.get(locs)

@@ -39,7 +39,7 @@ examinations rather than full sweeps.
 from __future__ import annotations
 
 from ..mc.explorecore import Frontier
-from ..obs.metrics import active
+from ..obs.metrics import incr
 from ..obs.trace import span
 from .strategy import Strategy
 
@@ -111,11 +111,9 @@ def solve_reachability(graph, goal):
 
 
 def _record_solve(kind, iterations, winning):
-    collector = active()
-    if collector is not None:
-        collector.incr("tiga.solves")
-        collector.incr("tiga.fixpoint_iterations", iterations)
-        collector.incr(f"tiga.{kind}.winning_states", len(winning))
+    incr("tiga.solves")
+    incr("tiga.fixpoint_iterations", iterations)
+    incr(f"tiga.{kind}.winning_states", len(winning))
 
 
 def solve_safety(graph, safe):

@@ -11,6 +11,7 @@ so CI can exercise both multiprocessing start methods; spawn is the
 one that catches pickling bugs in the fault machinery itself.
 """
 
+import importlib
 import json
 import os
 
@@ -34,7 +35,10 @@ from repro.smc import (
     sprt,
 )
 
+from doubles import FixedBatches
+
 MP_START = os.environ.get("REPRO_MP_START") or None
+SPRT_MODULE = importlib.import_module("repro.smc.sprt")
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +62,8 @@ def snapshot_probability(executor, fault_policy=None, checkpoint=None,
     collector = Collector("campaign")
     with collecting(collector):
         estimate = estimate_probability(
-            biased_coin, runs=runs, rng=13, executor=executor,
-            batch_size=10, fault_policy=fault_policy,
+            biased_coin, runs=runs, rng=13,
+            executor=FixedBatches(10, executor), fault_policy=fault_policy,
             checkpoint=checkpoint)
     return estimate, collector.snapshot()["counters"]
 
@@ -72,6 +76,12 @@ def retransmission_level(_names, valuation, _clocks):
 def logical(counters):
     return {key: value for key, value in counters.items()
             if key.startswith("smc.")}
+
+
+def fail_on_two(x, seeds):
+    if x == 2:
+        raise ValueError("boom")
+    return x
 
 
 class TestFaultPolicy:
@@ -191,7 +201,8 @@ class TestSkippedBatches:
         with collecting(collector):
             result = modes(bm.brp_modest_source(2, 1, 1),
                            [Pmax("P1", bm.not_success)], runs=80, rng=6,
-                           batch_size=10, fault_policy=self.SKIP3)
+                           executor=FixedBatches(10),
+                           fault_policy=self.SKIP3)
         assert result["P1"].runs == 50
         assert collector.snapshot()["counters"]["modest.modes.runs"] == 50
 
@@ -202,7 +213,7 @@ class TestSkippedBatches:
         with collecting(collector):
             result = fixed_effort_splitting(
                 brp.make_brp(8, 1, 1), retransmission_level, max_level=1,
-                runs_per_stage=60, rng=11, batch_size=10,
+                runs_per_stage=60, rng=11, executor=FixedBatches(10),
                 fault_policy=self.SKIP3)
         counters = collector.snapshot()["counters"]
         assert result.total_runs == counters["smc.splitting.runs"] == 30
@@ -220,9 +231,9 @@ class TestSkippedBatches:
             first_passage_cdfs(
                 lambda rng: network_simulator(network, rng),
                 {0: cross_predicate(0)}, horizon=50, runs=80, grid=[25],
-                rng=3, batch_size=10, fault_policy=self.SKIP3)
+                rng=3, executor=FixedBatches(10), fault_policy=self.SKIP3)
             expected_value(network, cross_predicate(0), horizon=50,
-                           runs=80, rng=3, batch_size=10,
+                           runs=80, rng=3, executor=FixedBatches(10),
                            fault_policy=self.SKIP3)
         counters = collector.snapshot()["counters"]
         assert counters["smc.cdf.runs"] == counters["smc.runs"] == 50
@@ -274,12 +285,11 @@ class TestParallelRecovery:
     def test_replay_preserves_estimate_without_collector(self, pool2):
         # Fault recovery must not depend on the observability layer.
         reference = estimate_probability(biased_coin, runs=200, rng=13,
-                                         executor=SerialExecutor(),
-                                         batch_size=10)
+                                         executor=FixedBatches(10))
         policy = FaultPolicy(max_retries=2, backoff=0.01,
                              injector=FaultInjector(raises={4}))
         estimate = estimate_probability(biased_coin, runs=200, rng=13,
-                                        executor=pool2, batch_size=10,
+                                        executor=FixedBatches(10, pool2),
                                         fault_policy=policy)
         assert (estimate.successes, estimate.runs) == \
             (reference.successes, reference.runs)
@@ -311,14 +321,61 @@ class TestParallelRecovery:
         assert logical(counters) == logical(ref_counters)
         assert counters["runtime.degraded"] == 1
 
-    def test_sprt_with_faults_matches_verdict(self, pool2):
+    def test_sprt_with_faults_matches_verdict(self, pool2, monkeypatch):
+        monkeypatch.setattr(SPRT_MODULE, "CHUNK_RUNS", 16)
         policy = FaultPolicy(max_retries=2, backoff=0.01,
                              injector=FaultInjector(raises={1}))
         reference = sprt(biased_coin, theta=0.5, rng=7,
-                         executor=SerialExecutor(), batch_size=16)
+                         executor=SerialExecutor())
         verdict = sprt(biased_coin, theta=0.5, rng=7, executor=pool2,
-                       batch_size=16, fault_policy=policy)
+                       fault_policy=policy)
         assert bool(verdict) == bool(reference) is False
+
+
+class TestFailureDecision:
+    """Serial and pooled executors take one failure decision, and the
+    entry points keep every task's seed chunk where it can be found."""
+
+    def test_unrecovered_task_raises_task_error_under_both(self, pool2):
+        tasks = [(i, [1000 + i]) for i in range(4)]
+        for executor in (SerialExecutor(), pool2):
+            with pytest.raises(TaskError) as excinfo:
+                list(executor.imap(fail_on_two, tasks))
+            assert (excinfo.value.index, excinfo.value.seed) == (2, 1002)
+            assert isinstance(excinfo.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_splitting_task_error_carries_its_first_seed(self, pool2,
+                                                         parallel):
+        from repro.core import RandomSource
+        from repro.models import brp
+        from repro.runtime import Spec, seed_stream
+
+        policy = FaultPolicy(max_retries=0, backoff=0.0,
+                             injector=FaultInjector(raises={2}))
+        executor = FixedBatches(10, pool2 if parallel else None)
+        with pytest.raises(TaskError) as excinfo:
+            fixed_effort_splitting(
+                Spec(brp.make_brp, 8, 1, 1), retransmission_level,
+                max_level=1, runs_per_stage=60, rng=11, executor=executor,
+                fault_policy=policy)
+        # Stage 1 draws its 60 start states, then its 60 run seeds; task
+        # 2 runs seeds 20..29.
+        master = RandomSource(11)
+        for _ in range(60):
+            master.randint(0, 0)
+        seeds = seed_stream(master, 60)
+        assert (excinfo.value.index, excinfo.value.seed) == (2, seeds[20])
+
+    def test_serial_sprt_draws_seeds_one_chunk_per_task(self):
+        from repro.core import RandomSource
+
+        master = RandomSource(7)
+        result = sprt(biased_coin, theta=0.5, rng=master)
+        assert result.runs % 32 != 0
+        # Only the chunks the executor pulled were drawn: the next
+        # child is number ceil(runs / 32) * 32.
+        assert master.spawn().spawn_key == (-(-result.runs // 32) * 32,)
 
 
 class TestCheckpoint:
@@ -349,17 +406,16 @@ class TestCheckpoint:
     def test_mean_resume_matches_samples(self, pool2, tmp_path):
         path = str(tmp_path / "mean.json")
         reference = estimate_mean(uniform_sample, runs=120, rng=7,
-                                  executor=SerialExecutor(),
-                                  batch_size=10)
+                                  executor=FixedBatches(10))
         policy = FaultPolicy(max_retries=0, backoff=0.0,
                              injector=FaultInjector(raises={7}))
         with pytest.raises(TaskError):
             estimate_mean(uniform_sample, runs=120, rng=7,
-                          executor=pool2, batch_size=10,
+                          executor=FixedBatches(10, pool2),
                           fault_policy=policy,
                           checkpoint=Checkpoint(path, every=1))
         resumed = estimate_mean(uniform_sample, runs=120, rng=7,
-                                executor=pool2, batch_size=10,
+                                executor=FixedBatches(10, pool2),
                                 checkpoint=Checkpoint(path, every=1))
         assert resumed.samples == reference.samples
 
@@ -373,10 +429,9 @@ class TestCheckpoint:
         # Different campaign parameters: the stale checkpoint must be
         # ignored, not half-applied.
         reference = estimate_probability(biased_coin, runs=200, rng=99,
-                                         executor=SerialExecutor(),
-                                         batch_size=10)
+                                         executor=FixedBatches(10))
         estimate = estimate_probability(biased_coin, runs=200, rng=99,
-                                        executor=pool2, batch_size=10,
+                                        executor=FixedBatches(10, pool2),
                                         checkpoint=Checkpoint(path,
                                                               every=1))
         assert estimate.successes == reference.successes

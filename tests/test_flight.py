@@ -7,9 +7,13 @@ the stall watchdog, worker-snapshot merging — and the determinism
 acceptance criterion: serial, parallel, and fault-recovered campaigns
 produce identical merged *logical* event sequences and time-series
 sample counts (physical ``obs.*`` / ``runtime.*`` data excluded).
+
+The process-pool tests honour ``REPRO_MP_START`` (``fork`` / ``spawn``)
+so CI can check that equivalence under both start methods.
 """
 
 import json
+import os
 
 import pytest
 
@@ -46,13 +50,16 @@ from repro.runtime import (
 from repro.smc import probability_at_least, probability_estimate
 from repro.ta import ZoneGraph
 
+from doubles import FixedBatches
+
 TRAINGATE = Spec(make_traingate, 3)
 CROSS0 = Spec(cross_predicate, 0)
+MP_START = os.environ.get("REPRO_MP_START") or None
 
 
 @pytest.fixture(scope="module")
 def pool2():
-    with ParallelExecutor(workers=2) as executor:
+    with ParallelExecutor(workers=2, mp_context=MP_START) as executor:
         yield executor
 
 
@@ -313,12 +320,13 @@ class TestParallelFlightEquivalence:
     time-series sample counts are identical across serial, parallel,
     and fault-recovered executions of the same fixed budget."""
 
-    KWARGS = dict(horizon=100, runs=256, rng=42, batch_size=32)
+    KWARGS = dict(horizon=100, runs=256, rng=42)
 
     def run_once(self, executor, fault_policy=None):
         with recording(FlightRecorder(rss_interval=None)) as rec:
             estimate = probability_estimate(TRAINGATE, CROSS0,
-                                            executor=executor,
+                                            executor=FixedBatches(
+                                                32, executor),
                                             fault_policy=fault_policy,
                                             **self.KWARGS)
         data = rec.to_dict()
@@ -332,7 +340,7 @@ class TestParallelFlightEquivalence:
             self.run_once(pool2)
         policy = FaultPolicy(max_retries=2,
                              injector=FaultInjector(raises={1}))
-        with ParallelExecutor(workers=2) as faulty:
+        with ParallelExecutor(workers=2, mp_context=MP_START) as faulty:
             faulty_est, faulty_events, faulty_series = \
                 self.run_once(faulty, fault_policy=policy)
 
@@ -345,7 +353,8 @@ class TestParallelFlightEquivalence:
 
     def test_worker_events_carry_worker_ids(self, pool2):
         with recording(FlightRecorder(rss_interval=None)) as rec:
-            probability_estimate(TRAINGATE, CROSS0, executor=pool2,
+            probability_estimate(TRAINGATE, CROSS0,
+                                 executor=FixedBatches(32, pool2),
                                  **self.KWARGS)
         batches = [e for e in rec.to_dict()["events"]
                    if e["name"] == "smc.batch"]

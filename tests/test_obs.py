@@ -280,7 +280,7 @@ class TestProgress:
         events = []
         with progress(events.append, min_interval=0.0):
             result = sprt(coin_p03, 0.5, indifference=0.05, rng=7,
-                          executor=SerialExecutor(), batch_size=32)
+                          executor=SerialExecutor())
         done = [e.done for e in events if e.kind == "smc.sprt"]
         assert done and done[0] > 0
         assert all(a < b for a, b in zip(done, done[1:]))

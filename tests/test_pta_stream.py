@@ -31,8 +31,8 @@ from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
     Spec,
-    batched,
     seed_stream,
+    seeded_batches,
 )
 from repro.smc import fixed_effort_splitting
 from repro.ta import clk
@@ -93,11 +93,12 @@ def brp_traces(policy):
 def table1_hits(executor):
     """The per-run hit dicts of 200 seeded modes runs, digested, with
     the steps they took."""
-    tasks = [(Spec(brp.make_brp, 16, 2, 1), TABLE1_PROPERTIES,
-              "max-delay", 200, chunk)
-             for chunk in batched(seed_stream(2012, 200), 25)]
+    args = (Spec(brp.make_brp, 16, 2, 1), TABLE1_PROPERTIES, "max-delay",
+            200)
     with collecting() as collector:
-        hits = [hit for batch in executor.imap(modes_batch, tasks)
+        hits = [hit for batch in seeded_batches(
+                    modes_batch, args, seed_stream(2012, 200), executor,
+                    size=25)
                 for hit in batch]
     return (digest(hits), collector.value("pta.sim.steps"),
             collector.value("pta.sim.runs"))

@@ -3,9 +3,9 @@
 The load-bearing property: for any SMC entry point, a ``(seed, n_runs)``
 pair yields bit-identical results for the default call (no executor),
 :class:`SerialExecutor` and :class:`ParallelExecutor` with any worker
-count and batch size, because all randomness flows through the master
-source's deterministic spawn stream and results are aggregated in run
-order.
+count, and for any batch size an executor picks, because all
+randomness flows through the master source's deterministic spawn
+stream and results are aggregated in run order.
 
 The process-pool tests honour ``REPRO_MP_START`` (``fork`` / ``spawn``)
 so CI can check the serial == parallel equality under both
@@ -13,6 +13,7 @@ multiprocessing start methods.
 """
 
 import functools
+import importlib
 import os
 
 import pytest
@@ -25,10 +26,10 @@ from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
     Spec,
-    batched,
     run_batch,
     seed_stream,
-    spawn_seeds,
+    seeded_batches,
+    task_seed,
 )
 from repro.smc import (
     estimate_mean,
@@ -41,9 +42,12 @@ from repro.smc import (
 )
 from repro.smc.stochastic import network_simulator
 
+from doubles import FixedBatches
+
 TRAINGATE = Spec(make_traingate, 3)
 CROSS0 = Spec(cross_predicate, 0)
 MP_START = os.environ.get("REPRO_MP_START") or None
+SPRT_MODULE = importlib.import_module("repro.smc.sprt")
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,11 @@ def biased_coin(rng):
 
 def uniform_sample(rng):
     return rng.uniform(0.0, 10.0)
+
+
+def task_args(*args):
+    """A task that returns its own arguments (module-level, picklable)."""
+    return args
 
 
 class TestSpec:
@@ -110,23 +119,69 @@ class TestSeedStreams:
         parent = RandomSource(123)
         assert seed_stream(123, 4) == [parent.spawn().seed
                                        for _ in range(4)]
-        assert spawn_seeds(123, 4) == seed_stream(123, 4)
 
     def test_same_master_seed_same_stream(self):
-        assert spawn_seeds(7, 10) == spawn_seeds(7, 10)
-        assert spawn_seeds(7, 10) != spawn_seeds(8, 10)
+        assert seed_stream(7, 10) == seed_stream(7, 10)
+        assert seed_stream(7, 10) != seed_stream(8, 10)
 
     def test_cross_process_determinism(self, pool2):
         """The regression the spawn-key fix guards: a worker process
         spawning from the same master seed sees the same child seeds."""
-        remote, = pool2.map(spawn_seeds, [(123, 6)])
-        assert remote == spawn_seeds(123, 6)
+        remote, = pool2.map(seed_stream, [(123, 6)])
+        assert remote == seed_stream(123, 6)
 
-    def test_batched(self):
-        assert batched(list(range(5)), 2) == [[0, 1], [2, 3], [4]]
-        assert batched([], 3) == []
-        with pytest.raises(ValueError):
-            batched([1], 0)
+
+class TestSeededBatches:
+    """:func:`seeded_batches`, the one loop that turns a campaign's runs
+    into executor tasks."""
+
+    def test_chunks_follow_the_executor_batch_size(self):
+        tasks = list(seeded_batches(task_args, ("a",), [1, 2, 3, 4, 5],
+                                    FixedBatches(2)))
+        assert tasks == [("a", [1, 2]), ("a", [3, 4]), ("a", [5])]
+        assert list(seeded_batches(task_args, (), [], FixedBatches(3))) \
+            == []
+
+    def test_default_executor_is_serial(self):
+        chunks = [chunk for chunk, in seeded_batches(task_args, (),
+                                                     list(range(150)))]
+        assert [len(c) for c in chunks] == [64, 64, 22]
+        assert sum(chunks, []) == list(range(150))
+
+    def test_size_overrides_the_executor(self):
+        chunks = list(seeded_batches(task_args, (), list(range(7)),
+                                     FixedBatches(2), size=3))
+        assert chunks == [([0, 1, 2],), ([3, 4, 5],), ([6],)]
+
+    def test_lazy_seeds_draw_one_chunk_per_pulled_task(self):
+        drawn = []
+
+        def seeds():
+            for i in range(1000):
+                drawn.append(i)
+                yield i
+
+        results = seeded_batches(task_args, (), seeds(), size=4)
+        assert next(results) == ([0, 1, 2, 3],)
+        assert next(results) == ([4, 5, 6, 7],)
+        results.close()
+        assert len(drawn) == 8
+
+    def test_per_run_items_ride_before_the_seed_chunk(self):
+        tasks = list(seeded_batches(task_args, ("m",), [10, 11, 12],
+                                    FixedBatches(2),
+                                    per_run=["x", "y", "z"]))
+        assert tasks == [("m", ["x", "y"], [10, 11]),
+                         ("m", ["z"], [12])]
+        assert [task_seed(task) for task in tasks] == [10, 12]
+
+    def test_parallel_matches_serial(self, pool2):
+        seeds = seed_stream(5, 40)
+        serial = list(seeded_batches(run_batch, (biased_coin,), seeds))
+        parallel = list(seeded_batches(run_batch, (biased_coin,), seeds,
+                                       pool2))
+        assert sum(parallel, []) == sum(serial, [])
+        assert [len(b) for b in parallel] == [5] * 8
 
 
 class TestExecutors:
@@ -137,8 +192,8 @@ class TestExecutors:
             run_batch(biased_coin, [1, 2]), run_batch(biased_coin, [3])]
 
     def test_parallel_map_order(self, pool4):
-        tasks = [(biased_coin, chunk)
-                 for chunk in batched(seed_stream(5, 40), 10)]
+        seeds = seed_stream(5, 40)
+        tasks = [(biased_coin, seeds[i:i + 10]) for i in range(0, 40, 10)]
         assert pool4.map(run_batch, tasks) == \
             SerialExecutor().map(run_batch, tasks)
 
@@ -201,7 +256,7 @@ class TestGenericEstimators:
                                          executor=SerialExecutor())
         for size in (1, 7, 100):
             again = estimate_probability(biased_coin, runs=100, rng=1,
-                                         executor=pool2, batch_size=size)
+                                         executor=FixedBatches(size, pool2))
             assert again.successes == reference.successes
 
     def test_estimate_mean_equivalence(self, pool2):
@@ -239,15 +294,15 @@ class TestTraingateEquivalence:
                 (serial.accept, serial.runs, serial.successes)
         assert not serial.accept  # P(cross by t = 20) is about 1/3
 
-    def test_sprt_chunk_invariance(self, pool2):
+    def test_sprt_chunk_invariance(self, pool2, monkeypatch):
         serial = probability_at_least(TRAINGATE, CROSS0, theta=0.5,
                                       horizon=100, indifference=0.1, rng=7,
                                       executor=SerialExecutor())
         for size in (1, 5, 64):
+            monkeypatch.setattr(SPRT_MODULE, "CHUNK_RUNS", size)
             again = probability_at_least(TRAINGATE, CROSS0, theta=0.5,
                                          horizon=100, indifference=0.1,
-                                         rng=7, executor=pool2,
-                                         batch_size=size)
+                                         rng=7, executor=pool2)
             assert (again.accept, again.runs) == (serial.accept,
                                                   serial.runs)
 

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from repro.core import SearchLimitError
 from repro.models.traingame import (
     crossing_predicate,
     make_traingame,
@@ -104,6 +105,14 @@ class TestSimpleGames:
             graph, graph.satisfying(lambda n, v, c: n[0] == "goal"))
         assert 0 in winning
         assert strategy.move(0) is None
+
+
+class TestArenaCap:
+    def test_cap_raises_search_limit_error(self):
+        with pytest.raises(SearchLimitError) as excinfo:
+            GameGraph(make_traingame(2), max_states=50)
+        assert excinfo.value.limit == 50
+        assert "50 states" in str(excinfo.value)
 
 
 class TestTrainGame:
