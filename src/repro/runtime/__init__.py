@@ -15,13 +15,20 @@ campaigns resumable mid-flight.
 from .checkpoint import Checkpoint
 from .executor import Executor, ParallelExecutor, SerialExecutor
 from .faults import FaultInjector, FaultPolicy, InjectedFault, task_seed
-from .seeds import run_batch, sample_batch, seed_stream, seeded_batches
+from .seeds import (
+    run_batch,
+    runs_per_task,
+    sample_batch,
+    seed_stream,
+    seeded_batches,
+)
 from .spec import Spec, build_cached
 
 __all__ = [
     "Executor", "ParallelExecutor", "SerialExecutor",
     "FaultInjector", "FaultPolicy", "InjectedFault", "task_seed",
     "Checkpoint",
-    "run_batch", "sample_batch", "seed_stream", "seeded_batches",
+    "run_batch", "runs_per_task", "sample_batch", "seed_stream",
+    "seeded_batches",
     "Spec", "build_cached",
 ]

@@ -30,6 +30,17 @@ def seed_stream(rng_or_seed, n):
     return [rng.spawn().seed for _ in range(n)]
 
 
+def _resolve(executor):
+    return SerialExecutor() if executor is None else executor
+
+
+def runs_per_task(executor, runs):
+    """How many runs of a ``runs``-run campaign one task carries on
+    ``executor`` (``None`` means :class:`SerialExecutor`) — what
+    :func:`seeded_batches` uses unless told a pinned size."""
+    return _resolve(executor).batch_size_for(runs)
+
+
 def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
                    per_run=None):
     """Run a seeded campaign as tasks ``fn(*args, chunk)``, where
@@ -38,7 +49,7 @@ def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
 
     ``executor`` ``None`` means :class:`SerialExecutor`; ``policy`` is
     its :class:`~repro.runtime.FaultPolicy`.  A task carries
-    ``executor.batch_size_for(len(seeds))`` runs unless ``size`` fixes
+    ``runs_per_task(executor, len(seeds))`` runs unless ``size`` fixes
     it.  ``seeds`` may be a lazy iterator (then ``size`` is required):
     each task then draws its chunk only when the executor pulls it, so
     a consumer that closes this generator early never draws the rest.
@@ -47,9 +58,8 @@ def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
     the seed chunk, which stays the task's last argument so
     :func:`~repro.runtime.task_seed` finds it.
     """
-    executor = SerialExecutor() if executor is None else executor
     if size is None:
-        size = executor.batch_size_for(len(seeds))
+        size = runs_per_task(executor, len(seeds))
     seeds = iter(seeds)
     extra = iter(per_run) if per_run is not None else None
 
@@ -60,7 +70,7 @@ def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
             else:
                 yield (*args, list(islice(extra, len(chunk))), chunk)
 
-    yield from executor.imap(fn, tasks(), policy=policy)
+    yield from _resolve(executor).imap(fn, tasks(), policy=policy)
 
 
 def run_batch(run_once, seeds):

@@ -191,10 +191,9 @@ def _campaign_setup(checkpoint, kind, seeds, executor, initial_state):
     if checkpoint is None:
         return None, None, initial_state, None, None
     from ..obs.metrics import Collector
-    from ..runtime import SerialExecutor
+    from ..runtime import runs_per_task
 
-    size = (SerialExecutor() if executor is None
-            else executor).batch_size_for(len(seeds))
+    size = runs_per_task(executor, len(seeds))
     fingerprint = {"kind": kind, "runs": len(seeds), "batch_size": size,
                    "seeds": seeds[:1] + seeds[-1:]}
     outer = active()

@@ -189,9 +189,15 @@ class TestSkippedBatches:
                         injector=FaultInjector(raises={1, 3, 5}))
 
     def test_estimate_probability_counts_completed_runs(self):
-        estimate, counters = snapshot_probability(
-            None, fault_policy=self.SKIP3, runs=80)
-        assert estimate.runs == counters["smc.runs"] == 50
+        # The default executor: 200 runs are tasks of 64/64/64/8 runs.
+        skip2 = FaultPolicy(max_retries=0, backoff=0.0, on_exhausted="skip",
+                            injector=FaultInjector(raises={1, 3}))
+        collector = Collector("campaign")
+        with collecting(collector):
+            estimate = estimate_probability(biased_coin, runs=200, rng=13,
+                                            fault_policy=skip2)
+        assert estimate.runs == \
+            collector.snapshot()["counters"]["smc.runs"] == 128
 
     def test_modes_counts_completed_runs(self):
         from repro.models import brp_modest as bm
@@ -463,21 +469,29 @@ class TestCheckpoint:
 
     def test_default_executor_checkpoints_and_resumes(self, tmp_path):
         """``checkpoint``/``fault_policy`` need no explicit executor:
-        the default serial campaign recovers, and resumes exactly."""
+        the default serial campaign (200 runs as tasks of 64/64/64/8
+        runs) recovers, and resumes exactly."""
         path = str(tmp_path / "default.json")
-        reference, ref_counters = snapshot_probability(None)
+
+        def campaign(**options):
+            collector = Collector("campaign")
+            with collecting(collector):
+                estimate = estimate_probability(biased_coin, runs=200,
+                                                rng=13, **options)
+            return estimate, collector.snapshot()["counters"]
+
+        reference, ref_counters = campaign()
         retry = FaultPolicy(max_retries=1, backoff=0.0,
-                            injector=FaultInjector(raises={4}))
-        recovered, _ = snapshot_probability(None, fault_policy=retry)
+                            injector=FaultInjector(raises={1}))
+        recovered, _ = campaign(fault_policy=retry)
         assert recovered.successes == reference.successes
         fail = FaultPolicy(max_retries=0, backoff=0.0,
-                           injector=FaultInjector(raises={12}))
+                           injector=FaultInjector(raises={2}))
         with pytest.raises(TaskError):
-            snapshot_probability(None, fault_policy=fail,
-                                 checkpoint=Checkpoint(path, every=1))
-        assert json.loads(open(path).read())["state"]["batch"] == 12
-        resumed, counters = snapshot_probability(
-            None, checkpoint=Checkpoint(path, every=1))
+            campaign(fault_policy=fail, checkpoint=Checkpoint(path, every=1))
+        state = json.loads(open(path).read())["state"]
+        assert (state["batch"], state["done"]) == (2, 128)
+        resumed, counters = campaign(checkpoint=Checkpoint(path, every=1))
         assert (resumed.successes, resumed.runs, resumed.low,
                 resumed.high) == (reference.successes, reference.runs,
                                   reference.low, reference.high)
