@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from ..core.errors import AnalysisError
+from ..core.errors import AnalysisError, QueryError
 from ..obs import incr, log, observe
 from .graph import maximal_end_components, topological_value_iteration
 from .model import MDP
@@ -38,18 +38,34 @@ from .model import MDP
 
 # -- graph precomputations ------------------------------------------------------
 
+def _target_set(mdp, targets):
+    """Finalize ``mdp`` and return ``targets`` as a set of its states.
+
+    Raises :class:`QueryError` for a target that is not a state index
+    in ``range(mdp.num_states)``.
+    """
+    mdp.finalize()
+    target_set = set(targets)
+    states = range(mdp.num_states)
+    for t in target_set:
+        if not isinstance(t, (int, np.integer)) or t not in states:
+            raise QueryError(
+                f"target {t!r} is not a state of {mdp.name} "
+                f"({mdp.num_states} states)")
+    return target_set
+
+
 def prob0_max(mdp, targets):
     """States where the *maximal* reachability probability is 0:
     no path reaches the target at all.
 
     Backward reachability from the targets over the predecessor CSR.
     """
-    mdp.finalize()
+    can_reach = _target_set(mdp, targets)
     g = mdp.graph
     pred_offsets = g.pred_offsets_l
     pred_trans = g.pred_trans_l
     trans_source = g.trans_source_l
-    can_reach = set(targets)
     stack = list(can_reach)
     while stack:
         t = stack.pop()
@@ -71,7 +87,7 @@ def prob0_min(mdp, targets):
     every one of its actions has a successor already removed.  Each
     transition is inspected at most once.
     """
-    mdp.finalize()
+    removed = _target_set(mdp, targets)
     g = mdp.graph
     pred_offsets = g.pred_offsets_l
     pred_trans = g.pred_trans_l
@@ -81,8 +97,6 @@ def prob0_min(mdp, targets):
     degree = np.diff(state_offsets_all).tolist()
     unsafe_action = [False] * mdp.num_actions
     unsafe_count = [0] * mdp.num_states
-    target_set = set(targets)
-    removed = set(target_set)
     stack = list(removed)
     while stack:
         t = stack.pop()
@@ -106,7 +120,7 @@ def prob1_max(mdp, targets):
     fixpoint as a backward traversal over *eligible* actions (support
     inside X) and eligibility recomputed vectorised per outer round.
     """
-    mdp.finalize()
+    target_list = list(_target_set(mdp, targets))
     g = mdp.graph
     n = mdp.num_states
     cols = mdp.cols
@@ -114,7 +128,6 @@ def prob1_max(mdp, targets):
     pred_trans = g.pred_trans_l
     trans_action = g.trans_action_l
     action_state = g.action_state_l
-    target_list = list(set(targets))
     x_mask = np.ones(n, dtype=bool)
     x_count = n
     while True:
@@ -151,13 +164,12 @@ def prob1_min(mdp, targets):
     complement of the states from which some scheduler reaches, with
     positive probability, the region where the target can be avoided
     surely (``prob0_min``)."""
-    mdp.finalize()
+    target_set = _target_set(mdp, targets)
     g = mdp.graph
     pred_offsets = g.pred_offsets_l
     pred_trans = g.pred_trans_l
     trans_source = g.trans_source_l
-    target_set = set(targets)
-    bad = prob0_min(mdp, targets)
+    bad = prob0_min(mdp, target_set)
     stack = list(bad)
     while stack:
         t = stack.pop()
@@ -235,8 +247,7 @@ def reachability_probability(mdp, targets, maximize=True, epsilon=1e-12,
     :func:`_interval_upper_max`) and returns the midpoint, guaranteeing
     the result is within ``epsilon`` of the true value.
     """
-    mdp.finalize()
-    targets = set(targets)
+    targets = _target_set(mdp, targets)
     if not targets:
         return np.zeros(mdp.num_states)
     start = time.perf_counter()
@@ -288,8 +299,7 @@ def expected_total_reward(mdp, targets, maximize=True, epsilon=1e-12,
     to avoid the target) have infinite expected reward, following the
     standard model-checking semantics.
     """
-    mdp.finalize()
-    targets = set(targets)
+    targets = _target_set(mdp, targets)
     start = time.perf_counter()
     certain = (prob1_min(mdp, targets) if maximize
                else prob1_max(mdp, targets))
@@ -323,8 +333,7 @@ def expected_total_reward(mdp, targets, maximize=True, epsilon=1e-12,
 
 def bounded_reachability(mdp, targets, steps, maximize=True):
     """Probability of reaching the target within ``steps`` actions."""
-    mdp.finalize()
-    targets = set(targets)
+    targets = _target_set(mdp, targets)
     values = np.zeros(mdp.num_states)
     frozen = np.zeros(mdp.num_states, dtype=bool)
     for s in targets:

@@ -16,9 +16,10 @@ Modest Toolset / PRISM explicit engines):
   decomposition, used to make interval iteration's upper sequence
   sound for maximal reachability;
 * :func:`topological_value_iteration` — Jacobi value iteration run
-  per SCC in reverse topological order, so acyclic parts of the model
-  are solved with a single backup each and iteration is confined to
-  the components that actually need it.
+  level by level up the SCC condensation DAG (:func:`level_plan`), so
+  each level's acyclic states are solved in one vectorised sweep of a
+  single backup each and iteration is confined to the components that
+  actually need it.
 
 The pre-core implementations (full-state set fixpoints, global value
 iteration) are preserved verbatim in :mod:`repro.mdp.reference` as the
@@ -107,14 +108,15 @@ class GraphCore:
     the per-state action lists.  The ``*_l`` attributes are plain-list
     mirrors of the arrays walked by the O(transitions) attractor
     fixpoints (Python-int indexing is several times faster than NumPy
-    scalar indexing in those loops).
+    scalar indexing in those loops).  ``levels`` holds the
+    :class:`LevelPlan` once the first value iteration has built it.
     """
 
     __slots__ = (
         "action_offsets_all", "state_offsets_all", "state_trans_offsets",
         "trans_action", "trans_source", "action_state",
         "pred_offsets", "pred_trans",
-        "scc_of", "scc_count",
+        "scc_of", "scc_count", "levels",
         "pred_offsets_l", "pred_trans_l",
         "trans_action_l", "trans_source_l", "action_state_l",
     )
@@ -149,7 +151,8 @@ class GraphCore:
             self.pred_offsets = np.zeros(n + 1, dtype=np.int64)
         scc_of, self.scc_count = tarjan_scc(
             n, self.state_trans_offsets.tolist(), cols.tolist())
-        self.scc_of = np.asarray(scc_of, dtype=np.int64)
+        self.scc_of = np.asarray(scc_of, dtype=np.int32)
+        self.levels = None
         self.pred_offsets_l = self.pred_offsets.tolist()
         self.pred_trans_l = self.pred_trans.tolist()
         self.trans_action_l = self.trans_action.tolist()
@@ -245,87 +248,205 @@ def maximal_end_components(mdp, restrict=None):
     return mec_of, count
 
 
+class LevelPlan:
+    """The SCCs of a finalized MDP grouped by their height in the
+    condensation DAG: 0 for a bottom SCC, otherwise 1 + the largest
+    height among its successor SCCs.  SCCs of one level never reach
+    each other, and every SCC they reach lies on a lower level.
+
+    ``trivial`` lists the trivial states (a single-state SCC without a
+    self-loop) level by level; level ``k`` owns
+    ``trivial[bounds[k]:bounds[k + 1]]``.  Their actions (``acts``) and
+    transitions (``trans``) follow in the same order.  A backup scatters
+    the transitions' contributions into ``slots`` of a buffer in which
+    each action's segment, starting at ``segments``, opens with a zero
+    slot, so ``np.add.reduceat`` sums every support of fewer than 8
+    pairs strictly left to right from ``0.0``; ``first_action`` then
+    groups the action values by state.  All indices are global, and
+    ``levels[k]`` holds level ``k``'s views of these arrays plus the
+    member arrays of its cyclic SCCs.
+    """
+
+    __slots__ = ("trivial", "bounds", "action_count", "slot_count",
+                 "levels")
+
+    def __init__(self, mdp):
+        g = mdp.graph
+        cols = mdp.cols
+        height = _scc_heights(g, cols)
+        self_looped = g.scc_of[g.trans_source[cols == g.trans_source]]
+        trivial_scc = np.bincount(g.scc_of, minlength=g.scc_count) == 1
+        trivial_scc[self_looped] = False
+        num_levels = int(height.max()) + 1
+        state_height = height[g.scc_of]
+        trivial = trivial_scc[g.scc_of]
+        states = np.flatnonzero(trivial)
+        states = states[np.argsort(state_height[states], kind="stable")]
+        bounds = np.searchsorted(state_height[states],
+                                 np.arange(num_levels + 1))
+        acts = concat_ranges(g.state_offsets_all[states],
+                             g.state_offsets_all[states + 1]).astype(np.int32)
+        first_action = np.concatenate(
+            ([0], np.cumsum(np.diff(g.state_offsets_all)[states])))
+        # A state's transitions are contiguous across its actions.
+        trans = concat_ranges(g.state_trans_offsets[states],
+                              g.state_trans_offsets[states + 1]).astype(
+                                  np.int32)
+        support = np.diff(g.action_offsets_all)[acts].astype(np.int32)
+        segments = np.concatenate(([0], np.cumsum(support + 1)))
+        # The j-th transition of the i-th action goes to slot i + 1 + j.
+        slots = (np.repeat(np.arange(1, len(acts) + 1, dtype=np.int32),
+                           support) + np.arange(len(trans), dtype=np.int32))
+        act_bounds = first_action[bounds]
+        trans_bounds = np.concatenate(([0], np.cumsum(support)))[act_bounds]
+        slot_bounds = segments[act_bounds]
+        self.trivial = states.astype(np.int32)
+        self.bounds = bounds
+        self.action_count = len(acts)
+        self.slot_count = int(segments[-1])
+        first_action = first_action[:-1].astype(np.int32)
+        segments = segments[:-1].astype(np.int32)
+        # Cyclic SCCs: their member states in ascending order, per level.
+        cyclic = [[] for _ in range(num_levels)]
+        members = np.flatnonzero(~trivial)
+        comps = g.scc_of[members]
+        order = np.argsort(comps, kind="stable")
+        members, comps = members[order], comps[order]
+        for group in np.split(members, np.flatnonzero(np.diff(comps)) + 1):
+            if group.size:
+                cyclic[height[g.scc_of[group[0]]]].append(group)
+        self.levels = [
+            (self.trivial[lo:hi], first_action[lo:hi], acts[a_lo:a_hi],
+             segments[a_lo:a_hi], trans[t_lo:t_hi], slots[t_lo:t_hi],
+             a_lo, a_hi, slots_end, level_cyclic)
+            for lo, hi, a_lo, a_hi, t_lo, t_hi, slots_end, level_cyclic
+            in zip(
+                bounds[:-1].tolist(), bounds[1:].tolist(),
+                act_bounds[:-1].tolist(), act_bounds[1:].tolist(),
+                trans_bounds[:-1].tolist(), trans_bounds[1:].tolist(),
+                slot_bounds[1:].tolist(), cyclic)]
+
+
+def _scc_heights(g, cols):
+    """Height of every SCC in the condensation DAG of ``g``.
+
+    Peeled bottom up: ``remaining[c]`` counts the cross edges from ``c``
+    to SCCs without a height yet, and ``c`` joins the next level once
+    that count drops to zero.
+    """
+    src = g.scc_of[g.trans_source]
+    dst = g.scc_of[cols]
+    cross = src != dst
+    src, dst = src[cross], dst[cross]
+    remaining = np.bincount(src, minlength=g.scc_count)
+    pred = src[np.argsort(dst, kind="stable")]
+    pred_offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(dst, minlength=g.scc_count))))
+    height = np.empty(g.scc_count, dtype=np.int32)
+    level = np.flatnonzero(remaining == 0)
+    h = 0
+    while level.size:
+        height[level] = h
+        preds, counts = np.unique(
+            pred[concat_ranges(pred_offsets[level], pred_offsets[level + 1])],
+            return_counts=True)
+        remaining[preds] -= counts
+        level = preds[remaining[preds] == 0]
+        h += 1
+    return height
+
+
+def level_plan(mdp):
+    """The :class:`LevelPlan` of the finalized ``mdp``, built on first
+    use and kept on its :class:`GraphCore` for every later query."""
+    g = mdp.graph
+    if g.levels is None:
+        g.levels = LevelPlan(mdp)
+    return g.levels
+
+
 def topological_value_iteration(mdp, values, frozen, maximize,
                                 rewards=None, epsilon=1e-12,
                                 max_iterations=1000000):
-    """In-place Jacobi value iteration, one SCC at a time.
+    """In-place Jacobi value iteration, one level of SCCs at a time.
 
-    Components are processed in reverse topological order (successor
-    components first — exactly the id order Tarjan assigns), so by the
-    time a component is solved every value it depends on outside itself
-    is final.  Trivial components (a single state without a self-loop)
-    take a single Bellman backup; the rest iterate until the in-component
-    change drops to ``epsilon``.  Returns the total number of backups,
-    which the callers flush into the ``mdp.vi_iterations`` counter.
+    Levels are processed bottom up (:class:`LevelPlan`), so by the time
+    a level is solved every value it depends on outside its own
+    components is final.  The level's live trivial states take a single
+    Bellman backup each, all in one vectorised sweep; each cyclic
+    component then iterates until its change drops to ``epsilon``.
+    Frozen states keep their values.  Returns the total number of
+    backups — one per live trivial state plus one per sweep of a cyclic
+    component — which the callers flush into the ``mdp.vi_iterations``
+    counter.
     """
-    g = mdp.graph
-    n = mdp.num_states
-    if n == 0:
+    if mdp.num_states == 0:
         return 0
+    g = mdp.graph
+    plan = level_plan(mdp)
     reduce_actions = np.maximum if maximize else np.minimum
     probs, cols = mdp.probs, mdp.cols
     action_offsets_all = g.action_offsets_all
     state_offsets_all = g.state_offsets_all
-    state_trans_offsets = g.state_trans_offsets
-    actions = mdp._actions
-    order = np.argsort(g.scc_of, kind="stable")
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(g.scc_of, minlength=g.scc_count))))
+    live_trivial = ~frozen[plan.trivial]
+    live_before = np.concatenate(([0], np.cumsum(live_trivial))).tolist()
+    bounds = plan.bounds.tolist()
+    slot_values = np.zeros(plan.slot_count)
+    trivial_action_values = np.empty(plan.action_count)
     total_iterations = 0
-    for comp in range(g.scc_count):
-        members = order[bounds[comp]:bounds[comp + 1]]
-        live = members[~frozen[members]]
-        if live.size == 0:
-            continue
-        if live.size == 1 and members.size == 1:
-            s = int(live[0])
-            lo, hi = state_trans_offsets[s], state_trans_offsets[s + 1]
-            if not np.any(cols[lo:hi] == s):
-                # Acyclic state: one backup is exact.
-                base = int(state_offsets_all[s])
-                best = None
-                for offset, (_label, pairs, _r) in enumerate(actions[s]):
-                    backup = 0.0
-                    for t, p in pairs:
-                        backup += p * values[t]
-                    if rewards is not None:
-                        backup += rewards[base + offset]
-                    if best is None or (backup > best if maximize
-                                        else backup < best):
-                        best = backup
-                values[s] = best
-                total_iterations += 1
-                continue
-        acts = concat_ranges(state_offsets_all[live],
-                             state_offsets_all[live + 1])
-        trans = concat_ranges(action_offsets_all[acts],
-                              action_offsets_all[acts + 1])
-        sub_probs = probs[trans]
-        sub_cols = cols[trans]
-        sub_act_offsets = np.concatenate(
-            ([0], np.cumsum(action_offsets_all[acts + 1]
-                            - action_offsets_all[acts])[:-1]))
-        sub_state_offsets = np.concatenate(
-            ([0], np.cumsum(state_offsets_all[live + 1]
-                            - state_offsets_all[live])[:-1]))
-        sub_rewards = rewards[acts] if rewards is not None else None
-        for _iteration in range(max_iterations):
-            contrib = sub_probs * values[sub_cols]
-            action_values = np.add.reduceat(contrib, sub_act_offsets)
-            if sub_rewards is not None:
-                action_values = action_values + sub_rewards
+    for level, (states, first_action, lvl_acts, segments, lvl_trans, slots,
+                a_lo, a_hi, slots_end, cyclic) in enumerate(plan.levels):
+        lo, hi = bounds[level], bounds[level + 1]
+        live_count = live_before[hi] - live_before[lo]
+        if live_count:
+            slot_values[slots] = probs[lvl_trans] * values[cols[lvl_trans]]
+            np.add.reduceat(slot_values[:slots_end], segments,
+                            out=trivial_action_values[a_lo:a_hi])
+            if rewards is not None:
+                trivial_action_values[a_lo:a_hi] += rewards[lvl_acts]
             new_values = reduce_actions.reduceat(
-                action_values, sub_state_offsets)
-            delta = np.max(np.abs(new_values - values[live]))
-            values[live] = new_values
-            total_iterations += 1
-            checkpoint("mdp.vi", total_iterations,
-                       series=lambda: [{"residual": float(delta),
-                                        "iteration": total_iterations}])
-            if delta <= epsilon:
-                break
-        else:
-            raise AnalysisError(
-                f"value iteration did not converge in {max_iterations} "
-                f"iterations")
+                trivial_action_values[:a_hi], first_action)
+            if live_count == hi - lo:
+                values[states] = new_values
+            else:
+                live = live_trivial[lo:hi]
+                values[states[live]] = new_values[live]
+            total_iterations += live_count
+        for members in cyclic:
+            live = members[~frozen[members]]
+            if live.size == 0:
+                continue
+            acts = concat_ranges(state_offsets_all[live],
+                                 state_offsets_all[live + 1])
+            trans = concat_ranges(action_offsets_all[acts],
+                                  action_offsets_all[acts + 1])
+            sub_probs = probs[trans]
+            sub_cols = cols[trans]
+            sub_act_offsets = np.concatenate(
+                ([0], np.cumsum(action_offsets_all[acts + 1]
+                                - action_offsets_all[acts])[:-1]))
+            sub_state_offsets = np.concatenate(
+                ([0], np.cumsum(state_offsets_all[live + 1]
+                                - state_offsets_all[live])[:-1]))
+            sub_rewards = rewards[acts] if rewards is not None else None
+            for _iteration in range(max_iterations):
+                contrib = sub_probs * values[sub_cols]
+                action_values = np.add.reduceat(contrib, sub_act_offsets)
+                if sub_rewards is not None:
+                    action_values = action_values + sub_rewards
+                new_values = reduce_actions.reduceat(
+                    action_values, sub_state_offsets)
+                delta = np.max(np.abs(new_values - values[live]))
+                values[live] = new_values
+                total_iterations += 1
+                checkpoint("mdp.vi", total_iterations,
+                           series=lambda: [{"residual": float(delta),
+                                            "iteration": total_iterations}])
+                if delta <= epsilon:
+                    break
+            else:
+                raise AnalysisError(
+                    f"value iteration did not converge in {max_iterations} "
+                    f"iterations")
+        checkpoint("mdp.vi", total_iterations)
     return total_iterations

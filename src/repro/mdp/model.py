@@ -58,6 +58,12 @@ class MDP:
         """
         if self._frozen:
             raise ModelError("MDP already finalized")
+        try:
+            actions = self._actions[state] if state >= 0 else None
+        except (IndexError, TypeError):
+            actions = None
+        if actions is None:
+            raise ModelError(f"unknown source state {state!r}")
         total = sum(p for p, _t in pairs)
         if abs(total - 1.0) > 1e-9:
             raise ModelError(
@@ -68,8 +74,7 @@ class MDP:
                 raise ModelError(f"negative probability {p}")
             if p > 0:
                 merged[t] = merged.get(t, 0.0) + p
-        self._actions[state].append(
-            (label, tuple(merged.items()), float(reward)))
+        actions.append((label, tuple(merged.items()), float(reward)))
 
     @property
     def num_states(self):
@@ -113,8 +118,18 @@ class MDP:
                 action_offsets.append(len(probs))
                 action_rewards.append(reward)
             state_offsets.append(len(action_rewards))
+        n = len(self._actions)
+        cols = np.asarray(cols)
+        if cols.size and cols.dtype.kind not in "iu":
+            raise ModelError(
+                f"action targets of {self.name} must be state indices")
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            bad = cols[(cols < 0) | (cols >= n)][0]
+            raise ModelError(
+                f"action target {bad} is not a state of {self.name} "
+                f"({n} states)")
         self.probs = np.asarray(probs, dtype=np.float64)
-        self.cols = np.asarray(cols, dtype=np.int64)
+        self.cols = cols.astype(np.int64, copy=False)
         self.action_offsets = np.asarray(action_offsets[:-1], dtype=np.int64)
         self.action_rewards = np.asarray(action_rewards, dtype=np.float64)
         self.state_offsets = np.asarray(state_offsets[:-1], dtype=np.int64)

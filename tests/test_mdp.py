@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ModelError
+from repro.core import ModelError, QueryError
 from repro.mdp import (
     MDP,
     bounded_reachability,
@@ -71,11 +71,77 @@ class TestConstruction:
         with pytest.raises(ModelError):
             m.add_state()
 
+    @pytest.mark.parametrize("state", [-1, 5, 0.0, "s0"])
+    def test_unknown_source_state_rejected(self, state):
+        m = MDP()
+        s = m.add_state()
+        with pytest.raises(ModelError, match="unknown source state"):
+            m.add_action(state, [(1.0, s)])
+        assert m.actions_of(s) == []
+
+    @pytest.mark.parametrize("target", [-1, 2, 7, 0.5])
+    def test_finalize_rejects_unknown_action_target(self, target):
+        m = MDP()
+        s = m.add_state()
+        t = m.add_state()
+        m.add_action(s, [(0.5, t), (0.5, target)])
+        with pytest.raises(ModelError):
+            m.finalize()
+
+    def test_action_target_added_later_is_accepted(self):
+        m = MDP()
+        s = m.add_state()
+        m.add_action(s, [(1.0, 1)])
+        t = m.add_state()
+        m.finalize()
+        assert m.successors(s) == {t}
+
     def test_labels(self):
         m, s0, goal, fail = coin_chain()
         assert m.states_with("goal") == {goal}
         m.label_state(fail, "fail")
         assert m.states_with("fail") == {fail}
+
+
+def two_state_chain():
+    """State 0 moves to state 1, which is absorbing."""
+    m = MDP()
+    s0, s1 = m.add_state(), m.add_state()
+    m.add_action(s0, [(1.0, s1)])
+    return m
+
+
+TARGET_ENTRY_POINTS = {
+    "reachability_probability": reachability_probability,
+    "expected_total_reward": expected_total_reward,
+    "bounded_reachability": lambda m, t: bounded_reachability(m, t, 3),
+    "prob0_max": prob0_max,
+    "prob0_min": prob0_min,
+    "prob1_max": prob1_max,
+    "prob1_min": prob1_min,
+}
+
+
+class TestMalformedTargets:
+    """A target outside ``range(num_states)`` is a malformed query: it
+    must not raise a stray ``IndexError`` or, for a negative index,
+    silently alias the last state."""
+
+    @pytest.mark.parametrize("name", sorted(TARGET_ENTRY_POINTS))
+    @pytest.mark.parametrize("targets", [{7}, {-1}, {1, 2}, {0.5}])
+    def test_rejected_with_query_error(self, name, targets):
+        with pytest.raises(QueryError):
+            TARGET_ENTRY_POINTS[name](two_state_chain(), targets)
+
+    @pytest.mark.parametrize("name", sorted(TARGET_ENTRY_POINTS))
+    def test_valid_targets_still_accepted(self, name):
+        TARGET_ENTRY_POINTS[name](two_state_chain(), {1, np.int64(1)})
+
+    def test_negative_target_no_longer_aliases_last_state(self):
+        m = two_state_chain()
+        assert list(reachability_probability(m, {1})) == [1.0, 1.0]
+        with pytest.raises(QueryError):
+            reachability_probability(m, {-1})
 
 
 class TestPrecomputation:

@@ -16,6 +16,8 @@ preserved verbatim in ``repro.mdp.reference``:
   latent correctness bug this PR fixes.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,11 @@ from hypothesis import strategies as st
 from repro.core.errors import SearchLimitError
 from repro.mdp import analysis as core
 from repro.mdp import reference as ref
+from repro.mdp.graph import topological_value_iteration
 from repro.mdp.model import MDP
 from repro.mdp.reference import reference_build_digital_mdp
 from repro.models import brp, firewire
+from repro.obs import collecting, progress
 from repro.pta import build_digital_mdp
 
 TOL = 1e-9
@@ -59,6 +63,50 @@ def random_mdps(draw):
     return mdp, targets
 
 
+@st.composite
+def layered_mdps(draw):
+    """A random MDP of 10-60 states built level by level, plus a target
+    set.
+
+    Level 0 holds absorbing states.  Every higher level holds one cyclic
+    component of 2-3 states next to trivial states, and every state
+    there has a successor one level down, so its SCC's height is its
+    level: value iteration meets trivial states and a cyclic component
+    side by side.  Targets and the Prob0/Prob1 states are frozen.
+    """
+    mdp = MDP("layered")
+    levels = [[mdp.add_state() for _ in range(draw(st.integers(2, 10)))]]
+    for _ in range(draw(st.integers(2, 5))):
+        levels.append([mdp.add_state()
+                       for _ in range(draw(st.integers(4, 10)))])
+    reward = st.sampled_from([0.0, 0.0, 1.0, 2.5])
+    for k in range(1, len(levels)):
+        below = [s for level in levels[:k] for s in level]
+        cycle_len = draw(st.integers(2, 3))
+        cycle, trivial = levels[k][:cycle_len], levels[k][cycle_len:]
+        for i, state in enumerate(cycle):
+            step = draw(st.integers(1, 4)) / 5
+            exit_to = draw(st.sampled_from(levels[k - 1]))
+            mdp.add_action(state, [(step, cycle[(i + 1) % cycle_len]),
+                                   (1 - step, exit_to)],
+                           reward=draw(reward))
+        for state in trivial:
+            for a in range(draw(st.integers(1, 2))):
+                succs = draw(st.lists(st.sampled_from(below), min_size=1,
+                                      max_size=4, unique=True))
+                if a == 0:
+                    succs[0] = draw(st.sampled_from(levels[k - 1]))
+                    succs = list(dict.fromkeys(succs))
+                weights = [draw(st.integers(1, 5)) for _ in succs]
+                total = sum(weights)
+                mdp.add_action(
+                    state, [(w / total, t) for w, t in zip(weights, succs)],
+                    reward=draw(reward))
+    targets = draw(st.sets(st.integers(0, mdp.num_states - 1),
+                           min_size=1, max_size=4))
+    return mdp, targets
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_mdps())
 def test_prob01_sets_match_reference(case):
@@ -73,7 +121,7 @@ def test_prob01_sets_match_reference(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_mdps(), st.booleans())
+@given(st.one_of(random_mdps(), layered_mdps()), st.booleans())
 def test_values_match_reference(case, maximize):
     mdp, targets = case
     truth = ref.reachability_probability(mdp, targets, maximize=maximize)
@@ -97,6 +145,61 @@ def test_values_match_reference(case, maximize):
             core.bounded_reachability(mdp, targets, steps, maximize)
             - ref.bounded_reachability(mdp, targets, steps, maximize))) \
             <= TOL
+
+
+def test_trivial_backups_sum_left_to_right():
+    """An acyclic state's backup adds its pairs in order, starting from
+    0.0, exactly as a scalar loop does, for every support of fewer than
+    8 pairs: the sums are bit-identical, not merely close."""
+    rng = np.random.default_rng(2012)
+    mdp = MDP("fan")
+    sinks = [mdp.add_state() for _ in range(7)]
+    sources = [mdp.add_state() for _ in range(300)]
+    for state in sources:
+        for _ in range(int(rng.integers(1, 3))):
+            support = rng.permutation(sinks)[:int(rng.integers(1, 8))]
+            weights = rng.random(len(support)) + 0.01
+            probs = weights / weights.sum()
+            mdp.add_action(state, list(zip(probs.tolist(), support.tolist())),
+                           reward=float(rng.choice([0.0, 0.5, 3.0])))
+    mdp.finalize()
+    base = np.zeros(mdp.num_states)
+    base[sinks] = rng.normal(size=7) * 10.0 ** rng.integers(-3, 17, size=7)
+    frozen = np.zeros(mdp.num_states, dtype=bool)
+    frozen[sinks] = True
+    for maximize in (True, False):
+        values = base.copy()
+        assert topological_value_iteration(
+            mdp, values, frozen, maximize,
+            rewards=mdp.action_rewards) == len(sources)
+        for state in sources:
+            best = None
+            for _label, pairs, reward in mdp.actions_of(state):
+                backup = 0.0
+                for t, p in pairs:
+                    backup += p * base[t]
+                backup += reward
+                if best is None or (backup > best if maximize
+                                    else backup < best):
+                    best = backup
+            assert values[state] == best
+        assert np.array_equal(values[sinks], base[sinks])
+
+
+def test_acyclic_solve_reports_progress():
+    """A fully acyclic solve checkpoints once per level, so a long chain
+    delivers ``mdp.vi`` heartbeats (and beats the stall watchdog)."""
+    mdp = MDP("chain")
+    states = [mdp.add_state() for _ in range(200)]
+    sink = mdp.add_state()
+    for s, t in zip(states, states[1:]):
+        mdp.add_action(s, [(0.5, t), (0.5, sink)])
+    events = []
+    with progress(events.append, min_interval=0.0):
+        values = core.reachability_probability(mdp, {states[-1]})
+    done = [e.done for e in events if e.kind == "mdp.vi"]
+    assert len(done) >= 199 and done == sorted(done) and done[-1] == 199
+    assert values[0] == 0.5 ** 199
 
 
 class TestEndComponentInterval:
@@ -196,3 +299,82 @@ class TestBuilderLimits:
         first = dm.states_where(brp.not_success)
         assert dm._names_by_locs  # populated on first query
         assert dm.states_where(brp.not_success) == first
+
+
+#: Table I's exact queries on BRP(16, 2, 1): the sha256 of each value
+#: vector's bytes and the ``mdp.vi_iterations`` the query adds.  Any
+#: change to the value-iteration loop must keep both exactly.
+GOLDEN = {
+    "P1-max": ("f2a05b0fe33a06bd817e0f3f83a8bb0d"
+               "edb5709f3a5123cc8d0f4adc78097d60", 1194),
+    "P1-max-interval": ("f2a05b0fe33a06bd817e0f3f83a8bb0d"
+                        "edb5709f3a5123cc8d0f4adc78097d60", 2388),
+    "P1-min": ("f2a05b0fe33a06bd817e0f3f83a8bb0d"
+               "edb5709f3a5123cc8d0f4adc78097d60", 1194),
+    "P1-min-interval": ("f2a05b0fe33a06bd817e0f3f83a8bb0d"
+                        "edb5709f3a5123cc8d0f4adc78097d60", 2388),
+    "P2-max": ("145f25cbc138abd9cf82f302114a4ac3"
+               "fa7104ba1430dade6661904a7f84c551", 1194),
+    "P2-max-interval": ("145f25cbc138abd9cf82f302114a4ac3"
+                        "fa7104ba1430dade6661904a7f84c551", 2388),
+    "P2-min": ("145f25cbc138abd9cf82f302114a4ac3"
+               "fa7104ba1430dade6661904a7f84c551", 1194),
+    "P2-min-interval": ("145f25cbc138abd9cf82f302114a4ac3"
+                        "fa7104ba1430dade6661904a7f84c551", 2388),
+    "PA-max": ("45878b8c8bba5f92afcefe10fd47a15d"
+               "7f1ed0b875fa9bdee604e7b801eb3f62", 0),
+    "PB-max": ("45878b8c8bba5f92afcefe10fd47a15d"
+               "7f1ed0b875fa9bdee604e7b801eb3f62", 0),
+    "Emax": ("c0c7b0c70a0fd6b28abc09cdabafa208"
+             "8ea026dbcde3912285aeb33fe3014d12", 1378),
+    "Emin": ("8dc50e2971e51b2d1049a4f2a2a7ba25"
+             "9da7be07547e1c2533608a50346ddf06", 1378),
+    "Dmax": ("2474aa559807bb09f0e4f6550a16cd2a"
+             "90187fb5266acd9f3777e56efd39ddf1", 53731),
+}
+
+
+@pytest.fixture(scope="module")
+def table1_queries():
+    """Query name -> thunk solving it, on Table I's two digital MDPs."""
+    untimed = build_digital_mdp(brp.make_brp(16, 2, 1))
+    timed_net = brp.make_brp(16, 2, 1, with_deadline_clock=True)
+    t_index = timed_net.process_by_name("Watch").resolve_clock("t")
+    timed = build_digital_mdp(timed_net, extra_constants={t_index: 65})
+    mdp = untimed.mdp
+    reach = {"P1": untimed.states_where(brp.not_success),
+             "P2": untimed.states_where(brp.uncertainty),
+             "PA": untimed.states_where(brp.bogus_success(16)),
+             "PB": untimed.states_where(brp.bogus_failure(16))}
+    reported = untimed.states_where(brp.reported)
+    in_time = timed.states_where(brp.success_within(64, timed_net))
+    queries = {}
+    for name, targets in reach.items():
+        for maximize in (True, False):
+            for interval in (False, True):
+                key = (f"{name}-{'max' if maximize else 'min'}"
+                       f"{'-interval' if interval else ''}")
+                queries[key] = (
+                    lambda t=targets, m=maximize, i=interval:
+                    core.reachability_probability(
+                        mdp, t, maximize=m, interval=i))
+    queries["Emax"] = lambda: core.expected_total_reward(
+        mdp, reported, maximize=True)
+    queries["Emin"] = lambda: core.expected_total_reward(
+        mdp, reported, maximize=False)
+    queries["Dmax"] = lambda: core.reachability_probability(
+        timed.mdp, in_time, maximize=True)
+    return queries
+
+
+class TestGoldenValues:
+    """Every Table I value vector, bit for bit, and its backup count."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_query(self, table1_queries, name):
+        digest, iterations = GOLDEN[name]
+        with collecting() as collector:
+            values = table1_queries[name]()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        assert collector.counters().get("mdp.vi_iterations", 0) == \
+            iterations
