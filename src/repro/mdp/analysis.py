@@ -42,13 +42,15 @@ def _target_set(mdp, targets):
     """Finalize ``mdp`` and return ``targets`` as a set of its states.
 
     Raises :class:`QueryError` for a target that is not a state index
-    in ``range(mdp.num_states)``.
+    in ``range(mdp.num_states)``; a ``bool`` is not an index, although
+    Python counts it as an ``int``.
     """
     mdp.finalize()
     target_set = set(targets)
     states = range(mdp.num_states)
     for t in target_set:
-        if not isinstance(t, (int, np.integer)) or t not in states:
+        if (not isinstance(t, (int, np.integer)) or isinstance(t, bool)
+                or t not in states):
             raise QueryError(
                 f"target {t!r} is not a state of {mdp.name} "
                 f"({mdp.num_states} states)")

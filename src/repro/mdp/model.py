@@ -10,6 +10,8 @@ A DTMC is simply an MDP with one action per state.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from ..core.errors import ModelError
@@ -49,7 +51,8 @@ class MDP:
         """Attach an action to ``state``.
 
         ``pairs`` is a list of ``(probability, target_state)``; the
-        probabilities must sum to 1 (within rounding).  Pairs naming
+        probabilities must sum to 1 (within rounding), and the reward
+        must be finite; a NaN anywhere is rejected.  Pairs naming
         the same target are merged by summing their probabilities, and
         zero-probability pairs are dropped.  Note the *stored* shape
         (as returned by :meth:`actions_of`) is the transposed
@@ -64,8 +67,20 @@ class MDP:
             actions = None
         if actions is None:
             raise ModelError(f"unknown source state {state!r}")
+        reward = float(reward)
+        if not isfinite(reward):
+            raise ModelError(f"non-finite action reward {reward}")
+        if len(pairs) == 1:
+            # Dirac fast path: the checks and the stored shape of the
+            # general path below (whose merge stores ``0.0 + p``).
+            ((p, t),) = pairs
+            if not (abs(p - 1.0) <= 1e-9):
+                raise ModelError(
+                    f"action probabilities sum to {p}, expected 1")
+            actions.append((label, ((t, 0.0 + p),), reward))
+            return
         total = sum(p for p, _t in pairs)
-        if abs(total - 1.0) > 1e-9:
+        if not (abs(total - 1.0) <= 1e-9):
             raise ModelError(
                 f"action probabilities sum to {total}, expected 1")
         merged = {}
@@ -74,7 +89,7 @@ class MDP:
                 raise ModelError(f"negative probability {p}")
             if p > 0:
                 merged[t] = merged.get(t, 0.0) + p
-        actions.append((label, tuple(merged.items()), float(reward)))
+        actions.append((label, tuple(merged.items()), reward))
 
     @property
     def num_states(self):

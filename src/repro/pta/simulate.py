@@ -19,9 +19,10 @@ Policies:
 
 Runs revisit few distinct states, so each digital state's step data is
 computed once, by :meth:`~repro.pta.digital.DigitalSemantics.successors`
-(the same method :func:`~repro.pta.digital.build_digital_mdp` explores
-with), and kept as a step plan: the location names, the enabled
-actions with their outcome lists as cumulative branch tables, and the
+(which wraps the successor routine
+:func:`~repro.pta.digital.build_digital_mdp` explores with), and kept
+as a step plan: the location names, the enabled actions with their
+outcome lists as cumulative branch tables, and the
 saturation-checked tick successor.  The plans live in a bounded
 :class:`~repro.mc.explorecore.LRUCache` on the network's shared
 semantics (``step_plans``), so every per-seed simulator of a batch

@@ -1,6 +1,8 @@
 """Tests for the MDP engine: hand-solvable chains, precomputations,
 value iteration, rewards, and property-based sanity on random MDPs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,40 @@ class TestConstruction:
         t = m.add_state()
         with pytest.raises(ModelError):
             m.add_action(s, [(-0.5, s), (1.5, t)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(math.nan, 0)],                 # the Dirac fast path
+        [(math.nan, 0), (0.5, 1)],       # the general path
+        [(math.inf, 0), (-math.inf, 1)],
+    ])
+    def test_non_finite_probability_rejected(self, pairs):
+        m = MDP()
+        s = m.add_state()
+        m.add_state()
+        with pytest.raises(ModelError, match="sum to nan"):
+            m.add_action(s, pairs)
+        assert m.actions_of(s) == []
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pairs", [[(1.0, 0)], [(0.5, 0), (0.5, 1)]])
+    def test_non_finite_reward_rejected(self, pairs, reward):
+        m = MDP()
+        s = m.add_state()
+        m.add_state()
+        with pytest.raises(ModelError, match="non-finite action reward"):
+            m.add_action(s, pairs, reward=reward)
+        assert m.actions_of(s) == []
+
+    def test_dirac_action_stored_like_a_merged_one(self):
+        m = MDP()
+        s = m.add_state()
+        t = m.add_state()
+        m.add_action(s, [(1, t)], label="a", reward=2)
+        m.add_action(s, [(0.5, t), (0.5, t)], label="a", reward=2)
+        dirac, merged = m.actions_of(s)
+        assert dirac == merged == ("a", ((t, 1.0),), 2.0)
+        assert [type(x) for x in (dirac[1][0][1], dirac[2])] == \
+            [float, float]
 
     def test_duplicate_targets_merged(self):
         m = MDP()
@@ -128,7 +164,8 @@ class TestMalformedTargets:
     silently alias the last state."""
 
     @pytest.mark.parametrize("name", sorted(TARGET_ENTRY_POINTS))
-    @pytest.mark.parametrize("targets", [{7}, {-1}, {1, 2}, {0.5}])
+    @pytest.mark.parametrize("targets",
+                             [{7}, {-1}, {1, 2}, {0.5}, {True}])
     def test_rejected_with_query_error(self, name, targets):
         with pytest.raises(QueryError):
             TARGET_ENTRY_POINTS[name](two_state_chain(), targets)

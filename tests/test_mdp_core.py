@@ -268,6 +268,19 @@ class TestPipelineDifferential:
         assert np.array_equal(np.isinf(new_r), ~finite)
         assert np.max(np.abs(new_r[finite] - ref_r[finite])) <= TOL
 
+    def test_brp_deadline_clock(self):
+        """A deadline clock and ``extra_constants``: the bound plans of
+        guards and invariants over a clock that only a query bounds."""
+        networks = [brp.make_brp(4, 2, 1, with_deadline_clock=True)
+                    for _ in range(2)]
+        extra = {networks[0].process_by_name("Watch").resolve_clock("t"):
+                 21}
+        dm_new = build_digital_mdp(networks[0], extra_constants=extra)
+        dm_ref = reference_build_digital_mdp(networks[1],
+                                             extra_constants=extra)
+        assert dm_new.mdp.num_states == 4416
+        _assert_same_build(dm_new, dm_ref)
+
     def test_firewire(self):
         dm_new = build_digital_mdp(firewire.make_firewire())
         dm_ref = reference_build_digital_mdp(firewire.make_firewire())
@@ -333,14 +346,30 @@ GOLDEN = {
              "90187fb5266acd9f3777e56efd39ddf1", 53731),
 }
 
+#: sha256 of ``repr(([s.key() for s in states], mdp._actions))`` of
+#: Table I's finalized deadline-clock (Dmax) digital MDP: state order,
+#: state keys and every stored action, as the builder must produce them.
+DMAX_BUILD = ("4fc5c86c7e0f84a16545e44bb39d4c3d"
+              "cfb55970f89db5f9297bc94ddbb372b6")
+
 
 @pytest.fixture(scope="module")
-def table1_queries():
-    """Query name -> thunk solving it, on Table I's two digital MDPs."""
-    untimed = build_digital_mdp(brp.make_brp(16, 2, 1))
+def table1_timed():
+    """Table I's deadline-clock network, its digital MDP and the
+    progress events its build delivered."""
     timed_net = brp.make_brp(16, 2, 1, with_deadline_clock=True)
     t_index = timed_net.process_by_name("Watch").resolve_clock("t")
-    timed = build_digital_mdp(timed_net, extra_constants={t_index: 65})
+    events = []
+    with progress(events.append, min_interval=0.0):
+        timed = build_digital_mdp(timed_net, extra_constants={t_index: 65})
+    return timed_net, timed, events
+
+
+@pytest.fixture(scope="module")
+def table1_queries(table1_timed):
+    """Query name -> thunk solving it, on Table I's two digital MDPs."""
+    untimed = build_digital_mdp(brp.make_brp(16, 2, 1))
+    timed_net, timed, _events = table1_timed
     mdp = untimed.mdp
     reach = {"P1": untimed.states_where(brp.not_success),
              "P2": untimed.states_where(brp.uncertainty),
@@ -378,3 +407,18 @@ class TestGoldenValues:
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
         assert collector.counters().get("mdp.vi_iterations", 0) == \
             iterations
+
+    def test_dmax_build(self, table1_timed):
+        _net, timed, _events = table1_timed
+        mdp = timed.mdp.finalize()
+        assert mdp.num_states == 68364
+        snapshot = repr(([s.key() for s in timed.states], mdp._actions))
+        assert hashlib.sha256(snapshot.encode()).hexdigest() == DMAX_BUILD
+
+    def test_dmax_build_reports_progress(self, table1_timed):
+        """The builder checkpoints every 4096 interned states and once
+        at the end, so a long build beats the stall watchdog."""
+        _net, timed, events = table1_timed
+        done = [e.done for e in events if e.kind == "pta.digital"]
+        assert done == [4096 * k for k in range(1, 17)] + [68364]
+        assert timed.mdp.num_states == 68364
