@@ -19,7 +19,7 @@ product of the two discrete-time state graphs.
 from __future__ import annotations
 
 from ..core.errors import ModelError, SearchLimitError
-from ..mc.explorecore import Frontier, LRUCache, PassedWaitingList
+from ..mc.explorecore import Frontier, LRUCache
 from ..ta.discrete import DiscreteSemantics
 from ..ta.network import Network
 
@@ -102,12 +102,12 @@ def check_refinement(impl, spec, inputs, outputs, max_pairs=200000):
     impl_side = _Side(impl, inputs, outputs)
     spec_side = _Side(spec, inputs, outputs)
 
-    # Phase 1: explore candidate pairs (closure under matched moves),
-    # deduplicated through the shared passed/waiting store (key-only
-    # mode: discrete-time states carry no zone to subsume on).
+    # Phase 1: explore candidate pairs (closure under matched moves);
+    # discrete-time states carry no zone to subsume on, so a dict keyed
+    # by the pair's state keys deduplicates.
     start = (impl_side.initial(), spec_side.initial())
-    pairs = PassedWaitingList(use_inclusion=False)
-    pairs.add_if_new((start[0].key(), start[1].key()), None, start)
+    start_key = (start[0].key(), start[1].key())
+    pairs = {start_key: start}
     queue = Frontier("dfs")
     queue.push(start)
     while queue:
@@ -116,7 +116,8 @@ def check_refinement(impl, spec, inputs, outputs, max_pairs=200000):
                 impl_side, spec_side, i_state, s_state):
             for pair in succ_pairs:
                 key = (pair[0].key(), pair[1].key())
-                if pairs.add_if_new(key, None, pair):
+                if key not in pairs:
+                    pairs[key] = pair
                     queue.push(pair)
                     if len(pairs) > max_pairs:
                         raise SearchLimitError(
@@ -124,7 +125,7 @@ def check_refinement(impl, spec, inputs, outputs, max_pairs=200000):
                             limit=max_pairs)
 
     # Phase 2: greatest-fixpoint pruning of violating pairs.
-    alive = {key for key, _pair in pairs.items()}
+    alive = set(pairs)
     reason_of = {}
     changed = True
     while changed:
@@ -139,7 +140,6 @@ def check_refinement(impl, spec, inputs, outputs, max_pairs=200000):
                 reason_of[key] = reason
                 changed = True
 
-    start_key = (start[0].key(), start[1].key())
     if start_key in alive:
         return RefinementResult(True, pairs_explored=len(pairs))
     reason = reason_of.get(start_key, "initial pair violates simulation")
@@ -213,8 +213,7 @@ def check_consistency(spec, inputs, outputs, max_states=100000):
     environment need not provide them)."""
     side = _Side(spec, inputs, outputs)
     initial = side.initial()
-    passed = PassedWaitingList(use_inclusion=False)
-    passed.add_if_new(initial.key(), None, initial)
+    passed = {initial.key()}
     queue = Frontier("dfs")
     queue.push(initial)
     while queue:
@@ -228,7 +227,9 @@ def check_consistency(spec, inputs, outputs, max_states=100000):
             # Only inputs available and no delay: stuck unless helped.
             return False
         for _kind, _label, succ in moves:
-            if passed.add_if_new(succ.key(), None, succ):
+            key = succ.key()
+            if key not in passed:
+                passed.add(key)
                 queue.push(succ)
                 if len(passed) > max_states:
                     raise SearchLimitError(

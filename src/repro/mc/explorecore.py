@@ -28,9 +28,11 @@ hot path linear instead of quadratic:
   sharing events are reported as the ``mc.zone_interned`` counter,
   apart from the logical counters the differential tests compare.
 * :class:`LRUCache` — the bounded memo behind the per-configuration
-  tables of :class:`repro.ta.zonegraph.ZoneGraph` and
-  :class:`repro.ta.discrete.DiscreteSemantics`, and the ECDAR move
-  cache.  :data:`DEFAULT_CACHE_SIZE` is its one default bound.
+  tables of :class:`repro.ta.zonegraph.ZoneGraph` and of the
+  integer-clock semantics :class:`repro.ta.discrete.DiscreteSemantics`
+  (shared by the TA engines and the digital-clocks builder), the modes
+  simulator's step plans, and the ECDAR move cache.
+  :data:`DEFAULT_CACHE_SIZE` is its one default bound.
 """
 
 from __future__ import annotations
@@ -173,10 +175,6 @@ class PassedWaitingList:
     reproduces the pre-unification engine bit-for-bit (the differential
     anchor against :mod:`repro.mc.reference`).
 
-    ``add_if_new(key, None, node)`` degrades to plain key dedup for
-    searches without zone subsumption (the ECDAR product searches);
-    :meth:`get` then returns the stored payload.
-
     Zones interned by the graph's :class:`ZoneStore` make the scans
     cheap: a re-visited zone is the *same object* as the stored one, so
     the per-bucket identity memo short-circuits before any matrix
@@ -185,8 +183,7 @@ class PassedWaitingList:
     """
 
     __slots__ = ("use_inclusion", "evict_waiting", "_zones", "_subsumed",
-                 "_plain", "size", "subsumed", "evicted",
-                 "waiting_subsumed")
+                 "size", "subsumed", "evicted", "waiting_subsumed")
 
     def __init__(self, use_inclusion=True, evict_waiting=True):
         self.use_inclusion = use_inclusion
@@ -196,7 +193,6 @@ class PassedWaitingList:
         # ever subsumed (including its own members); holding the zone
         # object keeps its id() from being recycled.
         self._subsumed = {}
-        self._plain = {}     # key-only entries (zone is None)
         self.size = 0
         self.subsumed = 0
         self.evicted = 0
@@ -204,13 +200,6 @@ class PassedWaitingList:
 
     def add_if_new(self, key, zone, node=None):
         """True when the entry is not subsumed (and is now recorded)."""
-        if zone is None:
-            if key in self._plain:
-                self.subsumed += 1
-                return False
-            self._plain[key] = node
-            self.size += 1
-            return True
         bucket = self._zones.get(key)
         if bucket is None:
             bucket = self._zones[key] = []
@@ -253,14 +242,6 @@ class PassedWaitingList:
         seen[id(zone)] = zone
         self.size += 1
         return True
-
-    def get(self, key, default=None):
-        """The payload of a key-only entry (see ``add_if_new``)."""
-        return self._plain.get(key, default)
-
-    def items(self):
-        """``(key, payload)`` pairs of the key-only entries."""
-        return self._plain.items()
 
     def __len__(self):
         return self.size

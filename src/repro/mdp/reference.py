@@ -270,15 +270,15 @@ def _invariants_hold(network, locs, clocks):
 def _fire_branches(network, state, transition):
     """All probabilistic outcomes of firing ``transition``.
 
-    Returns a list of ``(probability, DigitalState)``; the joint
+    Returns a list of ``(probability, DiscreteState)``; the joint
     distribution is the product over the participants' branch choices.
     A *Dirac* step into an invariant-violating state is simply disabled
     (the empty list — UPPAAL's semantics for plain edges); a genuinely
     probabilistic step with only *some* violating branches leaves the
     distribution undefined and is a model error.
     """
-    from ..pta.digital import DigitalState
     from ..pta.pta import edge_branches
+    from ..ta.discrete import DiscreteState
 
     combos = list(product(*[edge_branches(edge)
                             for _process, edge in
@@ -301,7 +301,7 @@ def _fire_branches(network, state, transition):
                 clocks[process.resolve_clock(clock)] = value
         if probability <= 0.0:
             continue
-        new_state = DigitalState(
+        new_state = DiscreteState(
             tuple(locs), env.commit(), tuple(clocks))
         if not _invariants_hold(network, new_state.locs, new_state.clocks):
             if len(combos) == 1:
@@ -318,8 +318,8 @@ def reference_build_digital_mdp(network, extra_constants=None,
     """The seed digital-clocks builder, including its intern off-by-one
     (`SearchLimitError` raised only after the state past ``max_states``
     was added and queued)."""
-    from ..pta.digital import DigitalMDP, DigitalState
-    from ..ta.discrete import check_closed_diagonal_free
+    from ..pta.digital import DigitalMDP
+    from ..ta.discrete import DiscreteState, check_closed_diagonal_free
     from ..ta.transitions import (
         delay_forbidden,
         discrete_transitions,
@@ -332,7 +332,7 @@ def reference_build_digital_mdp(network, extra_constants=None,
     caps = tuple(c + 1 for c in network.max_constants(extra_constants))
 
     mdp = MDP(network.name)
-    initial = DigitalState(
+    initial = DiscreteState(
         network.initial_locations(), network.initial_valuation(),
         (0,) * network.dbm_size)
     if not _invariants_hold(network, initial.locs, initial.clocks):
@@ -381,7 +381,7 @@ def reference_build_digital_mdp(network, extra_constants=None,
                 min(v + 1, cap)
                 for v, cap in zip(state.clocks[1:], caps[1:]))
             if _invariants_hold(network, state.locs, ticked):
-                succ = DigitalState(state.locs, state.valuation, ticked)
+                succ = DiscreteState(state.locs, state.valuation, ticked)
                 mdp.add_action(current, [(1.0, intern(succ))],
                                label="tick",
                                reward=1.0 if time_reward else 0.0)

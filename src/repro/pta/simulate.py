@@ -18,12 +18,12 @@ Policies:
   sound scheduler-free mode the paper attributes to modes.
 
 Runs revisit few distinct states, so each digital state's step data is
-computed once, by :meth:`~repro.pta.digital.DigitalSemantics.successors`
-(which wraps the successor routine
-:func:`~repro.pta.digital.build_digital_mdp` explores with), and kept
-as a step plan: the location names, the enabled actions with their
-outcome lists as cumulative branch tables, and the
-saturation-checked tick successor.  The plans live in a bounded
+computed once, by the successor routine
+:meth:`~repro.ta.discrete.DiscreteSemantics.expand` that
+:func:`~repro.pta.digital.build_digital_mdp` also explores with, and
+kept as a step plan: the location names, the enabled actions with their
+outcome lists as cumulative branch tables, and the saturation-checked
+tick successor.  The plans live in a bounded
 :class:`~repro.mc.explorecore.LRUCache` on the network's shared
 semantics (``step_plans``), so every per-seed simulator of a batch
 walks one table.  Building a plan computes every enabled action's
@@ -46,6 +46,7 @@ from math import inf
 from ..core.errors import AnalysisError, ModelError
 from ..core.rng import ensure_rng
 from ..obs.metrics import incr
+from ..ta.discrete import DiscreteState
 from .digital import digital_semantics
 
 POLICIES = ("max-delay", "min-delay", "uniform", "por")
@@ -78,12 +79,13 @@ class _Action:
         self.transition = transition
         cumulative = []
         acc = 0.0
-        for probability, _succ in outcomes:
+        for probability, _locs, _valuation, _clocks in outcomes:
             acc += probability
             cumulative.append(acc)
         cumulative[-1] = inf
         self.cumulative = cumulative
-        self.successors = tuple(succ for _p, succ in outcomes)
+        self.successors = tuple(DiscreteState(locs, valuation, clocks)
+                                for _p, locs, valuation, clocks in outcomes)
 
 
 class _StepPlan:
@@ -95,20 +97,21 @@ class _StepPlan:
     __slots__ = ("names", "actions", "tick")
 
     def __init__(self, semantics, state):
-        fires, ticked = semantics.successors(state)
-        self.names = semantics.network.location_vector_names(state.locs)
+        locs, valuation = state.locs, state.valuation
+        fires, ticked = semantics.expand(
+            semantics.config_for(locs, valuation), state.clocks)
+        self.names = semantics.network.location_vector_names(locs)
         self.actions = tuple(_Action(fire.transition, outcomes)
                              for fire, outcomes in fires)
-        if ticked is not None and ticked.clocks == state.clocks:
-            ticked = None
-        self.tick = ticked
+        self.tick = (None if ticked is None or ticked == state.clocks
+                     else DiscreteState(locs, valuation, ticked))
 
 
 class DigitalSimulator:
     """Simulates runs of a PTA network under a scheduler policy.
 
     Steps walk the step plans of the network's shared
-    :class:`~repro.pta.digital.DigitalSemantics`, so the per-seed
+    :func:`~repro.pta.digital.digital_semantics`, so the per-seed
     simulator instances a modes batch creates all reuse one table.
     """
 
@@ -120,11 +123,10 @@ class DigitalSimulator:
         self.policy = policy
         self.rng = ensure_rng(rng)
         self.semantics = digital_semantics(network)
-        self.caps = self.semantics.caps
         self._plans = self.semantics.step_plans
 
     def initial(self):
-        return self.semantics.initial_state()
+        return self.semantics.initial()
 
     def _plan(self, state):
         key = state.key()

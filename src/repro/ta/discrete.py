@@ -1,39 +1,50 @@
-"""Discrete-time (integer clock) semantics of a network.
+"""Integer-clock semantics of a network: timed and probabilistic timed
+automata alike.
 
 For *closed* timed automata (no strict comparisons) the integer-time
 semantics preserves reachability and (un)controllability, which makes it
 a sound substrate for the game solver (``repro.tiga``), min-cost
 reachability (``repro.cora``), refinement checking (``repro.ecdar``) and
-the online tester (``repro.mbt``).  Clocks saturate one past their
+the online tester (``repro.mbt``).  For closed, diagonal-free PTA the
+same semantics is the *digital-clocks* translation, which preserves
+minimal and maximal reachability probabilities and expected rewards
+(Kwiatkowska, Norman, Parker & Sproston): :mod:`repro.pta.digital`
+explores it into an MDP and :mod:`repro.pta.simulate` samples it.  A
+TA edge is a one-branch (Dirac) PTA edge, so one class,
+:class:`DiscreteSemantics`, serves both.  Clocks saturate one past their
 maximal constant, so the state space is finite.  Diagonal clock
 constraints are rejected: saturation would not preserve clock
 differences.
 
 Everything untimed is memoised per discrete configuration
-``(locs, valuation)``, as :class:`~repro.pta.digital.DigitalSemantics`
-does for the digital-clocks translation (which shares the base class
-:class:`IntegerClockSemantics` defined here): the candidate transitions,
-their clock guards with resolved clock indices and their
-controllability are computed once per configuration.  Two parts are
-computed lazily so that no state raises an error it would not raise
-when handled on its own:
+``(locs, valuation)`` in a bounded LRU: the candidate transitions, each
+with its clock guard compiled into a *bound plan* (one
+``(clock_index, lo, hi)`` triple per constrained clock; closed and
+diagonal-free, so ``<=``, ``>=`` and ``==`` are the only atoms), its
+label and its controllability.  Two parts are compiled lazily so that
+no state raises an error it would not raise when handled on its own:
 
-- the *no-delay* flag (committed/urgent location or an enabled urgent
-  synchronisation) on the first :meth:`DiscreteSemantics.can_tick`, so
-  the ``ModelError`` for a clock-guarded urgent edge still surfaces only
-  when time is asked to pass;
-- a transition's clock-independent post-state (target locations,
-  updated valuation, resolved resets) on its first firing whose clock
-  guard passes, so an update that would break a variable bound never
-  runs while its edge is clock-disabled.
+- a transition's branch-product outcomes (target locations, updated
+  valuation, resolved resets, target invariant plan) on its first
+  firing whose guard holds, so an update that would break a variable
+  bound never runs while its edge is clock-disabled;
+- the tick plan (the configuration's own invariant plan, ``None`` when
+  a committed/urgent location or an enabled urgent synchronisation
+  forbids delay) on the first tick, so the ``ModelError`` for a
+  clock-guarded urgent edge surfaces only when time is asked to pass.
 
-Per state only the guard checks, the resets and the invariant checks
-remain.
+Per clock vector, one routine applies the guard, reset and invariant
+rules: :meth:`DiscreteSemantics.expand`.  The timed-automaton views
+(:meth:`~DiscreteSemantics.moves`, :meth:`~DiscreteSemantics.tick`,
+:meth:`~DiscreteSemantics.action_successors`, ...) wrap it and reject
+probabilistic transitions; the digital-clocks builder and simulator
+call it directly.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import product, repeat
+from math import inf
 from operator import add
 
 from ..core.errors import ModelError
@@ -41,7 +52,11 @@ from .transitions import (
     delay_forbidden,
     discrete_transitions,
     has_urgent_sync,
+    run_updates,
 )
+
+#: ``_Config.tick_plan`` before the first tick asks for it
+_PENDING = object()
 
 
 def check_closed_diagonal_free(network, semantics):
@@ -64,52 +79,19 @@ def check_closed_diagonal_free(network, semantics):
                     f"({process.name}: {atom!r})")
 
 
-class IntegerClockSemantics:
-    """What every integer-clock semantics of a frozen network shares.
-
-    The closed/diagonal-free check, the clock caps (one past each
-    clock's maximal constant), the invariant atoms per
-    ``(process, location)`` with pre-resolved clock indices, and the
-    bounded LRU of per-configuration memo entries (``_configs``, filled
-    by the subclass).
-    """
-
-    #: names the semantics in the closed/diagonal-free error messages
-    semantics_name = "integer-time semantics"
-
-    def __init__(self, network, extra_constants=None):
-        # Imported here, not at module top: the `repro.mc` package
-        # imports `repro.ta`.
-        from ..mc.explorecore import LRUCache
-
-        self.network = network.freeze()
-        check_closed_diagonal_free(network, self.semantics_name)
-        #: one past the max constant: all larger values are equivalent
-        self.caps = tuple(c + 1
-                          for c in network.max_constants(extra_constants))
-        # Cap 0 keeps the reference clock at zero under ticked().
-        self._tick_caps = (0,) + self.caps[1:]
-        self._configs = LRUCache()
-        # Invariant atoms resolved once per (process, location): the
-        # clock indices never change, so the per-state work in
-        # invariants_hold is just the holds() calls themselves.
-        self._invariants = tuple(
-            tuple(
-                tuple((process.resolve_clock(atom.clock), atom)
-                      for atom in location.invariant)
-                for location in process.locations)
-            for process in network.processes)
-
-    def invariants_hold(self, locs, clocks):
-        for table in map(tuple.__getitem__, self._invariants, locs):
-            for index, atom in table:
-                if not atom.holds(clocks[index]):
-                    return False
-        return True
-
-    def ticked(self, clocks):
-        """Unit delay with saturation (the reference clock stays 0)."""
-        return tuple(map(min, map(add, clocks, repeat(1)), self._tick_caps))
+def _bound_plan(atoms):
+    """Compile ``(clock_index, atom)`` pairs into a bound plan: one
+    ``(clock_index, lo, hi)`` triple per constrained clock, which holds
+    when ``lo <= clocks[clock_index] <= hi``."""
+    bounds = {}
+    for index, atom in atoms:
+        lo, hi = bounds.get(index, (-inf, inf))
+        if atom.op != "<=":
+            lo = max(lo, atom.bound)
+        if atom.op != ">=":
+            hi = min(hi, atom.bound)
+        bounds[index] = (lo, hi)
+    return tuple((index, lo, hi) for index, (lo, hi) in bounds.items())
 
 
 class DiscreteState:
@@ -136,126 +118,246 @@ class DiscreteState:
                 f"clocks={self.clocks[1:]})")
 
 
-class Move:
-    """Memoised firing data of one candidate transition.
+class _Fire:
+    """Compiled firing data of one candidate transition.
 
-    ``guard`` pairs each clock-guard atom with its resolved global clock
-    index; ``controllable`` is true when every participating edge is
-    (the controller's move in a timed game).  ``post`` is the
-    clock-independent post-state ``(locs, valuation, resets)``, ``None``
-    until the first firing whose clock guard passes.
+    ``guard`` is the clock guard's bound plan; ``controllable`` is true
+    when every participating edge is (the controller's move in a timed
+    game).  ``outcomes`` stays ``None`` until the first firing whose
+    guard holds; then it is the branch-product distribution with
+    everything clock-independent applied: ``(probability, locs,
+    valuation, resets, invariant)`` with resolved
+    ``(clock_index, value)`` resets and the target locations'
+    invariant plan.  ``dirac``, set with ``outcomes``, records whether
+    the transition had a single branch combination, which decides what
+    a broken target invariant means in
+    :meth:`DiscreteSemantics.expand`.
     """
 
-    __slots__ = ("transition", "guard", "controllable", "post")
+    __slots__ = ("transition", "label", "guard", "controllable",
+                 "outcomes", "dirac")
 
     def __init__(self, transition):
         self.transition = transition
-        self.guard = tuple(
+        self.label = transition.describe()
+        self.guard = _bound_plan(
             (process.resolve_clock(atom.clock), atom)
             for process, atom in transition.clock_guard_atoms())
         self.controllable = all(
             edge.controllable for _process, edge in transition.participants)
-        self.post = None
+        self.outcomes = None
+        self.dirac = None
 
 
 class _Config:
-    """Memoised untimed data of one discrete configuration; ``no_delay``
-    stays ``None`` until the first tick is asked for."""
+    """Memoised untimed data of one discrete configuration: its fires
+    and its tick plan (``_PENDING`` until the first tick)."""
 
-    __slots__ = ("locs", "valuation", "transitions", "moves", "no_delay")
+    __slots__ = ("locs", "valuation", "fires", "tick_plan")
 
-    def __init__(self, locs, valuation, transitions):
+    def __init__(self, locs, valuation, fires):
         self.locs = locs
         self.valuation = valuation
-        self.transitions = transitions
-        self.moves = tuple(map(Move, transitions))
-        self.no_delay = None
+        self.fires = fires
+        self.tick_plan = _PENDING
 
 
-class DiscreteSemantics(IntegerClockSemantics):
-    """Tick/action transition system over integer clock valuations."""
+class DiscreteSemantics:
+    """Tick/action transition system over integer clock valuations of a
+    frozen TA or PTA network.
 
-    semantics_name = "discrete-time semantics"
+    One instance serves any number of searches, builds and simulation
+    runs over the same network; :func:`repro.pta.digital_semantics`
+    shares one per network.
+    """
+
+    def __init__(self, network, extra_constants=None):
+        # Imported here, not at module top: the `repro.mc` package
+        # imports `repro.ta`.
+        from ..mc.explorecore import LRUCache
+
+        self.network = network.freeze()
+        check_closed_diagonal_free(network, "integer-clock semantics")
+        # One past each maximal constant (all larger values are
+        # equivalent); cap 0 keeps the reference clock at zero.
+        self._caps = (0,) + tuple(
+            c + 1 for c in network.max_constants(extra_constants))[1:]
+        self._configs = LRUCache()
+        #: locs -> bound plan of the location vector's invariant
+        self._invariant_plans = {}
+
+    def _invariant_plan(self, locs):
+        """The memoised bound plan of a location vector's invariant."""
+        plan = self._invariant_plans.get(locs)
+        if plan is None:
+            plan = self._invariant_plans[locs] = _bound_plan(
+                (process.resolve_clock(atom.clock), atom)
+                for process, loc in zip(self.network.processes, locs)
+                for atom in process.location(loc).invariant)
+        return plan
 
     def config_for(self, locs, valuation):
         """The memoised untimed data of a configuration."""
         key = (locs, valuation.values)
         config = self._configs.get(key)
         if config is None:
-            config = _Config(locs, valuation, discrete_transitions(
-                self.network, locs, valuation))
+            config = _Config(locs, valuation, tuple(map(
+                _Fire, discrete_transitions(self.network, locs, valuation))))
             self._configs.put(key, config)
         return config
 
-    # -- transition system --------------------------------------------------------
+    def _compile_outcomes(self, config, fire):
+        """Fill in ``fire.outcomes`` and ``fire.dirac``; an update that
+        raises leaves both unset."""
+        # Imported here, not at module top: `repro.pta` builds on
+        # `repro.ta`.
+        from ..pta.pta import edge_branches
+
+        participants = fire.transition.participants
+        combos = list(product(*[edge_branches(edge)
+                                for _process, edge in participants]))
+        outcomes = []
+        for combo in combos:
+            probability = 1.0
+            locs = list(config.locs)
+            env = config.valuation.env()
+            resets = []
+            for (process, _edge), branch in zip(participants, combo):
+                probability *= branch.probability
+                locs[process.index] = process.location_index[branch.target]
+                run_updates(branch.update, env)
+                for clock, value in branch.resets:
+                    resets.append((process.resolve_clock(clock), value))
+            if probability <= 0.0:
+                continue
+            locs = tuple(locs)
+            outcomes.append((probability, locs, env.commit(), tuple(resets),
+                             self._invariant_plan(locs)))
+        fire.dirac = len(combos) == 1
+        fire.outcomes = outcomes = tuple(outcomes)
+        return outcomes
+
+    def _compile_tick_plan(self, config):
+        """Fill in ``config.tick_plan``; a check that raises leaves it
+        pending."""
+        network, locs = self.network, config.locs
+        no_delay = (delay_forbidden(network, locs)
+                    or has_urgent_sync(network, locs, config.valuation,
+                                       [fire.transition
+                                        for fire in config.fires]))
+        plan = config.tick_plan = \
+            None if no_delay else self._invariant_plan(locs)
+        return plan
+
+    def expand(self, config, clocks, actions=True, tick=True):
+        """The successors of clock vector ``clocks`` in configuration
+        ``config``: ``(fires, ticked)``.
+
+        ``fires`` lists ``(fire, outcomes)`` for every fire whose guard
+        holds, with ``outcomes`` a list of ``(probability, locs,
+        valuation, clocks)``.  A *Dirac* step into an
+        invariant-violating state is simply disabled and left out
+        (UPPAAL's semantics for plain edges); a genuinely
+        probabilistic step with *some* violating branches leaves the
+        distribution undefined and is a model error.  ``ticked`` is the
+        unit-delay clock vector, or ``None`` when delay is forbidden or
+        the ticked clocks break the invariant.  ``actions=False`` or
+        ``tick=False`` skips that half, and with it the half's lazy
+        compilation and its errors.
+        """
+        fires = []
+        if actions:
+            for fire in config.fires:
+                for index, lo, hi in fire.guard:
+                    if not lo <= clocks[index] <= hi:
+                        break
+                else:
+                    outcomes = fire.outcomes
+                    if outcomes is None:
+                        outcomes = self._compile_outcomes(config, fire)
+                    enabled = []
+                    for probability, locs, valuation, resets, invariant \
+                            in outcomes:
+                        new_clocks = clocks
+                        if resets:
+                            new_clocks = list(clocks)
+                            for index, value in resets:
+                                new_clocks[index] = value
+                            new_clocks = tuple(new_clocks)
+                        for index, lo, hi in invariant:
+                            if not lo <= new_clocks[index] <= hi:
+                                break
+                        else:
+                            enabled.append(
+                                (probability, locs, valuation, new_clocks))
+                            continue
+                        if fire.dirac:
+                            break  # Dirac step: the edge is disabled
+                        raise ModelError(
+                            "probabilistic branch violates the target "
+                            f"invariant (transition {fire.label})")
+                    else:
+                        if enabled:
+                            fires.append((fire, enabled))
+        ticked = None
+        if tick:
+            plan = config.tick_plan
+            if plan is _PENDING:
+                plan = self._compile_tick_plan(config)
+            if plan is not None:
+                ticked = tuple(map(min, map(add, clocks, repeat(1)),
+                                   self._caps))
+                for index, lo, hi in plan:
+                    if not lo <= ticked[index] <= hi:
+                        ticked = None
+                        break
+        return fires, ticked
+
+    # -- timed-automaton views ----------------------------------------------------
 
     def initial(self):
-        locs = self.network.initial_locations()
-        valuation = self.network.initial_valuation()
-        clocks = (0,) * self.network.dbm_size
-        if not self.invariants_hold(locs, clocks):
-            raise ModelError("initial state violates invariants")
-        return DiscreteState(locs, valuation, clocks)
-
-    def _ticked_clocks(self, state):
-        """The clock vector after one time unit, or ``None`` when time
-        may not pass."""
-        config = self.config_for(state.locs, state.valuation)
-        no_delay = config.no_delay
-        if no_delay is None:
-            network = self.network
-            no_delay = config.no_delay = (
-                delay_forbidden(network, config.locs)
-                or has_urgent_sync(network, config.locs, config.valuation,
-                                   config.transitions))
-        if no_delay:
-            return None
-        clocks = self.ticked(state.clocks)
-        return clocks if self.invariants_hold(state.locs, clocks) else None
-
-    def can_tick(self, state):
-        """One time unit may elapse."""
-        return self._ticked_clocks(state) is not None
-
-    def tick(self, state):
-        clocks = self._ticked_clocks(state)
-        if clocks is None:
-            return None
-        return DiscreteState(state.locs, state.valuation, clocks)
+        network = self.network
+        locs = network.initial_locations()
+        clocks = (0,) * network.dbm_size
+        for index, lo, hi in self._invariant_plan(locs):
+            if not lo <= clocks[index] <= hi:
+                raise ModelError("initial state violates invariants")
+        return DiscreteState(locs, network.initial_valuation(), clocks)
 
     def moves(self, state):
-        """All enabled discrete steps as ``(move, successor)``, where
-        ``move`` is the memoised :class:`Move` of the transition."""
-        config = self.config_for(state.locs, state.valuation)
-        clocks = state.clocks
+        """All enabled discrete steps as ``(fire, successor)``; a fire
+        carries its ``transition``, ``label`` and ``controllable``
+        flag."""
+        fires, _ticked = self.expand(
+            self.config_for(state.locs, state.valuation), state.clocks,
+            tick=False)
         out = []
-        for move in config.moves:
-            for index, atom in move.guard:
-                if not atom.holds(clocks[index]):
-                    break
-            else:
-                post = move.post
-                if post is None:
-                    transition = move.transition
-                    post = move.post = (
-                        transition.target_locations(config.locs),
-                        transition.apply_updates(config.valuation),
-                        tuple(transition.clock_resets()))
-                locs, valuation, resets = post
-                new_clocks = clocks
-                if resets:
-                    new_clocks = list(clocks)
-                    for index, value in resets:
-                        new_clocks[index] = value
-                    new_clocks = tuple(new_clocks)
-                if self.invariants_hold(locs, new_clocks):
-                    out.append((move, DiscreteState(locs, valuation,
-                                                    new_clocks)))
+        for fire, outcomes in fires:
+            if not fire.dirac:
+                raise ModelError(
+                    "timed-automaton semantics cannot take the "
+                    f"probabilistic transition {fire.label}")
+            _probability, locs, valuation, clocks = outcomes[0]
+            out.append((fire, DiscreteState(locs, valuation, clocks)))
         return out
 
     def action_successors(self, state):
         """All enabled discrete steps as ``(transition, successor)``."""
-        return [(move.transition, succ) for move, succ in self.moves(state)]
+        return [(fire.transition, succ) for fire, succ in self.moves(state)]
+
+    def tick(self, state):
+        """The successor after one time unit, or ``None`` when time may
+        not pass."""
+        _fires, clocks = self.expand(
+            self.config_for(state.locs, state.valuation), state.clocks,
+            actions=False)
+        if clocks is None:
+            return None
+        return DiscreteState(state.locs, state.valuation, clocks)
+
+    def can_tick(self, state):
+        """One time unit may elapse."""
+        return self.tick(state) is not None
 
     def successors(self, state):
         """Action successors plus the tick successor (if any)."""

@@ -58,13 +58,7 @@ class Transition:
         valuation."""
         env = valuation.env()
         for _process, edge in self.participants:
-            for update in edge.update:
-                if isinstance(update, Assignment):
-                    update.apply(env)
-                elif callable(update):
-                    update(env)
-                else:
-                    raise ModelError(f"bad update {update!r}")
+            run_updates(edge.update, env)
         return env.commit()
 
     def labels(self):
@@ -81,6 +75,17 @@ class Transition:
 
     def __repr__(self):
         return f"Transition({self.describe()})"
+
+
+def run_updates(updates, env):
+    """Execute a sequence of assignments and/or callables into ``env``."""
+    for update in updates:
+        if isinstance(update, Assignment):
+            update.apply(env)
+        elif callable(update):
+            update(env)
+        else:
+            raise ModelError(f"bad update {update!r}")
 
 
 def eval_data_guard(edge, valuation):

@@ -41,14 +41,32 @@ from .transitions import (
 )
 
 
+class _ZoneFire:
+    """Pre-encoded firing data of one candidate transition: its
+    clock-guard constraint triples grouped per atom, resets, target
+    locations and target valuation.  The valuation stays ``None`` until
+    the first firing whose guard zone is non-empty, so an update never
+    runs while its edge is clock-disabled."""
+
+    __slots__ = ("transition", "guard_groups", "resets", "locs",
+                 "valuation")
+
+    def __init__(self, transition, locs):
+        self.transition = transition
+        self.guard_groups = tuple(
+            tuple(atom.encoded_constraints(process.resolve_clock))
+            for process, atom in transition.clock_guard_atoms())
+        self.resets = tuple(transition.clock_resets())
+        self.locs = transition.target_locations(locs)
+        self.valuation = None
+
+
 class _Config:
     """Memoised untimed data of one discrete configuration.
 
     Everything about a configuration that does not depend on the zone:
-    the fully pre-encoded firing data of each candidate transition (the
-    transition, its clock-guard constraint triples grouped per atom,
-    resets, target locations and valuation), and whether delay is
-    blocked (committed / urgent locations or an enabled urgent
+    the :class:`_ZoneFire` of each candidate transition, and whether
+    delay is blocked (committed / urgent locations or an enabled urgent
     synchronisation).  Computed once per ``(locs, valuation)`` and
     shared by every zone that reaches the configuration.
     """
@@ -216,14 +234,8 @@ class ZoneGraph:
             return config
         network = self.network
         transitions = tuple(discrete_transitions(network, locs, valuation))
-        fires = tuple(
-            (transition,
-             tuple(tuple(atom.encoded_constraints(process.resolve_clock))
-                   for process, atom in transition.clock_guard_atoms()),
-             tuple(transition.clock_resets()),
-             transition.target_locations(locs),
-             transition.apply_updates(valuation))
-            for transition in transitions)
+        fires = tuple(_ZoneFire(transition, locs)
+                      for transition in transitions)
         no_delay = (delay_forbidden(network, locs)
                     or has_urgent_sync(network, locs, valuation, transitions))
         config = _Config(fires, no_delay)
@@ -246,20 +258,19 @@ class ZoneGraph:
         """Yield ``(transition, successor)`` pairs."""
         out = []
         config = self._config_for(state.locs, state.valuation)
-        for entry in config.fires:
-            succ = self._fire(state, entry)
+        for fire in config.fires:
+            succ = self._fire(state, fire)
             if succ is not None:
-                out.append((entry[0], succ))
+                out.append((fire.transition, succ))
         return out
 
-    def _fire(self, state, entry):
+    def _fire(self, state, fire):
         stats = self.stats
         zone = state.zone.copy()
         stats.zones_created += 1
-        _transition, guard_groups, resets, new_locs, new_valuation = entry
         # Clock guards (emptiness checked per guard atom, as the atoms
         # were originally applied).
-        for group in guard_groups:
+        for group in fire.guard_groups:
             for i, j, b in group:
                 zone.constrain(i, j, b)
                 stats.constraints_applied += 1
@@ -269,8 +280,12 @@ class ZoneGraph:
         if zone.is_empty():
             stats.empty_zones += 1
             return None
+        new_locs, new_valuation = fire.locs, fire.valuation
+        if new_valuation is None:
+            new_valuation = fire.valuation = \
+                fire.transition.apply_updates(state.valuation)
         # Clock resets, then target invariants, then delay closure.
-        for clock_index, value in resets:
+        for clock_index, value in fire.resets:
             zone.reset(clock_index, value)
         zone = self._apply_invariants(zone, new_locs)
         if zone.is_empty():
@@ -289,10 +304,10 @@ class ZoneGraph:
         clock guards hold (before delay).  Used by the deadlock check."""
         parts = []
         config = self._config_for(state.locs, state.valuation)
-        for _transition, guard_groups, resets, new_locs, _vals in config.fires:
+        for fire in config.fires:
             zone = state.zone.copy()
             self.stats.zones_created += 1
-            for group in guard_groups:
+            for group in fire.guard_groups:
                 for i, j, b in group:
                     zone.constrain(i, j, b)
                     self.stats.constraints_applied += 1
@@ -303,9 +318,9 @@ class ZoneGraph:
             # The step must also land in a non-empty target situation:
             # apply resets and target invariants.
             probe = zone.copy()
-            for clock_index, value in resets:
+            for clock_index, value in fire.resets:
                 probe.reset(clock_index, value)
-            probe = self._apply_invariants(probe, new_locs)
+            probe = self._apply_invariants(probe, fire.locs)
             if probe.is_empty():
                 continue
             parts.append(zone)

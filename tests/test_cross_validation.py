@@ -79,13 +79,23 @@ def reachable_locations_discrete(automaton):
     return out
 
 
+def reachable_locations_digital(automaton):
+    network = Network()
+    network.add_process("R", automaton)
+    digital = build_digital_mdp(network)
+    return {network.location_vector_names(state.locs)[0]
+            for state in digital.states}
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_closed_ta())
 def test_zone_and_discrete_reachability_agree(automaton):
     """For closed automata, integer time preserves location
-    reachability (the soundness claim behind tiga/cora/tron)."""
-    assert reachable_locations_zone(automaton) == \
-        reachable_locations_discrete(automaton)
+    reachability (the soundness claim behind tiga/cora/tron), and the
+    digital-clocks MDP reaches the same locations."""
+    zone = reachable_locations_zone(automaton)
+    assert zone == reachable_locations_discrete(automaton)
+    assert zone == reachable_locations_digital(automaton)
 
 
 def oracle_invariants_hold(network, locs, clocks):

@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.mc import EF, LocationIs, Verifier, explore
 from repro.mdp import MDP, reachability_probability
+from repro.pta import PTA, DigitalSimulator, PTANetwork, build_digital_mdp
 from repro.smc import StochasticSimulator
 from repro.ta import (
     Automaton,
@@ -19,6 +20,7 @@ from repro.ta import (
     ZoneGraph,
     clk,
 )
+from repro.tiga import GameGraph
 
 
 def network_of(*automata, channels=(), urgent_channels=(), decls=None):
@@ -126,6 +128,59 @@ class TestDiscreteLazyChecks:
                 semantics.can_tick(initial)
         with pytest.raises(ModelError):
             semantics.tick(initial)
+
+
+class TestTimedSemanticsAgree:
+    def test_clock_disabled_update_never_runs(self):
+        """``s`` (invariant ``x <= 1``) has an edge to ``t`` guarded by
+        ``x >= 2`` whose update sets ``n`` (declared in ``[0, 1]``) to
+        5.  The edge can never fire, so no route may run the update,
+        and every route finds only ``s``."""
+        a = Automaton("A", clocks=["x"])
+        a.add_location("s", invariant=[clk("x", "<=", 1)])
+        a.add_location("t")
+        a.add_edge("s", "t", guard=[clk("x", ">=", 2)],
+                   update=[lambda env: env.__setitem__("n", 5)])
+        decls = Declarations()
+        decls.declare_int("n", 0, lo=0, hi=1)
+        network = network_of(a, decls=decls)
+
+        zone_locations = set()
+        explore(ZoneGraph(network), on_state=lambda state: (
+            zone_locations.add(state.locs)))
+        assert zone_locations == {(0,)}
+
+        semantics = DiscreteSemantics(network)
+        state = semantics.initial()
+        assert semantics.action_successors(state) == []
+        state = semantics.tick(state)
+        assert semantics.successors(state) == []
+
+        digital = build_digital_mdp(network)
+        assert {state.locs for state in digital.states} == {(0,)}
+        assert digital.mdp.num_states == 2
+
+        run = DigitalSimulator(network, rng=1).run(max_time=10)
+        assert run.final_state.locs == (0,)
+        assert run.elapsed == 1
+
+    def test_timed_automaton_views_reject_probabilistic_edges(self):
+        """``s -> {0.5: t (reset x), 0.5: u}`` has no timed-automaton
+        meaning: neither the integer-time views nor the game arena may
+        take its first branch."""
+        a = PTA("P", clocks=["x"])
+        a.add_location("s")
+        a.add_location("t")
+        a.add_location("u")
+        a.initial_location = "s"
+        a.add_prob_edge("s", [(0.5, "t", [("x", 0)]), (0.5, "u")])
+        network = PTANetwork()
+        network.add_process("P", a)
+        semantics = DiscreteSemantics(network)
+        with pytest.raises(ModelError, match="probabilistic transition"):
+            semantics.action_successors(semantics.initial())
+        with pytest.raises(ModelError, match="probabilistic transition"):
+            GameGraph(network)
 
 
 class TestTimelocks:
