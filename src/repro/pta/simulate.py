@@ -201,6 +201,7 @@ class DigitalSimulator:
                 elapsed += dt
                 if record_trace:
                     trace.append((kind, elapsed))
+            steps = max_steps
             raise AnalysisError(f"run exceeded {max_steps} steps")
         finally:
             incr("pta.sim.runs")

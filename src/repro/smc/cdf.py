@@ -33,21 +33,26 @@ class FirstPassageRecorder:
     """Observer recording when each watched predicate first becomes true.
 
     Use one recorder per run; ``times[key]`` is the first time predicate
-    ``key`` held (``inf`` if never).
+    ``key`` held (``inf`` if never).  Only the predicates still pending
+    are evaluated.
     """
 
     def __init__(self, predicates):
         self.predicates = dict(predicates)
         self.times = {key: math.inf for key in self.predicates}
+        self.pending = list(self.predicates.items())
 
     def __call__(self, time, names, valuation, clocks):
-        for key, predicate in self.predicates.items():
-            if math.isinf(self.times[key]) and predicate(
-                    names, valuation, clocks):
+        seen = [entry for entry in self.pending
+                if entry[1](names, valuation, clocks)]
+        if seen:
+            for key, _predicate in seen:
                 self.times[key] = time
+            self.pending = [entry for entry in self.pending
+                            if entry not in seen]
 
     def all_seen(self):
-        return all(not math.isinf(t) for t in self.times.values())
+        return not self.pending
 
 
 def first_passage_batch(simulator_factory, predicates, horizon, seeds):

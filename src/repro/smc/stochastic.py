@@ -8,12 +8,30 @@ uniformly among its enabled output/internal edges; matching receivers
 are chosen uniformly (all of them for broadcast).  Committed and urgent
 locations act without delay.
 
-Everything a step needs that depends only on (process, location) — the
-location's flags and rate, its upper-bound invariant atoms and each
-edge's clock guard with resolved clock indices, its output/internal
-edges, and its receive edges grouped by channel — is compiled once per
-frozen network into a :class:`LocationPlan`, built lazily on the first
-visit and shared by every simulator of that network.
+The race is compiled in two layers, both built lazily and cached on the
+frozen network, so every simulator of that network shares them:
+
+* Everything that depends only on (process, location) — the location's
+  flags and validated rate, its upper-bound invariant atoms and each
+  edge's clock guard with resolved clock indices, its output/internal
+  edges, and its receive edges grouped by channel — is a
+  :class:`LocationPlan`.
+* Everything that depends only on the discrete configuration
+  ``(locs, valuation)`` is a :class:`ConfigPlan`: the location names,
+  one bidding row per process with a data-enabled output edge, the
+  invariant atoms of the other processes (they only cap the race for
+  timelock), and, built on the first sync, the data-enabled receive
+  edges per channel and sender.  The plans live in a bounded
+  :class:`~repro.mc.explorecore.LRUCache` keyed on ``(locs,
+  valuation.values)``.  A step then only compares clocks.
+
+Caching the data-guard outcomes assumes that data guards are pure
+functions of the valuation, as :class:`~repro.ta.discrete.DiscreteSemantics`
+also does.  A guard is evaluated only where an uncompiled step would
+evaluate it: every output edge's guard of every process, and the
+receive edges of a channel only when it fires, never the sender's own.
+A guard that raises aborts the step and leaves no plan behind, so it
+raises again on the next visit.
 
 The random stream is a contract: one step draws, in process order, an
 ``expovariate`` or ``uniform`` delay for every bidding component, then
@@ -34,6 +52,7 @@ from __future__ import annotations
 
 import math
 
+from ..core.distributions import validate_rate
 from ..core.errors import AnalysisError, ModelError
 from ..core.expressions import Expr
 from ..core.rng import RandomSource, ensure_rng
@@ -91,10 +110,19 @@ class EdgePlan:
         holds (``hi`` may be inf)."""
         lo, hi = 0.0, INFINITY
         for index, bound in self.lowers:
-            lo = max(lo, bound - clocks[index])
+            gap = bound - clocks[index]
+            if gap > lo:
+                lo = gap
         for index, bound in self.uppers:
-            hi = min(hi, bound - clocks[index])
+            gap = bound - clocks[index]
+            if gap < hi:
+                hi = gap
         return lo, hi
+
+
+def _enabled(edges, valuation):
+    """The edges whose data guard holds in ``valuation``, in order."""
+    return tuple(e for e in edges if e.test is None or e.test(valuation))
 
 
 class LocationPlan:
@@ -107,7 +135,7 @@ class LocationPlan:
         loc = process.location(loc_index)
         self.committed = loc.committed
         self.instant = loc.committed or loc.urgent
-        self.rate = loc.rate
+        self.rate = None if loc.rate is None else validate_rate(loc.rate)
         #: ``(clock index, bound)`` of the upper-bound invariant atoms.
         self.invariant = tuple(
             (process.resolve_clock(atom.clock), atom.bound)
@@ -122,6 +150,54 @@ class LocationPlan:
         self.outputs = tuple(outputs)
         self.receives = {channel: tuple(plans)
                          for channel, plans in receives.items()}
+
+
+class ConfigPlan:
+    """What a step needs of one discrete configuration ``(locs,
+    valuation)``: the location names, the bidding rows ``(process,
+    LocationPlan, data-enabled output edges)`` in process order, and
+    ``idle_invariant``, the upper-bound invariant atoms of every process
+    without such an edge, which only cap the race."""
+
+    __slots__ = ("names", "bids", "idle_invariant", "_rows", "_valuation",
+                 "_receivers")
+
+    def __init__(self, network, plans, locs, valuation):
+        self.names = network.location_vector_names(locs)
+        rows, bids, idle = [], [], []
+        for process, row, loc_index in zip(network.processes, plans, locs):
+            plan = row[loc_index]
+            if plan is None:
+                # Threads sharing a network may both build a missing
+                # plan; the copies are equal, so either is as good.
+                plan = row[loc_index] = LocationPlan(process, loc_index)
+            rows.append((process, plan))
+            edges = _enabled(plan.outputs, valuation)
+            if edges:
+                bids.append((process, plan, edges))
+            else:
+                idle.extend(plan.invariant)
+        self.bids = tuple(bids)
+        self.idle_invariant = tuple(idle)
+        self._rows = tuple(rows)
+        self._valuation = valuation
+        self._receivers = {}
+
+    def receivers(self, channel, sender):
+        """``(process, data-enabled receive edges)`` on ``channel`` of
+        every process but ``sender`` that has any, in process order."""
+        key = (channel, sender.index)
+        table = self._receivers.get(key)
+        if table is None:
+            table = []
+            for process, plan in self._rows:
+                if process is not sender:
+                    edges = _enabled(plan.receives.get(channel, ()),
+                                     self._valuation)
+                    if edges:
+                        table.append((process, edges))
+            table = self._receivers[key] = tuple(table)
+        return table
 
 
 def _reject_diagonals(network):
@@ -141,16 +217,27 @@ def location_plans(network):
     location is first visited) for a frozen network.
 
     Built once per network and cached on it, like
-    :meth:`~repro.ta.Network.max_constants`; the first call rejects
-    diagonal clock constraints.
+    :meth:`~repro.ta.Network.max_constants`, beside the network's
+    :func:`config_plans`; the first call rejects diagonal clock
+    constraints.
     """
     plans = getattr(network, "_location_plans", None)
     if plans is None:
+        from ..mc.explorecore import LRUCache
+
         _reject_diagonals(network)
+        network._config_plans = LRUCache()
         plans = network._location_plans = [
             [None] * len(process.locations)
             for process in network.processes]
     return plans
+
+
+def config_plans(network):
+    """The network's bounded table of :class:`ConfigPlan`, keyed on
+    ``(locs, valuation.values)``."""
+    location_plans(network)
+    return network._config_plans
 
 
 class StochasticSimulator:
@@ -159,8 +246,9 @@ class StochasticSimulator:
     def __init__(self, network, rng=None, default_rate=1.0):
         self.network = network.freeze()
         self.rng = ensure_rng(rng)
-        self.default_rate = default_rate
+        self.default_rate = validate_rate(default_rate)
         self._plans = location_plans(self.network)
+        self._configs = config_plans(self.network)
 
     def initial(self):
         return ConcreteState(
@@ -168,12 +256,14 @@ class StochasticSimulator:
             self.network.initial_valuation(),
             (0.0,) * self.network.dbm_size)
 
-    def _plan(self, process, loc_index):
-        # Threads sharing a network may both build a missing plan; the
-        # copies are equal, so whichever lands last is as good.
-        plan = LocationPlan(process, loc_index)
-        self._plans[process.index][loc_index] = plan
-        return plan
+    def _config(self, state):
+        key = (state.locs, state.valuation.values)
+        config = self._configs.get(key)
+        if config is None:
+            config = ConfigPlan(self.network, self._plans, state.locs,
+                                state.valuation)
+            self._configs.put(key, config)
+        return config
 
     # -- one step of the race ------------------------------------------------------
 
@@ -183,7 +273,7 @@ class StochasticSimulator:
         Returns ``(delay, transition_description, new_state)`` or ``None``
         when no component can ever act (the run ends).
         """
-        move = self._advance(state)
+        move = self._advance(state, self._config(state))
         if move is None:
             return None
         delay, participants, new_state = move
@@ -194,40 +284,44 @@ class StochasticSimulator:
             for p, e in participants)
         return (delay, description, new_state)
 
-    def _advance(self, state):
-        """One race: ``(delay, participants, new_state)`` with the
+    def _advance(self, state, config):
+        """One race from ``state``, whose configuration plan is
+        ``config``: ``(delay, participants, new_state)`` with the
         ``(process, EdgePlan)`` pairs that moved (``None`` for an output
         that found no receiver), or ``None`` when the run ends."""
         clocks = state.clocks
-        valuation = state.valuation
         rng = self.rng
         inv_cap = INFINITY
+        for index, bound in config.idle_invariant:
+            gap = bound - clocks[index]
+            if gap < inv_cap:
+                inv_cap = gap
         best = first_committed = None
-        for process, plans, loc_index in zip(self.network.processes,
-                                             self._plans, state.locs):
-            plan = plans[loc_index] or self._plan(process, loc_index)
+        for process, plan, edges in config.bids:
             inv = INFINITY
             for index, bound in plan.invariant:
-                inv = min(inv, bound - clocks[index])
-            inv_cap = min(inv_cap, inv)
-            edges = [e for e in plan.outputs
-                     if e.test is None or e.test(valuation)]
-            if not edges:
-                continue
+                gap = bound - clocks[index]
+                if gap < inv:
+                    inv = gap
+            if inv < inv_cap:
+                inv_cap = inv
             if plan.instant:
                 delay = 0.0
                 if plan.committed and first_committed is None:
                     first_committed = (delay, process, edges)
             else:
                 windows = []
+                lower = INFINITY
                 for edge in edges:
                     lo, hi = edge.window(clocks)
-                    hi = min(hi, inv)
+                    if inv < hi:
+                        hi = inv
                     if lo <= hi:
                         windows.append((lo, hi, edge))
+                        if lo < lower:
+                            lower = lo
                 if not windows:
                     continue
-                lower = min(lo for lo, _hi, _e in windows)
                 if inv == INFINITY:
                     rate = plan.rate if plan.rate is not None \
                         else self.default_rate
@@ -247,15 +341,16 @@ class StochasticSimulator:
             # Another component's invariant expires first but it has no
             # action: timelock.  End the run.
             return None
-        mid = ConcreteState(state.locs, valuation,
+        mid = ConcreteState(state.locs, state.valuation,
                             tuple([c + delay for c in clocks]))
-        return self._fire(mid, process, rng.choice(edges), delay)
+        return self._fire(mid, config, process, rng.choice(edges), delay)
 
-    def _fire(self, state, process, edge, delay):
+    def _fire(self, state, config, process, edge, delay):
         participants = [(process, edge)]
         sync = edge.edge.sync
         if sync is not None:
-            receivers = self._ready_receivers(state, process, sync[0])
+            receivers = self._ready_receivers(state, config, process,
+                                              sync[0])
             if self.network.channels[sync[0]].broadcast:
                 participants.extend(receivers)
             else:
@@ -278,18 +373,11 @@ class StochasticSimulator:
         return (delay, participants,
                 ConcreteState(tuple(locs), env.commit(), tuple(clocks)))
 
-    def _ready_receivers(self, state, sender, channel_name):
-        valuation = state.valuation
+    def _ready_receivers(self, state, config, sender, channel_name):
         out = []
-        for process, plans, loc_index in zip(self.network.processes,
-                                             self._plans, state.locs):
-            if process is sender:
-                continue
-            plan = plans[loc_index] or self._plan(process, loc_index)
+        for process, edges in config.receivers(channel_name, sender):
             candidates = []
-            for edge in plan.receives.get(channel_name, ()):
-                if edge.test is not None and not edge.test(valuation):
-                    continue
+            for edge in edges:
                 lo, hi = edge.window(state.clocks)
                 if lo <= 0.0 <= hi:
                     candidates.append(edge)
@@ -315,7 +403,8 @@ class StochasticSimulator:
         steps = 0
         try:
             for steps in range(max_steps):
-                names = self.network.location_vector_names(state.locs)
+                config = self._config(state)
+                names = config.names
                 if observer is not None:
                     observer(elapsed, names, state.valuation, state.clocks)
                 if stop is not None and stop(elapsed, names,
@@ -323,11 +412,12 @@ class StochasticSimulator:
                     return elapsed
                 if elapsed >= max_time:
                     return elapsed
-                move = self._advance(state)
+                move = self._advance(state, config)
                 if move is None:
                     return elapsed
                 delay, _participants, state = move
                 elapsed += delay
+            steps = max_steps
             raise AnalysisError(f"run exceeded {max_steps} steps")
         finally:
             incr("smc.sim.runs")

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core import ModelError
+from repro.core import AnalysisError, ModelError
 from repro.models import brp
 from repro.modest import Emax, Pmax, Reach, modes
 from repro.modest.toolset import modes_batch
@@ -164,6 +164,14 @@ class TestStepPlans:
             max_time=200, observer=lambda *_: sizes.append(len(plans)))
         assert max(sizes) == 4
         assert plans.misses > len(sizes) // 2
+
+    def test_max_steps_error_counts_every_step(self):
+        with collecting() as collector:
+            with pytest.raises(AnalysisError, match="exceeded 5 steps"):
+                DigitalSimulator(brp.make_brp(2, 2, 1), rng=1).run(
+                    max_time=200, max_steps=5)
+        assert collector.value("pta.sim.steps") == 5
+        assert collector.value("pta.sim.runs") == 1
 
 
 def guarded_choice_network():

@@ -1,11 +1,13 @@
 """The stochastic race semantics (:mod:`repro.smc.stochastic`): its
-random stream, its per-location plans, and the constraints it rejects.
+random stream, its per-location and per-configuration plans, and the
+constraints it rejects.
 
 The golden values pin the stream: a seed must give the same delays,
 the same transitions and the same Fig. 4 CDFs digit for digit, in a
 single process and across a worker pool.  The pool tests honour
 ``REPRO_MP_START`` (``fork`` / ``spawn``); under spawn every worker
-rebuilds the model from its ``Spec`` and compiles its own plans.
+rebuilds the model from its ``Spec`` and compiles its own plans, per
+location and per configuration.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from functools import partial
 
 import pytest
 
-from repro.core import ModelError
+from repro.core import AnalysisError, EvaluationError, ModelError
 from repro.core.values import Declarations
 from repro.models.traingate import cross_predicate, make_traingate
 from repro.obs import collecting
@@ -24,7 +26,11 @@ from repro.runtime import ParallelExecutor, Spec
 from repro.smc import StochasticSimulator, first_passage_cdfs
 from repro.smc import stochastic
 from repro.smc.cdf import first_passage_batch
-from repro.smc.stochastic import location_plans, network_simulator
+from repro.smc.stochastic import (
+    config_plans,
+    location_plans,
+    network_simulator,
+)
 from repro.ta import Automaton, Network, clk
 
 MP_START = os.environ.get("REPRO_MP_START") or None
@@ -240,6 +246,119 @@ class TestLocationPlans:
         for seed in range(5):
             simulator = StochasticSimulator(net, rng=seed)
             assert simulator.step(simulator.initial())[:2] == (0.0, "C:c->d")
+
+    @pytest.mark.parametrize("rate, default_rate", [
+        (0, 1.0), ("x", 1.0), (-1.0, 1.0), (math.nan, 1.0),
+        (math.inf, 1.0), (None, 0), (None, -1.0), (None, math.nan)])
+    def test_malformed_rate_raises_model_error(self, rate, default_rate):
+        a = Automaton("A", clocks=[])
+        a.add_location("s", rate=rate)
+        a.add_location("t")
+        a.add_edge("s", "t")
+        net = Network()
+        net.add_process("P", a)
+        net.freeze()
+        with pytest.raises(ModelError, match="rate"):
+            StochasticSimulator(net, rng=1,
+                                default_rate=default_rate).run(max_time=10)
+
+
+def counting_guard(calls, tag, error=None):
+    """A data guard that logs ``tag`` on every call and holds, or
+    raises ``error`` once ``n`` reaches 2."""
+    def test(valuation):
+        calls.append(tag)
+        if error is not None and valuation["n"] == 2:
+            raise error
+        return True
+    return test
+
+
+def counting_network(calls, raising=None, error=None):
+    """``S`` broadcasts ``a`` and bumps ``n`` on every step; ``S`` and
+    ``R`` both listen on ``a``, ``R`` also on ``b``, which nobody sends.
+    Every guard counts its calls; the one tagged ``raising`` raises
+    ``error`` once ``n`` reaches 2."""
+    def guard(tag):
+        return counting_guard(calls, tag, error if tag == raising else None)
+
+    decls = Declarations()
+    decls.declare_int("n", 0, 0, 3)
+    net = Network("count")
+    net.declarations = decls
+    net.add_channel("a", broadcast=True)
+    net.add_channel("b", broadcast=True)
+    s = Automaton("S", clocks=[])
+    s.add_location("s", rate=1.0)
+    s.add_edge("s", "s", sync=("a", "!"), update=[bump],
+               data_guard=guard("send"))
+    s.add_edge("s", "s", sync=("a", "?"), data_guard=guard("own"))
+    net.add_process("S", s)
+    r = Automaton("R", clocks=[])
+    r.add_location("r")
+    r.add_edge("r", "r", sync=("a", "?"), data_guard=guard("a"))
+    r.add_edge("r", "r", sync=("b", "?"), data_guard=guard("b"))
+    net.add_process("R", r)
+    return net.freeze()
+
+
+class TestConfigPlans:
+    def test_built_once_per_configuration_and_shared_by_a_batch(
+            self, monkeypatch):
+        built = []
+
+        class CountingPlan(stochastic.ConfigPlan):
+            __slots__ = ()
+
+            def __init__(self, network, plans, locs, valuation):
+                built.append((locs, valuation.values))
+                super().__init__(network, plans, locs, valuation)
+
+        monkeypatch.setattr(stochastic, "ConfigPlan", CountingPlan)
+        network = make_traingate(3)
+        simulators = []
+
+        def factory(rng):
+            simulators.append(StochasticSimulator(network, rng=rng))
+            return simulators[-1]
+
+        first_passage_batch(
+            factory, {i: cross_predicate(i) for i in range(3)},
+            horizon=100, seeds=range(20))
+        configs = config_plans(network)
+        assert all(sim._configs is configs for sim in simulators)
+        assert len(built) == len(set(built)) == len(configs)
+        assert all(key in configs for key in built)
+        assert configs.hits > len(built)
+
+    def test_guards_run_once_per_configuration_and_only_when_needed(self):
+        """Output guards run once per configuration; receive guards run
+        only for a channel that fires, never on the sender's own edges."""
+        calls = []
+        network = counting_network(calls)
+        for seed in range(3):
+            StochasticSimulator(network, rng=seed).run(max_time=30)
+        assert sorted(calls) == ["a"] * 4 + ["send"] * 4
+        assert len(config_plans(network)) == 4
+
+    @pytest.mark.parametrize("tag", ["send", "a"])
+    def test_raising_guard_surfaces_on_every_visit(self, tag):
+        error = EvaluationError("guard failed")
+        network = counting_network([], raising=tag, error=error)
+        for seed in range(2):
+            with pytest.raises(EvaluationError) as excinfo:
+                StochasticSimulator(network, rng=seed).run(max_time=30)
+            assert excinfo.value is error
+
+
+class TestRunCounters:
+    def test_max_steps_error_counts_every_step(self):
+        with collecting() as collector:
+            with pytest.raises(AnalysisError, match="exceeded 5 steps"):
+                StochasticSimulator(broadcast_network(), rng=2012).run(
+                    max_time=math.inf, max_steps=5)
+        assert collector.value("smc.sim.steps") == 5
+        assert collector.value("smc.sim.runs") == 1
 
 
 class TestDiagonalConstraints:
