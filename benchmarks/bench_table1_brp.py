@@ -18,6 +18,7 @@ Run counts can be lowered for quick benchmarking via REPRO_BRP_RUNS.
 
 import math
 import os
+from functools import partial
 
 import pytest
 
@@ -25,11 +26,13 @@ from repro.core import ResultTable
 from repro.mc import And, DataPred, EF, LocationIs, Verifier
 from repro.mdp import expected_total_reward, reachability_probability
 from repro.models import brp
+from repro.modest import Emax, Pmax, Reach, modes
 from repro.pta import (
     DigitalSimulator,
     build_digital_mdp,
     overapproximate_network,
 )
+from repro.smc import first_passage_cdfs, fixed_effort_splitting
 
 N, MAX, TD = 16, 2, 1
 DEADLINE = 64
@@ -108,40 +111,40 @@ def modes_column(runs):
     """Statistical estimation: `runs` simulated protocol executions
     under the explicit max-delay scheduler (the paper's footnote)."""
     network = brp.make_brp(N, MAX, TD)
-    simulator = DigitalSimulator(network, policy="max-delay", rng=2012)
-    failures = dks = bogus = premature = in_time = 0
-    times = []
-    for _ in range(runs):
-        run = simulator.run(stop=brp.reported)
-        names = network.location_vector_names(run.final_state.locs)
-        valuation = run.final_state.valuation
-        if names[0] in ("s_nok", "s_dk"):
-            failures += 1
-        if names[0] == "s_dk":
-            dks += 1
-        if names[0] == "s_ok" and valuation["r_count"] < N:
-            bogus += 1
-        if valuation["premature"]:
-            premature += 1
-        if names[0] == "s_ok" and run.elapsed <= DEADLINE:
-            in_time += 1
-        times.append(run.elapsed)
-    mean = sum(times) / runs
-    std = math.sqrt(sum((t - mean) ** 2 for t in times) / (runs - 1))
+    results = modes(network, [
+        Reach("premature", brp.premature_timeout),
+        Reach("bogus", brp.bogus_success(N)),
+        Pmax("P1", brp.not_success),
+        Pmax("P2", brp.uncertainty),
+        Emax("Emax", brp.reported),
+    ], runs=runs, rng=2012)
+    in_time, = first_passage_cdfs(
+        partial(DigitalSimulator, network, "max-delay"),
+        {"Dmax": brp.sender_in("s_ok")}, horizon=DEADLINE, runs=runs,
+        grid=[DEADLINE], rng=2012)["Dmax"]
 
-    def bernoulli(k):
-        p = k / runs
+    def bernoulli(p):
         return f"mu={p:.4g}, sigma={math.sqrt(p * (1 - p)):.3g}"
 
+    def observed(name):
+        estimate = results[name]
+        return bernoulli(estimate.mean) if estimate.successes \
+            else "0 (no observations)"
+
+    def invariant(name):
+        return f"true (all {runs} runs)" if not results[name].successes \
+            else "VIOLATED"
+
+    emax = results["Emax"]
     return {
-        "TA1": f"true (all {runs} runs)" if premature == 0 else "VIOLATED",
-        "TA2": f"true (all {runs} runs)" if bogus == 0 else "VIOLATED",
-        "PA": "0 (no observations)" if bogus == 0 else bernoulli(bogus),
+        "TA1": invariant("premature"),
+        "TA2": invariant("bogus"),
+        "PA": observed("bogus"),
         "PB": "0 (no observations)",
-        "P1": bernoulli(failures) if failures else "0 (no observations)",
-        "P2": bernoulli(dks) if dks else "0 (no observations)",
+        "P1": observed("P1"),
+        "P2": observed("P2"),
         "Dmax": bernoulli(in_time),
-        "Emax": f"mu={mean:.3f}, sigma={std:.3f}",
+        "Emax": f"mu={emax.mean:.3f}, sigma={emax.std:.3f}",
     }
 
 
@@ -185,15 +188,14 @@ def test_table1_from_modest_source(benchmark):
     pipeline — parse, flatten, digital clocks, value iteration — must
     agree with the hand-built PTA network used above."""
     from repro.models import brp_modest as bm
-    from repro.modest import Emax as EmaxProp
-    from repro.modest import Pmax, mcpta
+    from repro.modest import mcpta
 
     def analyse():
         network = bm.make_brp_modest(N, MAX, TD)
         return mcpta(network, [
             Pmax("P1", bm.not_success),
             Pmax("P2", bm.uncertainty),
-            EmaxProp("Emax", bm.reported),
+            Emax("Emax", bm.reported),
         ])
 
     results = benchmark.pedantic(analyse, rounds=1, iterations=1)
@@ -219,8 +221,6 @@ def test_rare_event_splitting(benchmark):
     probability (~2.65e-5) from 1500 *short* runs, where plain Monte
     Carlo at the same budget almost surely sees nothing.
     """
-    from repro.smc import fixed_effort_splitting
-
     network = brp.make_brp(1, MAX, TD)
     truth = (0.02 + 0.98 * 0.01) ** (MAX + 1)
 
@@ -234,15 +234,9 @@ def test_rare_event_splitting(benchmark):
                                        max_level=MAX + 1,
                                        runs_per_stage=500, rng=7)
         # Plain MC at the same budget, for contrast.
-        simulator = DigitalSimulator(network, policy="max-delay",
-                                     rng=7)
-        plain_hits = 0
-        for _ in range(split.total_runs):
-            run = simulator.run(stop=brp.reported)
-            names = network.location_vector_names(run.final_state.locs)
-            if names[0] in ("s_nok", "s_dk"):
-                plain_hits += 1
-        return split, plain_hits
+        plain = modes(network, [Pmax("fail", brp.not_success)],
+                      runs=split.total_runs, rng=7)["fail"]
+        return split, plain.successes
 
     split, plain_hits = benchmark.pedantic(estimate, rounds=1,
                                            iterations=1)

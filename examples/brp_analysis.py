@@ -11,18 +11,14 @@ Step 3 (modes): discrete-event simulation under an explicit scheduler.
 Run:  python examples/brp_analysis.py [N MAX TD]
 """
 
-import math
 import sys
 
 from repro.core import ResultTable
 from repro.mc import And, DataPred, EF, LocationIs, Verifier
 from repro.mdp import expected_total_reward, reachability_probability
 from repro.models import brp
-from repro.pta import (
-    DigitalSimulator,
-    build_digital_mdp,
-    overapproximate_network,
-)
+from repro.modest import Emax, Pmax, modes
+from repro.pta import build_digital_mdp, overapproximate_network
 
 
 def main(n=16, max_retrans=2, td=1, runs=2000):
@@ -58,24 +54,17 @@ def main(n=16, max_retrans=2, td=1, runs=2000):
     print(f"mcpta  Emax (expected time)         : {emax:.3f}")
 
     # -- modes: simulation ----------------------------------------------------
-    simulator = DigitalSimulator(network, policy="max-delay", rng=7)
-    failures = 0
-    times = []
-    for _ in range(runs):
-        run = simulator.run(stop=brp.reported)
-        names = network.location_vector_names(run.final_state.locs)
-        if names[0] != "s_ok":
-            failures += 1
-        times.append(run.elapsed)
-    mean = sum(times) / runs
-    std = math.sqrt(sum((t - mean) ** 2 for t in times) / (runs - 1))
-    print(f"\nmodes  {runs} runs: failures={failures}, "
-          f"time mu={mean:.3f} sigma={std:.3f}")
+    sim = modes(network, [Pmax("P1", brp.not_success),
+                          Emax("Emax", brp.reported)],
+                runs=runs, rng=7, policy="max-delay")
+    failures, times = sim["P1"], sim["Emax"]
+    print(f"\nmodes  {runs} runs: failures={failures.successes}, "
+          f"time mu={times.mean:.3f} sigma={times.std:.3f}")
 
     table = ResultTable("property", "mcpta (exact)", "modes (estimate)",
                         title=f"\nBRP (N,MAX,TD)=({n},{max_retrans},{td})")
-    table.add_row("P1", p1, failures / runs)
-    table.add_row("Emax", emax, mean)
+    table.add_row("P1", p1, failures.mean)
+    table.add_row("Emax", emax, times.mean)
     table.print()
 
 

@@ -10,7 +10,9 @@ Mirrors the paper's Section III architecture:
   expected values.
 * :func:`modes` — discrete-event simulation under an explicit scheduler
   (:class:`repro.pta.DigitalSimulator`), returning statistical
-  estimates.
+  estimates.  It is a thin layer over the first-passage worker of
+  :mod:`repro.smc.cdf`: each run records when every property's
+  predicate first holds.
 
 All three accept either MODEST source text, a parsed
 :class:`~repro.modest.ast.ModestModel`, or an already-flattened
@@ -20,6 +22,7 @@ All three accept either MODEST source text, a parsed
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from ..core.errors import QueryError
 from ..mc.engine import Verifier
@@ -33,6 +36,7 @@ from ..pta.digital import build_digital_mdp
 from ..pta.overapprox import overapproximate_network
 from ..pta.pta import PTANetwork
 from ..pta.simulate import DigitalSimulator
+from ..smc.cdf import first_passage_batch
 from ..smc.estimate import MeanEstimate, ProbabilityEstimate
 from .ast import ModestModel
 from .flatten import flatten_model
@@ -219,47 +223,11 @@ def load_cached(model):
         return network
 
 
-def _watch_hits(properties, hit_time):
-    unsettled = sum(t is None for t in hit_time.values())
-
-    def watch(elapsed, names, valuation, clocks):
-        nonlocal unsettled
-        for p in properties:
-            if hit_time[p.name] is None and p.predicate(
-                    names, valuation, clocks):
-                hit_time[p.name] = elapsed
-                unsettled -= 1
-
-    def stopper(names, valuation, clocks):
-        # Stop early once every watched predicate is settled.
-        return not unsettled
-
-    return watch, stopper
-
-
-def modes_batch(model, properties, policy, max_time, seeds):
-    """One batch of seeded modes runs; the worker entry point.
-
-    Returns, per seed in order, a ``{property_name: first-hit-time or
-    None}`` dict.  ``model`` must be hashable-picklable (MODEST source
-    text or a :class:`~repro.runtime.Spec`) and property predicates
-    module-level callables or specs.
-    """
-    from ..core.rng import RandomSource
-    from ..smc.stochastic import resolve_predicate
-
-    network = load_cached(model)
-    resolved = [type(p)(p.name, resolve_predicate(p.predicate))
-                for p in properties]
-    out = []
-    for seed in seeds:
-        simulator = DigitalSimulator(network, policy=policy,
-                                     rng=RandomSource(seed))
-        hit_time = {p.name: None for p in resolved}
-        watch, stopper = _watch_hits(resolved, hit_time)
-        simulator.run(stop=stopper, observer=watch, max_time=max_time)
-        out.append(hit_time)
-    return out
+def modes_simulator(model, policy, rng):
+    """A :class:`~repro.pta.DigitalSimulator` of ``model`` under
+    ``policy``; module-level so ``functools.partial(modes_simulator,
+    model, policy)`` is a picklable simulator factory."""
+    return DigitalSimulator(load_cached(model), policy=policy, rng=rng)
 
 
 def modes(model, properties, runs=10000, rng=None, policy="max-delay",
@@ -300,9 +268,12 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
         incr("modest.modes.properties", len(properties))
         seeds = seed_stream(rng, runs)
         done = 0
-        for batch in seeded_batches(modes_batch,
-                                    (model, properties, policy, max_time),
-                                    seeds, executor, fault_policy):
+        predicates = {p.name: p.predicate for p in properties}
+        for batch in seeded_batches(
+                first_passage_batch,
+                (partial(modes_simulator, model, policy), predicates,
+                 max_time),
+                seeds, executor, fault_policy):
             done += len(batch)
             checkpoint("modest.modes", done, total=runs)
             for hit_time in batch:
@@ -315,17 +286,17 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
         results[p.name] = ProbabilityEstimate(observed[p.name], done,
                                               confidence)
     for p in time_props:
-        samples = [d for d in durations[p.name] if not math.isinf(d)]
+        samples = durations[p.name]
         results[p.name] = MeanEstimate(samples, confidence) if samples \
             else None
     return results
 
 
 def _tally(reach_props, time_props, hit_time, observed, durations):
+    """Count one run's first-hit times (``inf`` = never hit)."""
     for p in reach_props:
-        if hit_time[p.name] is not None:
+        if hit_time[p.name] != math.inf:
             observed[p.name] += 1
     for p in time_props:
-        durations[p.name].append(
-            hit_time[p.name] if hit_time[p.name] is not None
-            else math.inf)
+        if hit_time[p.name] != math.inf:
+            durations[p.name].append(hit_time[p.name])

@@ -4,7 +4,6 @@ from .stochastic import (
     ConcreteState,
     StochasticSimulator,
     network_simulator,
-    simulate_batch,
     simulate_once,
 )
 from .estimate import (
@@ -25,7 +24,7 @@ from .rare import SplittingResult, fixed_effort_splitting
 
 __all__ = [
     "ConcreteState", "StochasticSimulator",
-    "network_simulator", "simulate_batch", "simulate_once",
+    "network_simulator", "simulate_once",
     "MeanEstimate", "ProbabilityEstimate", "chernoff_runs",
     "estimate_mean", "estimate_probability",
     "SPRTResult", "sprt",

@@ -1,8 +1,14 @@
-"""Cumulative distribution estimation over simulation runs.
+"""First-passage times over seeded simulation runs, and their CDFs.
 
 Regenerates plots like the paper's Fig. 4: the empirical cumulative
 probability, over time, of a time-bounded reachability event — e.g.
 ``Pr[<=100](<> Train(i).Cross)`` for every train, superposed.
+
+:func:`first_passage_batch` is the one worker that records when
+predicates first hold on a seeded run, for either simulator: the Fig. 4
+CDFs, the modes backend (:func:`repro.modest.modes`) and time-bounded
+SMC (:func:`~repro.smc.stochastic.simulate_once` drives the same
+:class:`FirstPassageRecorder`) all read their outcomes from it.
 """
 
 from __future__ import annotations
@@ -34,24 +40,26 @@ class FirstPassageRecorder:
 
     Use one recorder per run; ``times[key]`` is the first time predicate
     ``key`` held (``inf`` if never).  Only the predicates still pending
-    are evaluated.
+    are evaluated, and ``pending`` is rebuilt only on a hit.
     """
 
     def __init__(self, predicates):
-        self.predicates = dict(predicates)
-        self.times = {key: math.inf for key in self.predicates}
-        self.pending = list(self.predicates.items())
+        self.times = {key: math.inf for key in predicates}
+        self.pending = list(predicates.items())
 
     def __call__(self, time, names, valuation, clocks):
-        seen = [entry for entry in self.pending
-                if entry[1](names, valuation, clocks)]
-        if seen:
-            for key, _predicate in seen:
+        hit = False
+        for key, predicate in self.pending:
+            if predicate(names, valuation, clocks):
                 self.times[key] = time
+                hit = True
+        if hit:
             self.pending = [entry for entry in self.pending
-                            if entry not in seen]
+                            if self.times[entry[0]] == math.inf]
 
-    def all_seen(self):
+    def all_seen(self, *_state):
+        """Whether every predicate has held; ignores its arguments, so
+        it serves as either simulator's ``stop``."""
         return not self.pending
 
 
@@ -59,21 +67,23 @@ def first_passage_batch(simulator_factory, predicates, horizon, seeds):
     """First-passage times for one batch of seeded runs.
 
     Module-level (hence picklable) worker entry point: returns one
-    ``{key: time}`` dict per seed, in seed order.  Predicate values may
-    be :class:`~repro.runtime.Spec` references, resolved here.
+    ``{key: time}`` dict per seed, in seed order (``inf`` = never
+    within ``horizon``).  Each run builds ``simulator_factory(
+    RandomSource(seed))`` and stops once every predicate has held.
+    Predicate values may be :class:`~repro.runtime.Spec` references,
+    resolved here.
     """
-    from .stochastic import resolve_predicate
     from ..core.rng import RandomSource
+    from ..runtime.spec import build_cached
 
-    resolved = {key: resolve_predicate(p) for key, p in predicates.items()}
+    resolved = {key: build_cached(p) for key, p in predicates.items()}
     out = []
     for seed in seeds:
         simulator = simulator_factory(RandomSource(seed))
         recorder = FirstPassageRecorder(resolved)
-        simulator.run(
-            horizon, observer=recorder,
-            stop=lambda t, n, v, c: recorder.all_seen())
-        out.append(dict(recorder.times))
+        simulator.run(max_time=horizon, observer=recorder,
+                      stop=recorder.all_seen)
+        out.append(recorder.times)
     return out
 
 
@@ -81,9 +91,14 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
                        rng=None, executor=None, fault_policy=None):
     """Estimate, for each predicate, the CDF of its first-passage time.
 
-    ``simulator_factory(rng)`` builds a fresh simulator exposing
-    ``run(max_time, observer=..., stop=...)`` (the SMC and digital
-    simulators both do).  Returns ``{key: [probabilities over grid]}``.
+    ``simulator_factory(rng)`` builds a fresh simulator; each run calls
+    its ``run(max_time=horizon, observer=..., stop=...)`` by keyword, as
+    both :class:`~repro.smc.StochasticSimulator` and
+    :class:`~repro.pta.DigitalSimulator` accept, and stops once every
+    predicate has held.  A hit is recorded only in a state entered at
+    or before ``horizon``: the stochastic simulator observes no state
+    past it, and the digital one, moving in unit ticks, none past an
+    integer horizon.  Returns ``{key: [probabilities over grid]}``.
 
     Batches of seeded runs go through ``executor`` (see
     :mod:`repro.runtime`; ``None`` means

@@ -27,12 +27,7 @@ from ..core.rng import ensure_rng
 from ..obs import checkpoint, incr, span
 from .estimate import estimate_probability
 from .sprt import sprt
-from .stochastic import (
-    StochasticSimulator,
-    resolve_model,
-    resolve_predicate,
-    simulate_once,
-)
+from .stochastic import StochasticSimulator, simulate_once
 
 
 def _spec_run_once(network, predicate, horizon, default_rate):
@@ -79,8 +74,10 @@ def observe_extremum(model, observe, horizon, mode, rng=None,
                      default_rate=1.0):
     """One run's max/min/final observation (``nan`` when nothing was
     observed).  Module-level and spec-friendly, hence picklable."""
-    predicate = resolve_predicate(observe)
-    simulator = StochasticSimulator(resolve_model(model),
+    from ..runtime.spec import build_cached
+
+    predicate = build_cached(observe)
+    simulator = StochasticSimulator(build_cached(model),
                                     rng=ensure_rng(rng),
                                     default_rate=default_rate)
     seen = []

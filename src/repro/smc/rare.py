@@ -56,10 +56,10 @@ def splitting_batch(model, level_of, target_level, policy, max_steps,
     ``level_of`` may be :class:`~repro.runtime.Spec` references.
     """
     from ..core.rng import RandomSource
-    from .stochastic import resolve_model, resolve_predicate
+    from ..runtime.spec import build_cached
 
-    network = resolve_model(model)
-    level_fn = resolve_predicate(level_of)
+    network = build_cached(model)
+    level_fn = build_cached(level_of)
     out = []
     for start, seed in zip(starts, seeds):
         simulator = DigitalSimulator(network, policy=policy,
@@ -90,12 +90,11 @@ def fixed_effort_splitting(network, level_of, max_level,
     A stage's conditional estimate divides its hits by the runs that
     completed, so batches a ``fault_policy`` skipped do not count.
     """
-    from ..runtime import seed_stream, seeded_batches
-    from .stochastic import resolve_model, resolve_predicate
+    from ..runtime import build_cached, seed_stream, seeded_batches
 
     rng = ensure_rng(rng)
-    model = resolve_model(network)
-    level_fn = resolve_predicate(level_of)
+    model = build_cached(network)
+    level_fn = build_cached(level_of)
     initial = DigitalSimulator(model, policy=policy).initial()
     names0 = model.location_vector_names(initial.locs)
     if level_fn(names0, initial.valuation, initial.clocks) != 0:

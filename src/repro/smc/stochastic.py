@@ -55,8 +55,9 @@ import math
 from ..core.distributions import validate_rate
 from ..core.errors import AnalysisError, ModelError
 from ..core.expressions import Expr
-from ..core.rng import RandomSource, ensure_rng
+from ..core.rng import ensure_rng
 from ..obs.metrics import incr
+from .cdf import FirstPassageRecorder
 
 INFINITY = math.inf
 
@@ -390,9 +391,11 @@ class StochasticSimulator:
     def run(self, max_time, observer=None, stop=None, max_steps=100000):
         """Simulate up to ``max_time`` time units.
 
-        ``observer(time, names, valuation, clocks)`` is called after the
-        initial state and after every step; ``stop`` (same signature,
-        returning truth) ends the run early.  Returns the elapsed time.
+        ``observer(time, names, valuation, clocks)`` is called on the
+        initial state and on every state entered at or before
+        ``max_time``; a step that crosses the horizon ends the run
+        unobserved.  ``stop`` (same signature, returning truth) ends the
+        run early.  Returns the elapsed time.
 
         Each completed run flushes one ``smc.sim.runs`` increment and
         its step count into the active metrics collector (a no-op per
@@ -403,6 +406,8 @@ class StochasticSimulator:
         steps = 0
         try:
             for steps in range(max_steps):
+                if elapsed > max_time:
+                    return elapsed
                 config = self._config(state)
                 names = config.names
                 if observer is not None:
@@ -426,57 +431,28 @@ class StochasticSimulator:
 
 # -- module-level run entry points (picklable, for the parallel runtime) ------
 
-def resolve_model(model):
-    """A frozen network from either a live network or a
-    :class:`~repro.runtime.Spec` naming a model factory (resolved and
-    cached per process — workers rebuild the model once, not per batch)."""
-    from ..runtime.spec import build_cached
-
-    return build_cached(model)
-
-
-def resolve_predicate(prop):
-    """A state predicate from either a callable or a
-    :class:`~repro.runtime.Spec` naming a predicate factory."""
-    from ..runtime.spec import build_cached
-
-    return build_cached(prop)
-
-
 def network_simulator(model, rng=None, default_rate=1.0):
-    """Build a :class:`StochasticSimulator` for a model or model spec.
+    """Build a :class:`StochasticSimulator` for a live network or a
+    :class:`~repro.runtime.Spec` naming a model factory (resolved and
+    cached per process, so workers rebuild the model once).
 
     Module-level so ``functools.partial(network_simulator, spec)`` is a
     picklable simulator factory for :func:`repro.smc.first_passage_cdfs`.
     """
-    return StochasticSimulator(resolve_model(model), rng=rng,
+    from ..runtime.spec import build_cached
+
+    return StochasticSimulator(build_cached(model), rng=rng,
                                default_rate=default_rate)
 
 
 def simulate_once(model, prop, horizon, rng=None, default_rate=1.0):
     """One time-bounded reachability run: did ``prop`` hold within
     ``horizon``?  ``model`` and ``prop`` may be live objects or specs."""
-    predicate = resolve_predicate(prop)
+    from ..runtime.spec import build_cached
+
+    recorder = FirstPassageRecorder({"prop": build_cached(prop)})
     simulator = network_simulator(model, rng=ensure_rng(rng),
                                   default_rate=default_rate)
-    hit = []
-
-    def observer(t, names, valuation, clocks):
-        if not hit and predicate(names, valuation, clocks):
-            hit.append(t)
-
-    simulator.run(max_time=horizon, observer=observer,
-                  stop=lambda t, n, v, c: bool(hit))
-    return bool(hit)
-
-
-def simulate_batch(model_spec, seeds, prop, horizon, default_rate=1.0):
-    """Run one simulation per seed; the batch entry point workers execute.
-
-    Returns the list of per-run Bernoulli outcomes in seed order, so the
-    coordinator can aggregate (or walk an SPRT boundary) independently
-    of how runs were partitioned into batches.
-    """
-    return [simulate_once(model_spec, prop, horizon, RandomSource(seed),
-                          default_rate)
-            for seed in seeds]
+    simulator.run(max_time=horizon, observer=recorder,
+                  stop=recorder.all_seen)
+    return recorder.all_seen()

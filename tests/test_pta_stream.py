@@ -11,14 +11,16 @@ rebuilds the model from its ``Spec`` and builds its own step plans.
 
 import hashlib
 import json
+import math
 import os
+from functools import partial
 
 import pytest
 
 from repro.core import AnalysisError, ModelError
 from repro.models import brp
 from repro.modest import Emax, Pmax, Reach, modes
-from repro.modest.toolset import modes_batch
+from repro.modest.toolset import modes_simulator
 from repro.obs import collecting
 from repro.pta import (
     PTA,
@@ -34,7 +36,8 @@ from repro.runtime import (
     seed_stream,
     seeded_batches,
 )
-from repro.smc import fixed_effort_splitting
+from repro.smc import first_passage_cdfs, fixed_effort_splitting
+from repro.smc.cdf import first_passage_batch
 from repro.ta import clk
 
 MP_START = os.environ.get("REPRO_MP_START") or None
@@ -91,14 +94,17 @@ def brp_traces(policy):
 
 
 def table1_hits(executor):
-    """The per-run hit dicts of 200 seeded modes runs, digested, with
-    the steps they took."""
-    args = (Spec(brp.make_brp, 16, 2, 1), TABLE1_PROPERTIES, "max-delay",
-            200)
+    """The per-run hit dicts of 200 seeded modes runs, digested (never
+    hit as ``None``), with the steps they took."""
+    args = (partial(modes_simulator, Spec(brp.make_brp, 16, 2, 1),
+                    "max-delay"),
+            {p.name: p.predicate for p in TABLE1_PROPERTIES}, 200)
     with collecting() as collector:
-        hits = [hit for batch in seeded_batches(
-                    modes_batch, args, seed_stream(2012, 200), executor,
-                    size=25)
+        hits = [{name: None if time == math.inf else time
+                 for name, time in hit.items()}
+                for batch in seeded_batches(
+                    first_passage_batch, args, seed_stream(2012, 200),
+                    executor, size=25)
                 for hit in batch]
     return (digest(hits), collector.value("pta.sim.steps"),
             collector.value("pta.sim.runs"))
@@ -142,6 +148,22 @@ def table1_modes(network, runs=100):
                      else estimate.samples)
               for name, estimate in result.items()}
     return values, collector.value("pta.sim.steps")
+
+
+class TestFirstPassage:
+    def test_digital_cdf_at_the_horizon_equals_modes(self):
+        """``first_passage_cdfs`` drives a ``DigitalSimulator`` factory,
+        and with the same per-run seeds its value at the horizon is
+        exactly the fraction of modes runs that hit."""
+        network = brp.make_brp(2, 2, 1)
+        ok = brp.sender_in("s_ok")
+        cdf = first_passage_cdfs(
+            partial(DigitalSimulator, network, "max-delay"), {"ok": ok},
+            horizon=6, runs=300, grid=[6], rng=5)
+        estimate = modes(network, [Pmax("ok", ok)], runs=300, rng=5,
+                         max_time=6)["ok"]
+        assert 0 < estimate.successes < 300
+        assert cdf == {"ok": [estimate.successes / estimate.runs]}
 
 
 class TestStepPlans:

@@ -38,7 +38,6 @@ from repro.smc import (
     first_passage_cdfs,
     probability_at_least,
     probability_estimate,
-    simulate_batch,
 )
 from repro.smc.stochastic import network_simulator
 
@@ -328,15 +327,6 @@ class TestTraingateEquivalence:
         par = first_passage_cdfs(factory, predicates, executor=pool2,
                                  **kwargs)
         assert default == serial == par
-
-    def test_simulate_batch_entry_point(self):
-        """The module-level batch closure the workers execute."""
-        seeds = seed_stream(42, 5)
-        outcomes = simulate_batch(TRAINGATE, seeds, CROSS0, horizon=100)
-        assert outcomes == [
-            simulate_batch(TRAINGATE, [s], CROSS0, horizon=100)[0]
-            for s in seeds]
-        assert all(isinstance(o, bool) for o in outcomes)
 
 
 class TestModesEquivalence:

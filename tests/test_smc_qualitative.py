@@ -1,9 +1,16 @@
 """Tests for qualitative SMC (SPRT over the stochastic TA semantics)."""
 
+import math
+
 import pytest
 
 from repro.models.traingate import make_traingate
-from repro.smc import probability_at_least, probability_estimate
+from repro.smc import (
+    StochasticSimulator,
+    first_passage_cdfs,
+    probability_at_least,
+    probability_estimate,
+)
 from repro.ta import Automaton, Network, clk
 
 
@@ -22,6 +29,10 @@ def biased_race(fast_rate, slow_rate):
 def f_wins(names, _valuation, _clocks):
     """F reached its target while S is still waiting: F won the race."""
     return names[0] == "won" and names[1] == "wait"
+
+
+def train0_crosses(names, _valuation, _clocks):
+    return names[0] == "Cross"
 
 
 class TestProbabilityAtLeast:
@@ -67,6 +78,33 @@ class TestProbabilityEstimate:
         loose = probability_estimate(network, f_wins, horizon=200,
                                      runs=300, rng=6)
         assert tight.mean <= loose.mean
+
+    def test_state_entered_after_horizon_is_not_a_hit(self):
+        """``Pr[<=1](<> done)`` for one rate-1 exponential edge is
+        ``1 - e^-1``: a run whose only step lands past the horizon must
+        not count as a hit."""
+        automaton = Automaton("E", clocks=[])
+        automaton.add_location("wait", rate=1.0)
+        automaton.add_location("done")
+        automaton.add_edge("wait", "done")
+        network = Network()
+        network.add_process("E", automaton)
+        estimate = probability_estimate(
+            network.freeze(), lambda names, _v, _c: names[0] == "done",
+            horizon=1, runs=600, rng=8)
+        assert estimate.low <= 1 - math.exp(-1) <= estimate.high
+
+    def test_agrees_with_the_cdf_at_the_horizon(self):
+        """Time-bounded SMC and the first-passage CDFs share one
+        recorder: with the same per-run seeds they agree exactly."""
+        network = make_traingate(3)
+        estimate = probability_estimate(network, train0_crosses,
+                                        horizon=30, runs=120, rng=9)
+        cdf = first_passage_cdfs(
+            lambda rng: StochasticSimulator(network, rng=rng),
+            {0: train0_crosses}, horizon=30, runs=120, grid=[30], rng=9)
+        assert 0 < estimate.successes < 120
+        assert cdf == {0: [estimate.mean]}
 
 
 class TestExpectedValue:
