@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from ..core.errors import QueryError
 from ..obs.metrics import incr
 from ..obs.trace import span
@@ -168,25 +170,20 @@ class Verifier:
     def sup(self, value_of):
         """UPPAAL's ``sup`` query: the maximum of
         ``value_of(valuation)`` over all reachable states."""
-        best = [None]
-
-        def observe(state):
-            value = value_of(state.valuation)
-            if best[0] is None or value > best[0]:
-                best[0] = value
-
-        explore(self.graph, on_state=observe,
-                use_inclusion=self.use_inclusion,
-                max_states=self.max_states)
-        return best[0]
+        return self._extremum(value_of, operator.gt)
 
     def inf(self, value_of):
         """UPPAAL's ``inf`` query: the minimum over reachable states."""
+        return self._extremum(value_of, operator.lt)
+
+    def _extremum(self, value_of, better):
+        """The extreme ``value_of(valuation)`` over all reachable
+        states, where ``better(a, b)`` says ``a`` beats ``b``."""
         best = [None]
 
         def observe(state):
             value = value_of(state.valuation)
-            if best[0] is None or value < best[0]:
+            if best[0] is None or better(value, best[0]):
                 best[0] = value
 
         explore(self.graph, on_state=observe,

@@ -277,7 +277,7 @@ def _fire_branches(network, state, transition):
     probabilistic step with only *some* violating branches leaves the
     distribution undefined and is a model error.
     """
-    from ..pta.pta import edge_branches
+    from ..ta.syntax import edge_branches
     from ..ta.discrete import DiscreteState
 
     combos = list(product(*[edge_branches(edge)

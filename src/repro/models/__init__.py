@@ -1,32 +1,19 @@
 """The paper's case studies as ready-made models.
 
+Import a case study's own module (``from repro.models.traingate import
+make_traingate``); the package imports none of them, so running one
+case study never loads the layers the others build on.
+
 * :mod:`~repro.models.traingate` — Fig. 1: trains + FIFO gate controller;
+* :mod:`~repro.models.gate_impl` — Python gate controllers and mutants
+  for online testing against the train-gate specification;
 * :mod:`~repro.models.traingame` — Figs. 2-3: the timed game version;
-* :mod:`~repro.models.brp` — Table I: the bounded retransmission protocol;
+* :mod:`~repro.models.brp` — Table I: the bounded retransmission protocol
+  (PTA), and :mod:`~repro.models.brp_modest` — the same in MODEST source;
+* :mod:`~repro.models.firewire` — the IEEE 1394 root contention PTA;
+* :mod:`~repro.models.fischer` — Fischer's mutual exclusion protocol;
 * :mod:`~repro.models.dala` — Fig. 6: the DALA rover functional level in BIP;
 * :mod:`~repro.models.busspec` — Section V: testing specifications
-  (FIFO software bus, timed coffee machine).
+  (FIFO software bus, timed coffee machine);
+* :mod:`~repro.models.wcet` — a METAMOC-style WCET loop model.
 """
-
-from .traingate import make_traingate, train_process_names
-from .traingame import (
-    crossing_predicate,
-    make_traingame,
-    safety_predicate,
-)
-from .brp import make_brp
-from .brp_modest import make_brp_modest
-from .dala import make_dala
-from .fischer import make_broken_fischer, make_fischer
-from .firewire import make_firewire
-from .wcet import make_wcet_model
-from .busspec import make_bus_spec, make_coffee_spec, make_lifo_bus_spec
-
-__all__ = [
-    "make_traingate", "train_process_names",
-    "crossing_predicate", "make_traingame", "safety_predicate",
-    "make_brp", "make_brp_modest", "make_dala",
-    "make_broken_fischer", "make_fischer", "make_firewire",
-    "make_wcet_model",
-    "make_bus_spec", "make_coffee_spec", "make_lifo_bus_spec",
-]

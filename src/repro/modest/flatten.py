@@ -19,8 +19,8 @@ from __future__ import annotations
 from ..core.errors import EvaluationError, ModelError
 from ..core.expressions import BinOp, Const, Expr, UnOp, Var, conjoin
 from ..core.values import Declarations
-from ..pta.pta import PTA, Branch, PTANetwork, edge_branches
-from ..ta.syntax import ClockAtom
+from ..pta.pta import PTA, PTANetwork
+from ..ta.syntax import Branch, ClockAtom, edge_branches
 from .ast import (
     ActionPrefix,
     Alt,

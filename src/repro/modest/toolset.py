@@ -120,7 +120,7 @@ def mctau(model, properties, max_states=200000):
         results = {}
         for prop in properties:
             incr("modest.mctau.properties")
-            predicate = _lift_predicate(ta, prop.predicate)
+            predicate = _lift_predicate(prop)
             if isinstance(prop, Reach):
                 reachable = verifier.check(EF(predicate)).holds
                 results[prop.name] = reachable
@@ -137,13 +137,31 @@ def mctau(model, properties, max_states=200000):
         return results
 
 
-def _lift_predicate(network, predicate):
+class _ZoneClocks:
+    """The ``clocks`` argument of a predicate checked by mctau: a zone
+    holds no single clock valuation, so reading a clock raises a
+    :class:`QueryError` that names the property."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getitem__(self, _index):
+        raise QueryError(
+            f"property {self.name!r} reads clock values, which mctau's "
+            "zone-based check cannot supply; use mcpta or modes")
+
+
+def _lift_predicate(prop):
     from ..mc.queries import StateFormula
+
+    predicate, clocks = prop.predicate, _ZoneClocks(prop.name)
 
     class _Pred(StateFormula):
         def holds(self, net, state):
             names = net.location_vector_names(state.locs)
-            return bool(predicate(names, state.valuation, None))
+            return bool(predicate(names, state.valuation, clocks))
 
     return _Pred()
 

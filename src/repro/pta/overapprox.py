@@ -10,8 +10,7 @@ for the PTA; quantitative properties only get the trivial bound [0, 1].
 from __future__ import annotations
 
 from ..ta.network import Network
-from ..ta.syntax import Automaton
-from .pta import ProbEdge, edge_branches
+from ..ta.syntax import Automaton, edge_branches
 
 
 def overapproximate_automaton(pta):
@@ -23,16 +22,10 @@ def overapproximate_automaton(pta):
                         rate=loc.rate)
     ta.initial_location = pta.initial_location
     for edge in pta.edges:
-        if isinstance(edge, ProbEdge):
-            for branch in edge_branches(edge):
-                ta.add_edge(edge.source, branch.target, guard=edge.guard,
-                            data_guard=edge.data_guard, sync=edge.sync,
-                            resets=branch.resets, update=branch.update,
-                            label=edge.label)
-        else:
-            ta.add_edge(edge.source, edge.target, guard=edge.guard,
+        for branch in edge_branches(edge):
+            ta.add_edge(edge.source, branch.target, guard=edge.guard,
                         data_guard=edge.data_guard, sync=edge.sync,
-                        resets=edge.resets, update=edge.update,
+                        resets=branch.resets, update=branch.update,
                         label=edge.label)
     return ta
 

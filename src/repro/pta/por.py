@@ -19,25 +19,19 @@ from __future__ import annotations
 
 from ..core.errors import AnalysisError
 from ..core.expressions import Assignment, Expr
-from .pta import ProbEdge
+from ..ta.syntax import edge_branches
 
 
 def _written_variables(edge):
     """Variables an edge may write, or ``None`` when unknown (callable
     updates force a conservative answer)."""
     written = set()
-    branches = edge.branches if isinstance(edge, ProbEdge) else None
-    updates = []
-    if branches is not None:
-        for branch in branches:
-            updates.extend(branch.update)
-    else:
-        updates.extend(edge.update)
-    for update in updates:
-        if isinstance(update, Assignment):
-            written.add(update.target)
-        else:
-            return None  # opaque Python callable
+    for branch in edge_branches(edge):
+        for update in branch.update:
+            if isinstance(update, Assignment):
+                written.add(update.target)
+            else:
+                return None  # opaque Python callable
     return written
 
 
@@ -49,18 +43,12 @@ def _read_variables(edge):
             read |= edge.data_guard.variables()
         else:
             return None
-    branches = edge.branches if isinstance(edge, ProbEdge) else None
-    updates = []
-    if branches is not None:
-        for branch in branches:
-            updates.extend(branch.update)
-    else:
-        updates.extend(edge.update)
-    for update in updates:
-        if isinstance(update, Assignment):
-            read |= update.variables_read()
-        else:
-            return None
+    for branch in edge_branches(edge):
+        for update in branch.update:
+            if isinstance(update, Assignment):
+                read |= update.variables_read()
+            else:
+                return None
     return read
 
 

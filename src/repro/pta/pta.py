@@ -4,32 +4,17 @@ A PTA edge has a guard like a TA edge but branches probabilistically
 over (reset, update, target-location) outcomes — the model underlying
 mcpta in the paper (Kwiatkowska et al.).  PTA templates reuse the TA
 infrastructure: locations, channels, data guards and network
-composition come from :mod:`repro.ta`; only edges differ.
+composition come from :mod:`repro.ta`; only edges differ.  The branch
+type and the one view of any edge's branches
+(:func:`repro.ta.syntax.edge_branches`) live beside the TA edge too: a
+TA edge is the one-branch (Dirac) special case of a PTA edge.
 """
 
 from __future__ import annotations
 
 from ..core.errors import ModelError
 from ..ta.network import Network
-from ..ta.syntax import Automaton, Edge
-
-
-class Branch:
-    """One probabilistic outcome of a PTA edge."""
-
-    __slots__ = ("probability", "resets", "update", "target")
-
-    def __init__(self, probability, target, resets=(), update=()):
-        if probability < 0 or probability > 1:
-            raise ModelError(f"bad branch probability {probability}")
-        self.probability = float(probability)
-        self.target = target
-        self.resets = tuple(resets)
-        self.update = tuple(update) if isinstance(update, (list, tuple)) \
-            else (update,)
-
-    def __repr__(self):
-        return f"Branch({self.probability} -> {self.target})"
+from ..ta.syntax import Automaton, Branch, Edge
 
 
 class ProbEdge(Edge):
@@ -89,13 +74,6 @@ class PTA(Automaton):
                         data_guard=data_guard, sync=sync, label=label)
         self.edges.append(edge)
         return edge
-
-
-def edge_branches(edge):
-    """The branch list of any edge (Dirac for plain TA edges)."""
-    if isinstance(edge, ProbEdge):
-        return edge.branches
-    return (Branch(1.0, edge.target, edge.resets, edge.update),)
 
 
 class PTANetwork(Network):

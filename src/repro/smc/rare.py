@@ -27,7 +27,6 @@ import math
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
 from ..obs import checkpoint, incr, span
-from ..pta.simulate import DigitalSimulator
 
 
 class SplittingResult:
@@ -56,6 +55,7 @@ def splitting_batch(model, level_of, target_level, policy, max_steps,
     ``level_of`` may be :class:`~repro.runtime.Spec` references.
     """
     from ..core.rng import RandomSource
+    from ..pta.simulate import DigitalSimulator
     from ..runtime.spec import build_cached
 
     network = build_cached(model)
@@ -90,6 +90,7 @@ def fixed_effort_splitting(network, level_of, max_level,
     A stage's conditional estimate divides its hits by the runs that
     completed, so batches a ``fault_policy`` skipped do not count.
     """
+    from ..pta.simulate import DigitalSimulator
     from ..runtime import build_cached, seed_stream, seeded_batches
 
     rng = ensure_rng(rng)

@@ -43,7 +43,9 @@ needs at least the constants of its own invariant and of the guards of
 its outgoing edges, plus — for every clock an edge does *not* reset —
 whatever the edge's target needs.  A reset (to any value) kills the
 flow, because the clock's pre-edge value can no longer reach a later
-comparison.  Activity uses the same flow with set union instead of
+comparison.  A probabilistic edge contributes one flow per branch, read
+through :func:`repro.ta.syntax.edge_branches` (a plain edge is its own
+single branch).  Activity uses the same flow with set union instead of
 max.  Both lattices are finite (constants and clock sets from the
 model), so round-robin iteration terminates.
 
@@ -56,22 +58,15 @@ k-extrapolation, which handles them conservatively.
 from __future__ import annotations
 
 from ..dbm.bounds import NO_BOUND
+from .syntax import edge_branches
 
 __all__ = ["NetworkBounds", "ProcessBounds", "network_bounds"]
 
 
 def _branch_views(edge):
-    """``(target, reset-clock-names)`` per branch of an edge.
-
-    Probabilistic edges (:class:`repro.pta.pta.ProbEdge`) keep their
-    targets and resets on branches; plain edges are a single branch.
-    Detected structurally to avoid importing :mod:`repro.pta` here.
-    """
-    branches = getattr(edge, "branches", None)
-    if branches is not None:
-        return [(b.target, frozenset(c for c, _v in b.resets))
-                for b in branches]
-    return [(edge.target, frozenset(c for c, _v in edge.resets))]
+    """``(target, reset-clock-names)`` per branch of an edge."""
+    return [(b.target, frozenset(c for c, _v in b.resets))
+            for b in edge_branches(edge)]
 
 
 class ProcessBounds:

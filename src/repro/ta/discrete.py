@@ -11,7 +11,9 @@ minimal and maximal reachability probabilities and expected rewards
 (Kwiatkowska, Norman, Parker & Sproston): :mod:`repro.pta.digital`
 explores it into an MDP and :mod:`repro.pta.simulate` samples it.  A
 TA edge is a one-branch (Dirac) PTA edge, so one class,
-:class:`DiscreteSemantics`, serves both.  Clocks saturate one past their
+:class:`DiscreteSemantics`, serves both; it reads every edge through
+the branch view :func:`repro.ta.syntax.edge_branches` and so needs
+nothing from :mod:`repro.pta`.  Clocks saturate one past their
 maximal constant, so the state space is finite.  Diagonal clock
 constraints are rejected: saturation would not preserve clock
 differences.
@@ -48,6 +50,7 @@ from math import inf
 from operator import add
 
 from ..core.errors import ModelError
+from .syntax import edge_branches
 from .transitions import (
     delay_forbidden,
     discrete_transitions,
@@ -209,10 +212,6 @@ class DiscreteSemantics:
     def _compile_outcomes(self, config, fire):
         """Fill in ``fire.outcomes`` and ``fire.dirac``; an update that
         raises leaves both unset."""
-        # Imported here, not at module top: `repro.pta` builds on
-        # `repro.ta`.
-        from ..pta.pta import edge_branches
-
         participants = fire.transition.participants
         combos = list(product(*[edge_branches(edge)
                                 for _process, edge in participants]))

@@ -4,7 +4,9 @@ An :class:`Automaton` is a template in the UPPAAL sense (Fig. 1 of the
 paper): locations with invariants, edges with clock guards, data guards,
 channel synchronisations, clock resets and data updates.  Templates are
 instantiated into a :class:`~repro.ta.network.Network` under a process
-name, which renames their local clocks apart.
+name, which renames their local clocks apart.  A plain edge is the
+one-branch (Dirac) case of a probabilistic edge: :func:`edge_branches`
+reads the :class:`Branch` outcomes of either kind.
 
 Data guards and updates may be either :class:`~repro.core.Expr` /
 :class:`~repro.core.Assignment` objects or plain Python callables taking
@@ -159,6 +161,38 @@ class Edge:
     def __repr__(self):
         sync = f" {self.sync[0]}{self.sync[1]}" if self.sync else ""
         return f"Edge({self.source} ->{sync} {self.target})"
+
+
+class Branch:
+    """One probabilistic outcome of an edge: probability, target
+    location, clock resets and data updates."""
+
+    __slots__ = ("probability", "resets", "update", "target")
+
+    def __init__(self, probability, target, resets=(), update=()):
+        if probability < 0 or probability > 1:
+            raise ModelError(f"bad branch probability {probability}")
+        self.probability = float(probability)
+        self.target = target
+        self.resets = tuple(resets)
+        self.update = tuple(update) if isinstance(update, (list, tuple)) \
+            else (update,)
+
+    def __repr__(self):
+        return f"Branch({self.probability} -> {self.target})"
+
+
+def edge_branches(edge):
+    """The branches of any edge: a probabilistic edge's own
+    (:class:`repro.pta.ProbEdge`), else the edge as one Dirac branch.
+
+    A timed-automaton edge is the branch-free special case of a PTA
+    edge, so every consumer of branches reads them through this view.
+    """
+    branches = getattr(edge, "branches", None)
+    if branches is not None:
+        return branches
+    return (Branch(1.0, edge.target, edge.resets, edge.update),)
 
 
 class Automaton:

@@ -3,7 +3,7 @@ three toolset backends on small models (including the paper's Fig. 5)."""
 
 import pytest
 
-from repro.core import ModelError, ParseError
+from repro.core import ModelError, ParseError, QueryError
 from repro.modest import (
     ActionPrefix,
     Alt,
@@ -244,6 +244,15 @@ class TestToolset:
 
         results = mctau(self.SRC, [Pmax("nope", never)])
         assert results["nope"] == 0.0
+
+    def test_mctau_rejects_a_predicate_that_reads_clocks(self):
+        """Zones carry no clock values: a clock-reading predicate gets a
+        QueryError naming the property and the backends that can."""
+        from repro.models import brp_modest as bm
+
+        with pytest.raises(QueryError, match=r"'c'.*mcpta or modes"):
+            mctau(bm.make_brp_modest(2, 1, 1),
+                  [Reach("c", lambda n, v, clocks: clocks[1] > 3)])
 
     def test_mcpta(self):
         results = mcpta(self.SRC, [Pmax("p_done", self._done),

@@ -3,7 +3,8 @@
 The Clopper-Pearson bounds and normal critical values of
 :mod:`repro.smc.estimate` are pinned to values scipy produced
 (``scipy.stats.beta.ppf`` / ``scipy.stats.norm.ppf``), and a subprocess
-checks that the library imports and estimates with scipy unavailable.
+checks that the TA, TIGA and SMC layers import and run with scipy and
+numpy unavailable.
 """
 
 import subprocess
@@ -160,16 +161,41 @@ def test_successes_outside_runs_rejected(successes):
 
 
 def test_library_runs_without_scipy():
-    """Importing the models, SMC and TIGA packages and estimating a
-    probability never needs scipy."""
+    """The TA, TIGA and SMC experiments need neither scipy nor numpy,
+    and load no PTA or MDP module: importing the train-gate and
+    train-game models with ``repro.mc``, ``repro.tiga``, ``repro.smc``
+    and ``repro.runtime``, then checking deadlock freedom, solving a
+    safety game (which compiles transition outcomes) and estimating
+    first-passage CDFs and a probability all run with both libraries
+    unavailable."""
     script = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None  # any `import scipy` now fails
-        import repro.models, repro.smc, repro.tiga
-        from repro.smc import estimate_probability
+        sys.modules["numpy"] = None
+        from functools import partial
+        import repro.models.traingate, repro.models.traingame
+        import repro.mc, repro.runtime, repro.smc, repro.tiga
+        from repro.mc import Verifier
+        from repro.models.traingame import make_traingame, safety_predicate
+        from repro.models.traingate import cross_predicate, make_traingate
+        from repro.smc import (
+            estimate_probability, first_passage_cdfs, network_simulator)
+        from repro.tiga import GameGraph, controller_wins_safety
+        assert Verifier(make_traingate(2)).deadlock_free()
+        wins, _strategy = controller_wins_safety(
+            GameGraph(make_traingame(2, scale=2)), safety_predicate(2))
+        assert wins
+        cdfs = first_passage_cdfs(
+            partial(network_simulator, make_traingate(2)),
+            {0: cross_predicate(0)}, horizon=100, runs=20, grid=[50, 100],
+            rng=7)
+        assert 0.0 <= cdfs[0][0] <= cdfs[0][1] <= 1.0
         estimate = estimate_probability(
             lambda rng: rng.random() < 0.5, runs=200, rng=7)
         assert 0.0 < estimate.low < estimate.mean < estimate.high < 1.0
+        loaded = sorted(name for name in sys.modules
+                        if name.startswith(("repro.pta", "repro.mdp")))
+        assert not loaded, loaded
         print("ok")
     """)
     result = subprocess.run([sys.executable, "-c", script],
