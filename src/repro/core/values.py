@@ -25,6 +25,7 @@ class Declarations:
 
     def __init__(self):
         self._names = []
+        self._index = {}         # name -> position in _names
         self._initials = []
         self._bounds = {}
 
@@ -33,8 +34,7 @@ class Declarations:
         self._check_fresh(name)
         if lo is not None and hi is not None and lo > hi:
             raise ModelError(f"empty range [{lo},{hi}] for {name!r}")
-        self._names.append(name)
-        self._initials.append(int(init))
+        self._append(name, int(init))
         if lo is not None or hi is not None:
             self._bounds[name] = (lo, hi)
         self._check_bounds(name, init)
@@ -42,24 +42,26 @@ class Declarations:
     def declare_bool(self, name, init=False):
         """Declare a boolean variable."""
         self._check_fresh(name)
-        self._names.append(name)
-        self._initials.append(bool(init))
+        self._append(name, bool(init))
 
     def declare_array(self, name, init):
         """Declare a fixed-length integer array (stored as a tuple)."""
         self._check_fresh(name)
-        self._names.append(name)
-        self._initials.append(tuple(init))
+        self._append(name, tuple(init))
 
     def declare_const(self, name, value):
         """Constants are plain variables nothing ever assigns to."""
         self._check_fresh(name)
-        self._names.append(name)
-        self._initials.append(value)
+        self._append(name, value)
 
     def _check_fresh(self, name):
-        if name in self._names:
+        if name in self._index:
             raise ModelError(f"variable {name!r} declared twice")
+
+    def _append(self, name, init):
+        self._index[name] = len(self._names)
+        self._names.append(name)
+        self._initials.append(init)
 
     def _check_bounds(self, name, value):
         bounds = self._bounds.get(name)
@@ -77,8 +79,8 @@ class Declarations:
 
     def index_of(self, name):
         try:
-            return self._names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):
             raise ModelError(f"unknown variable {name!r}") from None
 
     def initial(self):
@@ -89,12 +91,12 @@ class Declarations:
         """A new table containing this table's variables then ``other``'s."""
         merged = Declarations()
         merged._names = list(self._names)
+        merged._index = dict(self._index)
         merged._initials = list(self._initials)
         merged._bounds = dict(self._bounds)
         for name, init in zip(other._names, other._initials):
             merged._check_fresh(name)
-            merged._names.append(name)
-            merged._initials.append(init)
+            merged._append(name, init)
         merged._bounds.update(other._bounds)
         return merged
 
@@ -102,7 +104,7 @@ class Declarations:
         return len(self._names)
 
     def __contains__(self, name):
-        return name in self._names
+        return name in self._index
 
     def __repr__(self):
         return f"Declarations({', '.join(self._names)})"

@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from ..core.errors import AnalysisError, QueryError
-from ..obs import incr, log, observe
+from ..obs import incr, log, observe, span
 from .graph import maximal_end_components, topological_value_iteration
 from .model import MDP
 
@@ -63,20 +63,28 @@ def prob0_max(mdp, targets):
 
     Backward reachability from the targets over the predecessor CSR.
     """
-    can_reach = _target_set(mdp, targets)
+    reach = _can_reach(mdp, _target_set(mdp, targets))
+    return {s for s, r in enumerate(reach) if not r}
+
+
+def _can_reach(mdp, target_set):
+    """Per state, whether it has a path to ``target_set`` (a validated
+    set): the complement of :func:`prob0_max`, as a list of flags."""
     g = mdp.graph
     pred_offsets = g.pred_offsets_l
-    pred_trans = g.pred_trans_l
-    trans_source = g.trans_source_l
-    stack = list(can_reach)
+    pred_source = g.pred_source_l
+    reach = [False] * mdp.num_states
+    for t in target_set:
+        reach[t] = True
+    stack = list(target_set)
     while stack:
         t = stack.pop()
         for k in range(pred_offsets[t], pred_offsets[t + 1]):
-            s = trans_source[pred_trans[k]]
-            if s not in can_reach:
-                can_reach.add(s)
+            s = pred_source[k]
+            if not reach[s]:
+                reach[s] = True
                 stack.append(s)
-    return set(range(mdp.num_states)) - can_reach
+    return reach
 
 
 def prob0_min(mdp, targets):
@@ -92,8 +100,7 @@ def prob0_min(mdp, targets):
     removed = _target_set(mdp, targets)
     g = mdp.graph
     pred_offsets = g.pred_offsets_l
-    pred_trans = g.pred_trans_l
-    trans_action = g.trans_action_l
+    pred_action = g.pred_action_l
     action_state = g.action_state_l
     state_offsets_all = g.state_offsets_all
     degree = np.diff(state_offsets_all).tolist()
@@ -103,7 +110,7 @@ def prob0_min(mdp, targets):
     while stack:
         t = stack.pop()
         for k in range(pred_offsets[t], pred_offsets[t + 1]):
-            a = trans_action[pred_trans[k]]
+            a = pred_action[k]
             if unsafe_action[a]:
                 continue
             unsafe_action[a] = True
@@ -122,16 +129,25 @@ def prob1_max(mdp, targets):
     fixpoint as a backward traversal over *eligible* actions (support
     inside X) and eligibility recomputed vectorised per outer round.
     """
-    target_list = list(_target_set(mdp, targets))
+    target_set = _target_set(mdp, targets)
+    return _prob1_max(mdp, target_set, _can_reach(mdp, target_set))
+
+
+def _prob1_max(mdp, target_set, reach):
+    """:func:`prob1_max` from ``reach``, the :func:`_can_reach` flags.
+
+    With X = all states every action is eligible, so the first outer
+    round of the fixpoint is exactly :func:`_can_reach`; the iteration
+    starts from its result instead.
+    """
     g = mdp.graph
     n = mdp.num_states
     cols = mdp.cols
     pred_offsets = g.pred_offsets_l
-    pred_trans = g.pred_trans_l
-    trans_action = g.trans_action_l
+    pred_action = g.pred_action_l
     action_state = g.action_state_l
-    x_mask = np.ones(n, dtype=bool)
-    x_count = n
+    x_mask = np.array(reach, dtype=bool)
+    x_count = int(np.count_nonzero(x_mask))
     while True:
         if len(cols):
             eligible = np.bincount(
@@ -141,24 +157,27 @@ def prob1_max(mdp, targets):
         else:
             eligible = np.ones(mdp.num_actions, dtype=bool)
         eligible = eligible.tolist()
-        y = set(target_list)
-        stack = list(y)
+        y = [False] * n
+        for t in target_set:
+            y[t] = True
+        y_count = len(target_set)
+        stack = list(target_set)
         while stack:
             t = stack.pop()
             for k in range(pred_offsets[t], pred_offsets[t + 1]):
-                a = trans_action[pred_trans[k]]
+                a = pred_action[k]
                 if not eligible[a]:
                     continue
                 s = action_state[a]
-                if s not in y:
-                    y.add(s)
+                if not y[s]:
+                    y[s] = True
+                    y_count += 1
                     stack.append(s)
         # y is a subset of x by monotonicity, so counts decide equality.
-        if len(y) == x_count:
-            return y
-        x_mask = np.zeros(n, dtype=bool)
-        x_mask[list(y)] = True
-        x_count = len(y)
+        if y_count == x_count:
+            return {s for s, member in enumerate(y) if member}
+        x_mask = np.array(y, dtype=bool)
+        x_count = y_count
 
 
 def prob1_min(mdp, targets):
@@ -167,11 +186,16 @@ def prob1_min(mdp, targets):
     positive probability, the region where the target can be avoided
     surely (``prob0_min``)."""
     target_set = _target_set(mdp, targets)
+    return _prob1_min(mdp, target_set, prob0_min(mdp, target_set))
+
+
+def _prob1_min(mdp, target_set, avoid):
+    """:func:`prob1_min` given ``avoid``, the :func:`prob0_min` set the
+    caller already holds (not modified)."""
     g = mdp.graph
     pred_offsets = g.pred_offsets_l
-    pred_trans = g.pred_trans_l
-    trans_source = g.trans_source_l
-    bad = prob0_min(mdp, target_set)
+    pred_source = g.pred_source_l
+    bad = set(avoid)
     stack = list(bad)
     while stack:
         t = stack.pop()
@@ -179,7 +203,7 @@ def prob1_min(mdp, targets):
             # The transition itself witnesses an action with a successor
             # in bad -> the adversary (who minimises reachability) can
             # steer towards avoidance.
-            s = trans_source[pred_trans[k]]
+            s = pred_source[k]
             if s in bad or s in target_set:
                 continue
             bad.add(s)
@@ -253,10 +277,14 @@ def reachability_probability(mdp, targets, maximize=True, epsilon=1e-12,
     if not targets:
         return np.zeros(mdp.num_states)
     start = time.perf_counter()
-    zeros = (prob0_max(mdp, targets) if maximize
-             else prob0_min(mdp, targets))
-    ones = (prob1_max(mdp, targets) if maximize
-            else prob1_min(mdp, targets))
+    with span("mdp.prob01", maximize=maximize):
+        if maximize:
+            reach = _can_reach(mdp, targets)
+            zeros = {s for s, r in enumerate(reach) if not r}
+            ones = _prob1_max(mdp, targets, reach)
+        else:
+            zeros = prob0_min(mdp, targets)
+            ones = _prob1_min(mdp, targets, zeros)
     observe("mdp.prob01_ms", (time.perf_counter() - start) * 1000.0)
     values = np.zeros(mdp.num_states)
     for s in ones:
@@ -303,8 +331,9 @@ def expected_total_reward(mdp, targets, maximize=True, epsilon=1e-12,
     """
     targets = _target_set(mdp, targets)
     start = time.perf_counter()
-    certain = (prob1_min(mdp, targets) if maximize
-               else prob1_max(mdp, targets))
+    with span("mdp.prob01", maximize=maximize):
+        certain = (prob1_min(mdp, targets) if maximize
+                   else prob1_max(mdp, targets))
     observe("mdp.prob01_ms", (time.perf_counter() - start) * 1000.0)
     infinite = np.ones(mdp.num_states, dtype=bool)
     for s in certain:

@@ -9,9 +9,16 @@ Modest Toolset / PRISM explicit engines):
 * :class:`GraphCore` — the derived graph structure built once per
   finalize: the *predecessor* CSR (incoming transition indices grouped
   by target state), owner maps (transition -> action -> state) and an
-  iterative Tarjan SCC decomposition whose component ids are in
-  *reverse topological order* (every successor component of ``C`` has
-  an id smaller than ``C``'s);
+  SCC decomposition whose component ids are in *reverse topological
+  order* (every successor component of ``C`` has an id smaller than
+  ``C``'s).  The decomposition first trims the graph: sink states
+  (out-degree 0 once self-loops are ignored) are peeled bottom up, one
+  vectorised level at a time over the predecessor CSR, and become
+  singleton SCCs numbered in peel order.  The iterative Tarjan
+  (:func:`tarjan_scc`) then runs only on the unpeeled residue, its ids
+  offset after the peeled ones.  A digital-clocks MDP is mostly an
+  acyclic tick structure and typically peels completely, so no
+  per-state Python search runs on it at all;
 * :func:`maximal_end_components` — the standard iterated-SCC MEC
   decomposition, used to make interval iteration's upper sequence
   sound for maximal reachability;
@@ -19,7 +26,9 @@ Modest Toolset / PRISM explicit engines):
   level by level up the SCC condensation DAG (:func:`level_plan`), so
   each level's acyclic states are solved in one vectorised sweep of a
   single backup each and iteration is confined to the components that
-  actually need it.
+  actually need it.  A peeled state's peel level is its SCC's height in
+  the condensation, so the plan reuses those levels and derives only
+  the residue components' heights.
 
 The pre-core implementations (full-state set fixpoints, global value
 iteration) are preserved verbatim in :mod:`repro.mdp.reference` as the
@@ -100,15 +109,53 @@ def concat_ranges(lo, hi):
     return np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
 
 
+def _peel_sinks(pred_offsets, pred_source):
+    """Peel sink states bottom up, one vectorised level at a time, over
+    the predecessor CSR (``pred_source`` holds the source state of each
+    incoming transition, grouped by target).
+
+    A sink has no transitions left but self-loops; removing a level of
+    sinks can make their predecessors sinks.  Returns the peeled states
+    in peel order (ascending within a level) and each one's level,
+    which is the height of its singleton SCC in the condensation.
+    States on a cycle, or that reach one, stay unpeeled.
+    """
+    n = len(pred_offsets) - 1
+    target = np.repeat(np.arange(n), np.diff(pred_offsets))
+    proper = pred_source != target
+    pred_source = pred_source[proper]
+    remaining = np.bincount(pred_source, minlength=n)
+    offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(target[proper], minlength=n))))
+    levels = []
+    level = np.flatnonzero(remaining == 0)
+    while level.size:
+        levels.append(level)
+        preds, counts = np.unique(
+            pred_source[concat_ranges(offsets[level], offsets[level + 1])],
+            return_counts=True)
+        remaining[preds] -= counts
+        level = preds[remaining[preds] == 0]
+    if not levels:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+    height = np.repeat(np.arange(len(levels), dtype=np.int32),
+                       [len(level) for level in levels])
+    return np.concatenate(levels), height
+
+
 class GraphCore:
     """Derived graph structure of a finalized MDP.
 
     Built once by :meth:`repro.mdp.MDP.finalize`; every analysis in
     :mod:`repro.mdp.analysis` reads these arrays instead of rescanning
-    the per-state action lists.  The ``*_l`` attributes are plain-list
-    mirrors of the arrays walked by the O(transitions) attractor
-    fixpoints (Python-int indexing is several times faster than NumPy
-    scalar indexing in those loops).  ``levels`` holds the
+    the per-state action lists.  The ``*_l`` attributes are the plain
+    lists walked by the O(transitions) attractor fixpoints (Python-int
+    indexing is several times faster than NumPy scalar indexing in
+    those loops): ``pred_source_l`` and ``pred_action_l`` give the
+    source state and the action of each incoming transition in
+    predecessor-CSR order.  SCC ids below
+    ``len(peel_height)`` are the peeled singletons, and ``peel_height``
+    holds each one's peel level.  ``levels`` holds the
     :class:`LevelPlan` once the first value iteration has built it.
     """
 
@@ -116,9 +163,9 @@ class GraphCore:
         "action_offsets_all", "state_offsets_all", "state_trans_offsets",
         "trans_action", "trans_source", "action_state",
         "pred_offsets", "pred_trans",
-        "scc_of", "scc_count", "levels",
-        "pred_offsets_l", "pred_trans_l",
-        "trans_action_l", "trans_source_l", "action_state_l",
+        "scc_of", "scc_count", "peel_height", "levels",
+        "pred_offsets_l", "pred_source_l", "pred_action_l",
+        "action_state_l",
     )
 
     @classmethod
@@ -149,14 +196,31 @@ class GraphCore:
         else:
             self.pred_trans = np.empty(0, dtype=np.int64)
             self.pred_offsets = np.zeros(n + 1, dtype=np.int64)
-        scc_of, self.scc_count = tarjan_scc(
-            n, self.state_trans_offsets.tolist(), cols.tolist())
-        self.scc_of = np.asarray(scc_of, dtype=np.int32)
+        pred_source = self.trans_source[self.pred_trans]
+        order, self.peel_height = _peel_sinks(self.pred_offsets, pred_source)
+        peeled = len(order)
+        scc_of = np.empty(n, dtype=np.int32)
+        scc_of[order] = np.arange(peeled, dtype=np.int32)
+        self.scc_count = peeled
+        if peeled < n:
+            # Tarjan on the subgraph the peel left, renumbered 0..r-1;
+            # its edges into peeled states lead to smaller ids anyway.
+            residue = np.ones(n, dtype=bool)
+            residue[order] = False
+            local = np.cumsum(residue) - 1
+            inner = residue[self.trans_source] & residue[cols]
+            offsets_l, targets_l = _filtered_csr(
+                n - peeled, local[self.trans_source[inner]],
+                local[cols[inner]])
+            residue_scc, count = tarjan_scc(n - peeled, offsets_l, targets_l)
+            scc_of[residue] = peeled + np.asarray(residue_scc,
+                                                  dtype=np.int32)
+            self.scc_count += count
+        self.scc_of = scc_of
         self.levels = None
         self.pred_offsets_l = self.pred_offsets.tolist()
-        self.pred_trans_l = self.pred_trans.tolist()
-        self.trans_action_l = self.trans_action.tolist()
-        self.trans_source_l = self.trans_source.tolist()
+        self.pred_source_l = pred_source.tolist()
+        self.pred_action_l = self.trans_action[self.pred_trans].tolist()
         self.action_state_l = self.action_state.tolist()
         set_gauge("mdp.scc_count", self.scc_count)
         return self
@@ -330,30 +394,25 @@ class LevelPlan:
 def _scc_heights(g, cols):
     """Height of every SCC in the condensation DAG of ``g``.
 
-    Peeled bottom up: ``remaining[c]`` counts the cross edges from ``c``
-    to SCCs without a height yet, and ``c`` joins the next level once
-    that count drops to zero.
+    The peeled SCCs take their peel levels.  Residue ids are reverse
+    topological and above every peeled id, so one pass over the
+    residue's cross edges in ascending source order finds each
+    successor's height final before its predecessors read it.
     """
+    peeled = len(g.peel_height)
+    height = np.zeros(g.scc_count, dtype=np.int32)
+    height[:peeled] = g.peel_height
+    if peeled == g.scc_count:
+        return height
     src = g.scc_of[g.trans_source]
     dst = g.scc_of[cols]
-    cross = src != dst
-    src, dst = src[cross], dst[cross]
-    remaining = np.bincount(src, minlength=g.scc_count)
-    pred = src[np.argsort(dst, kind="stable")]
-    pred_offsets = np.concatenate(
-        ([0], np.cumsum(np.bincount(dst, minlength=g.scc_count))))
-    height = np.empty(g.scc_count, dtype=np.int32)
-    level = np.flatnonzero(remaining == 0)
-    h = 0
-    while level.size:
-        height[level] = h
-        preds, counts = np.unique(
-            pred[concat_ranges(pred_offsets[level], pred_offsets[level + 1])],
-            return_counts=True)
-        remaining[preds] -= counts
-        level = preds[remaining[preds] == 0]
-        h += 1
-    return height
+    cross = (src >= peeled) & (src != dst)
+    order = np.argsort(src[cross], kind="stable")
+    h = height.tolist()
+    for c, d in zip(src[cross][order].tolist(), dst[cross][order].tolist()):
+        if h[d] >= h[c]:
+            h[c] = h[d] + 1
+    return np.asarray(h, dtype=np.int32)
 
 
 def level_plan(mdp):
@@ -389,7 +448,9 @@ def topological_value_iteration(mdp, values, frozen, maximize,
     action_offsets_all = g.action_offsets_all
     state_offsets_all = g.state_offsets_all
     live_trivial = ~frozen[plan.trivial]
-    live_before = np.concatenate(([0], np.cumsum(live_trivial))).tolist()
+    # Live trivial states below each level's first one.
+    live_before = np.concatenate(
+        ([0], np.cumsum(live_trivial)))[plan.bounds].tolist()
     bounds = plan.bounds.tolist()
     slot_values = np.zeros(plan.slot_count)
     trivial_action_values = np.empty(plan.action_count)
@@ -397,7 +458,7 @@ def topological_value_iteration(mdp, values, frozen, maximize,
     for level, (states, first_action, lvl_acts, segments, lvl_trans, slots,
                 a_lo, a_hi, slots_end, cyclic) in enumerate(plan.levels):
         lo, hi = bounds[level], bounds[level + 1]
-        live_count = live_before[hi] - live_before[lo]
+        live_count = live_before[level + 1] - live_before[level]
         if live_count:
             slot_values[slots] = probs[lvl_trans] * values[cols[lvl_trans]]
             np.add.reduceat(slot_values[:slots_end], segments,

@@ -15,6 +15,7 @@ from math import isfinite
 import numpy as np
 
 from ..core.errors import ModelError
+from ..obs import span
 
 
 class MDP:
@@ -97,6 +98,8 @@ class MDP:
 
     @property
     def num_transitions(self):
+        if self._frozen:
+            return len(self.cols)
         return sum(len(pairs) for acts in self._actions
                    for _l, pairs, _r in acts)
 
@@ -117,6 +120,11 @@ class MDP:
         """
         if self._frozen:
             return self
+        with span("mdp.finalize", states=self.num_states):
+            self._compile()
+        return self
+
+    def _compile(self):
         for state, acts in enumerate(self._actions):
             if not acts:
                 acts.append((None, ((state, 1.0),), 0.0))
@@ -152,7 +160,6 @@ class MDP:
         self._frozen = True
         from .graph import GraphCore
         self.graph = GraphCore.build(self)
-        return self
 
     def successors(self, state):
         """Union of all action supports (graph view)."""

@@ -27,10 +27,6 @@ from functools import partial
 from ..core.errors import QueryError
 from ..mc.engine import Verifier
 from ..mc.queries import EF
-from ..mdp.analysis import (
-    expected_total_reward,
-    reachability_probability,
-)
 from ..obs import checkpoint, incr, set_gauge, span
 from ..pta.digital import build_digital_mdp
 from ..pta.overapprox import overapproximate_network
@@ -174,6 +170,12 @@ def mcpta(model, properties, extra_constants=None, interval=False):
     collapse in :mod:`repro.mdp.analysis`) instead of plain value
     iteration.
     """
+    from ..mdp.analysis import (
+        expected_total_reward,
+        prob0_max,
+        reachability_probability,
+    )
+
     with span("modest.mcpta", properties=len(properties)) as sp:
         network = load(model)
         digital = build_digital_mdp(network,
@@ -187,8 +189,8 @@ def mcpta(model, properties, extra_constants=None, interval=False):
             incr("modest.mcpta.properties")
             targets = digital.states_where(prop.predicate)
             if isinstance(prop, Reach):
-                results[prop.name] = bool(targets) and _reachable(
-                    digital.mdp, targets)
+                results[prop.name] = bool(targets) and (
+                    0 not in prob0_max(digital.mdp, targets))
             elif isinstance(prop, (Pmax, Pmin)):
                 values = reachability_probability(
                     digital.mdp, targets, maximize=isinstance(prop, Pmax),
@@ -201,12 +203,6 @@ def mcpta(model, properties, extra_constants=None, interval=False):
             else:
                 raise QueryError(f"unsupported property {prop!r}")
         return results
-
-
-def _reachable(mdp, targets):
-    from ..mdp.analysis import prob0_max
-
-    return 0 not in prob0_max(mdp, targets)
 
 
 def to_uppaal_xml(model, queries=()):

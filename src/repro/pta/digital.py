@@ -22,16 +22,29 @@ state.  Builder and the :class:`~repro.pta.simulate.DigitalSimulator`
 :func:`digital_semantics`, which also carries the simulator's bounded
 ``step_plans`` table.
 
+The builder pauses the cyclic garbage collector around its
+exploration loop: the loop allocates hundreds of thousands of tuples,
+dicts and states, which would trigger full collections, yet it creates
+no reference cycles (states, keys and actions only point at immutable
+data and at one another's indices), so those collections find nothing
+to free.  Reference counting still frees everything as usual, and the
+caller's ``gc.isenabled()`` state is restored even when the build
+raises.
+
+The MDP layer (and with it numpy) is imported only when an MDP is
+built, so a simulation-only client of :func:`digital_semantics` never
+loads it.
+
 The pre-memoization builder is preserved verbatim in
 :mod:`repro.mdp.reference` as the differential-test oracle.
 """
 
 from __future__ import annotations
 
+import gc
 from weakref import WeakKeyDictionary
 
 from ..core.errors import SearchLimitError
-from ..mdp.model import MDP
 from ..obs import checkpoint
 from ..ta.discrete import DiscreteSemantics, DiscreteState
 
@@ -113,8 +126,11 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
     Successors come from
     :meth:`~repro.ta.discrete.DiscreteSemantics.expand`; a
     :class:`~repro.ta.discrete.DiscreteState` is created only for a
-    newly interned key.
+    newly interned key.  The cyclic garbage collector is paused while
+    the state space is explored (see the module docstring).
     """
+    from ..mdp.model import MDP
+
     sem = digital_semantics(network, extra_constants)
     config_for = sem.config_for
     expand = sem.expand
@@ -151,27 +167,34 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
                 checkpoint("pta.digital", len(states))
         return idx
 
-    intern(initial.locs, initial.valuation, initial.clocks)
-    # Build-local, so the shared LRU pays its recency bookkeeping once
-    # per configuration rather than once per state.
-    configs = {}
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        intern(initial.locs, initial.valuation, initial.clocks)
+        # Build-local, so the shared LRU pays its recency bookkeeping once
+        # per configuration rather than once per state.
+        configs = {}
 
-    while queue:
-        current = queue.pop()
-        state = states[current]
-        locs, valuation = state.locs, state.valuation
-        key = (locs, valuation.values)
-        config = configs.get(key)
-        if config is None:
-            config = configs[key] = config_for(locs, valuation)
-        fires, ticked = expand(config, state.clocks)
-        for fire, outcomes in fires:
-            add_action(current,
-                       [(p, intern(to_locs, to_valuation, to_clocks))
-                        for p, to_locs, to_valuation, to_clocks in outcomes],
-                       label=fire.label, reward=0.0)
-        if ticked is not None:
-            add_action(current, [(1.0, intern(locs, valuation, ticked))],
-                       label="tick", reward=tick_reward)
+        while queue:
+            current = queue.pop()
+            state = states[current]
+            locs, valuation = state.locs, state.valuation
+            key = (locs, valuation.values)
+            config = configs.get(key)
+            if config is None:
+                config = configs[key] = config_for(locs, valuation)
+            fires, ticked = expand(config, state.clocks)
+            for fire, outcomes in fires:
+                add_action(
+                    current,
+                    [(p, intern(to_locs, to_valuation, to_clocks))
+                     for p, to_locs, to_valuation, to_clocks in outcomes],
+                    label=fire.label, reward=0.0)
+            if ticked is not None:
+                add_action(current, [(1.0, intern(locs, valuation, ticked))],
+                           label="tick", reward=tick_reward)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     checkpoint("pta.digital", len(states))
     return DigitalMDP(mdp, states, network)

@@ -52,6 +52,19 @@ class TestDeclarations:
         v = merged.initial()
         assert v["len"] == 0 and v["x"] == 1
 
+    def test_index_of_follows_declaration_order(self, decls):
+        other = Declarations()
+        other.declare_int("x", 1)
+        merged = decls.merged_with(other)
+        merged.declare_bool("flag")
+        assert [merged.index_of(n) for n in merged.names] == list(range(6))
+        # Declaring into the merged table leaves both sources alone.
+        assert "flag" not in decls and "flag" not in other
+        with pytest.raises(ModelError):
+            decls.index_of("flag")
+        with pytest.raises(ModelError):
+            decls.index_of(["len"])
+
     def test_merged_with_clash(self, decls):
         other = Declarations()
         other.declare_int("len")

@@ -16,6 +16,7 @@ preserved verbatim in ``repro.mdp.reference``:
   latent correctness bug this PR fixes.
 """
 
+import gc
 import hashlib
 
 import numpy as np
@@ -26,11 +27,16 @@ from hypothesis import strategies as st
 from repro.core.errors import SearchLimitError
 from repro.mdp import analysis as core
 from repro.mdp import reference as ref
-from repro.mdp.graph import topological_value_iteration
+from repro.mdp.graph import (
+    concat_ranges,
+    level_plan,
+    tarjan_scc,
+    topological_value_iteration,
+)
 from repro.mdp.model import MDP
 from repro.mdp.reference import reference_build_digital_mdp
 from repro.models import brp, firewire
-from repro.obs import collecting, progress
+from repro.obs import collecting, progress, tracing
 from repro.pta import build_digital_mdp
 
 TOL = 1e-9
@@ -147,6 +153,91 @@ def test_values_match_reference(case, maximize):
             <= TOL
 
 
+@st.composite
+def random_graphs(draw):
+    """A random MDP as a bare graph: up to 12 states, each with 0-3
+    actions of 1-3 successors.  Cycles, self-loops, sinks (a state
+    without actions gets finalize's self-loop), isolated states and the
+    empty MDP all occur."""
+    n = draw(st.integers(0, 12))
+    mdp = MDP("graph")
+    for _ in range(n):
+        mdp.add_state()
+    for state in range(n):
+        for support in draw(st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                         unique=True), max_size=3)):
+            mdp.add_action(state, [(1 / len(support), t) for t in support])
+    return mdp.finalize()
+
+
+def condensation_heights(scc_of, count, src, dst):
+    """Height of every SCC in the condensation DAG, peeled bottom up:
+    the algorithm ``LevelPlan`` used before it took its heights from
+    the sink peel."""
+    src, dst = scc_of[src], scc_of[dst]
+    cross = src != dst
+    src, dst = src[cross], dst[cross]
+    remaining = np.bincount(src, minlength=count)
+    pred = src[np.argsort(dst, kind="stable")]
+    pred_offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(dst, minlength=count))))
+    height = np.empty(count, dtype=np.int32)
+    level = np.flatnonzero(remaining == 0)
+    h = 0
+    while level.size:
+        height[level] = h
+        preds, counts = np.unique(
+            pred[concat_ranges(pred_offsets[level], pred_offsets[level + 1])],
+            return_counts=True)
+        remaining[preds] -= counts
+        level = preds[remaining[preds] == 0]
+        h += 1
+    return height
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+def test_trimmed_scc_decomposition(mdp):
+    """The sink peel plus Tarjan on the residue gives plain Tarjan's
+    partition, reverse-topological ids with the peeled singletons
+    first, and the condensation heights the plan's levels need."""
+    g = mdp.graph
+    n = mdp.num_states
+    plain, count = tarjan_scc(n, g.state_trans_offsets.tolist(),
+                              mdp.cols.tolist())
+
+    def partition(ids):
+        blocks = {}
+        for state, c in enumerate(ids):
+            blocks.setdefault(int(c), set()).add(state)
+        return sorted(map(sorted, blocks.values()))
+
+    assert g.scc_count == count
+    assert partition(g.scc_of) == partition(plain)
+    assert sorted(set(g.scc_of.tolist())) == list(range(count))
+    assert np.all(g.scc_of[mdp.cols] <= g.scc_of[g.trans_source])
+    peeled = len(g.peel_height)
+    assert np.all(np.bincount(g.scc_of, minlength=count)[:peeled] == 1)
+    if n == 0:
+        return
+    plain = np.asarray(plain)
+    height = condensation_heights(plain, count, g.trans_source, mdp.cols)
+    state_height = height[plain]
+    peeled_states = np.flatnonzero(g.scc_of < peeled)
+    assert np.array_equal(g.peel_height[g.scc_of[peeled_states]],
+                          state_height[peeled_states])
+    plan = level_plan(mdp)
+    assert len(plan.levels) == height.max() + 1
+    seen = []
+    for k, level in enumerate(plan.levels):
+        trivial, cyclic = level[0], level[-1]
+        for states in [trivial, *cyclic]:
+            assert np.all(state_height[states] == k)
+            seen.extend(states.tolist())
+    assert sorted(seen) == list(range(n))
+
+
 def test_trivial_backups_sum_left_to_right():
     """An acyclic state's backup adds its pairs in order, starting from
     0.0, exactly as a scalar loop does, for every support of fewer than
@@ -200,6 +291,24 @@ def test_acyclic_solve_reports_progress():
     done = [e.done for e in events if e.kind == "mdp.vi"]
     assert len(done) >= 199 and done == sorted(done) and done[-1] == 199
     assert values[0] == 0.5 ** 199
+
+
+def test_solve_spans_split_finalize_and_precomputation():
+    """A traced solve reports ``mdp.finalize`` once and one
+    ``mdp.prob01`` span per query, so a report splits solve time into
+    finalize, precomputation and value iteration without a rerun."""
+    mdp = MDP("coin")
+    start, goal, _fail = (mdp.add_state() for _ in range(3))
+    mdp.add_action(start, [(0.5, goal), (0.5, 2)], reward=1.0)
+    with tracing() as tracer:
+        core.reachability_probability(mdp, {goal})
+        core.expected_total_reward(mdp, {goal}, maximize=False)
+        core.reachability_probability(mdp, {goal}, maximize=False)
+    assert [(s.name, s.attributes) for s in tracer.roots] == [
+        ("mdp.finalize", {"states": 3}),
+        ("mdp.prob01", {"maximize": True}),
+        ("mdp.prob01", {"maximize": False}),
+        ("mdp.prob01", {"maximize": False})]
 
 
 class TestEndComponentInterval:
@@ -307,6 +416,22 @@ class TestBuilderLimits:
             build_digital_mdp(brp.make_brp(2, 1, 1),
                               max_states=needed - 1)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_collector_state(self, enabled):
+        """The build pauses the cyclic garbage collector and leaves it
+        as it found it, also when it raises ``SearchLimitError``."""
+        was_enabled = gc.isenabled()
+        network = brp.make_brp(2, 1, 1)
+        try:
+            (gc.enable if enabled else gc.disable)()
+            build_digital_mdp(network)
+            assert gc.isenabled() is enabled
+            with pytest.raises(SearchLimitError):
+                build_digital_mdp(network, max_states=5)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_states_where_caches_location_names(self):
         dm = build_digital_mdp(brp.make_brp(2, 1, 1))
         first = dm.states_where(brp.not_success)
@@ -356,11 +481,13 @@ DMAX_BUILD = ("4fc5c86c7e0f84a16545e44bb39d4c3d"
 @pytest.fixture(scope="module")
 def table1_timed():
     """Table I's deadline-clock network, its digital MDP and the
-    progress events its build delivered."""
+    progress events its build delivered, each paired with whether the
+    cyclic garbage collector was enabled when it arrived."""
     timed_net = brp.make_brp(16, 2, 1, with_deadline_clock=True)
     t_index = timed_net.process_by_name("Watch").resolve_clock("t")
     events = []
-    with progress(events.append, min_interval=0.0):
+    with progress(lambda event: events.append((event, gc.isenabled())),
+                  min_interval=0.0):
         timed = build_digital_mdp(timed_net, extra_constants={t_index: 65})
     return timed_net, timed, events
 
@@ -415,10 +542,28 @@ class TestGoldenValues:
         snapshot = repr(([s.key() for s in timed.states], mdp._actions))
         assert hashlib.sha256(snapshot.encode()).hexdigest() == DMAX_BUILD
 
+    def test_table1_mdps_peel_completely(self, table1_timed):
+        """Both Table I MDPs are acyclic but for self-loops: the sink
+        peel takes every state, so Tarjan never runs on them."""
+        _net, timed, _events = table1_timed
+        untimed = build_digital_mdp(brp.make_brp(16, 2, 1))
+        for mdp, states in ((untimed.mdp, 1463), (timed.mdp, 68364)):
+            g = mdp.finalize().graph
+            assert len(g.peel_height) == g.scc_count == states
+            assert len(level_plan(mdp).levels) == g.peel_height.max() + 1
+
     def test_dmax_build_reports_progress(self, table1_timed):
         """The builder checkpoints every 4096 interned states and once
         at the end, so a long build beats the stall watchdog."""
         _net, timed, events = table1_timed
-        done = [e.done for e in events if e.kind == "pta.digital"]
+        done = [e.done for e, _gc_on in events if e.kind == "pta.digital"]
         assert done == [4096 * k for k in range(1, 17)] + [68364]
         assert timed.mdp.num_states == 68364
+
+    def test_dmax_build_pauses_the_collector(self, table1_timed):
+        """The 16 checkpoints inside the exploration loop see the cyclic
+        garbage collector paused; the final one, after the loop, sees it
+        enabled again."""
+        _net, _timed, events = table1_timed
+        gc_on = [on for e, on in events if e.kind == "pta.digital"]
+        assert gc_on == [False] * 16 + [True]

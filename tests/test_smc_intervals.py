@@ -202,3 +202,35 @@ def test_library_runs_without_scipy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_modes_runs_without_numpy():
+    """A ``modes`` run, Table I's simulation column, needs neither numpy
+    nor scipy and loads no MDP module: the MODEST toolset imports the
+    MDP layer only inside ``mcpta``, and the digital-clocks semantics
+    imports it only when an MDP is built."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any `import scipy` now fails
+        sys.modules["numpy"] = None
+        import repro.models.brp, repro.modest, repro.runtime
+        from repro.models import brp
+        from repro.modest import Emax, Pmax, Reach, modes
+        from repro.runtime import Spec
+        result = modes(Spec(brp.make_brp, 2, 2, 1),
+                       [Reach("TA1", brp.premature_timeout),
+                        Pmax("P1", brp.not_success),
+                        Emax("Emax", brp.reported)],
+                       runs=20, rng=7, max_time=100)
+        assert result["TA1"].successes == 0
+        assert 0.0 <= result["P1"].mean <= 1.0
+        assert result["Emax"].runs == 20 and result["Emax"].mean > 0
+        loaded = sorted(name for name in sys.modules
+                        if name.startswith("repro.mdp"))
+        assert not loaded, loaded
+        print("ok")
+    """)
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
