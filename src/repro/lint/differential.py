@@ -28,7 +28,8 @@ documented tolerances:
 ``mdp-vs-reference``
     Digital-clocks MDP construction and numeric analyses through the
     memoised builder + sparse core vs the seed builder + seed analyses:
-    identical action tables, values within ``VALUE_TOLERANCE``.
+    identical action tables and Prob0/Prob1 sets, values within
+    ``VALUE_TOLERANCE``.
 
 Disagreements become ``differential-disagreement`` **error** findings
 in an ordinary :class:`~repro.lint.findings.LintReport`, so the CLI /
@@ -253,6 +254,13 @@ def _check_mdp(gate, model_name, network_a, network_b, predicate):
         return
     targets_new = new.states_where(predicate)
     targets_ref = ref.states_where(predicate)
+    for name in ("prob0_max", "prob0_min", "prob1_max", "prob1_min"):
+        mine = getattr(core_analysis, name)(new.mdp, targets_new)
+        theirs = getattr(mdp_reference, name)(ref.mdp, targets_ref)
+        gate.record(
+            "mdp-vs-reference", model_name, name, mine == theirs,
+            f"{len(mine)} states vs reference {len(theirs)}, "
+            f"{len(mine ^ theirs)} in only one of them")
     for maximize in (True, False):
         mine = core_analysis.reachability_probability(
             new.mdp, targets_new, maximize=maximize)

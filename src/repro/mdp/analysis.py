@@ -4,10 +4,10 @@ Implements the standard explicit-engine pipeline of a probabilistic
 model checker (PRISM's role in the paper's Table I):
 
 1. graph-based precomputation of the states with probability exactly 0
-   or 1 (Prob0/Prob1 for both optimisation directions) — counting-based
-   attractor fixpoints over the predecessor CSR built at
-   :meth:`~repro.mdp.MDP.finalize` (O(transitions) per fixpoint instead
-   of repeated full-state rescans);
+   or 1 (Prob0/Prob1 for both optimisation directions) — each one a
+   :func:`repro.mdp.graph.attractor` over the predecessor CSR built at
+   :meth:`~repro.mdp.MDP.finalize`, kept as boolean masks (O(transitions)
+   per fixpoint instead of repeated full-state rescans);
 2. vectorised value iteration over the remaining states, run one SCC at
    a time in reverse topological order
    (:func:`repro.mdp.graph.topological_value_iteration`), optionally as
@@ -32,14 +32,18 @@ import numpy as np
 
 from ..core.errors import AnalysisError, QueryError
 from ..obs import incr, log, observe, span
-from .graph import maximal_end_components, topological_value_iteration
+from .graph import (
+    attractor,
+    maximal_end_components,
+    topological_value_iteration,
+)
 from .model import MDP
 
 
 # -- graph precomputations ------------------------------------------------------
 
-def _target_set(mdp, targets):
-    """Finalize ``mdp`` and return ``targets`` as a set of its states.
+def _target_mask(mdp, targets):
+    """Finalize ``mdp`` and return ``targets`` as a mask over its states.
 
     Raises :class:`QueryError` for a target that is not a state index
     in ``range(mdp.num_states)``; a ``bool`` is not an index, although
@@ -54,37 +58,64 @@ def _target_set(mdp, targets):
             raise QueryError(
                 f"target {t!r} is not a state of {mdp.name} "
                 f"({mdp.num_states} states)")
-    return target_set
+    mask = np.zeros(mdp.num_states, dtype=bool)
+    mask[list(target_set)] = True
+    return mask
+
+
+def _states(mask):
+    return set(np.flatnonzero(mask).tolist())
+
+
+def _can_reach(mdp, target):
+    """States with a path to the ``target`` mask: the complement of
+    :func:`prob0_max`."""
+    return attractor(mdp.graph, target, 1)[0]
+
+
+def _prob0_min(mdp, target):
+    """The :func:`prob0_min` mask: the complement of the states that
+    join once every one of their actions has a successor that joined."""
+    g = mdp.graph
+    return ~attractor(g, target, np.diff(g.state_offsets_all),
+                      by_action=True)[0]
+
+
+def _prob1_max(mdp, target, reach):
+    """The :func:`prob1_max` mask from ``reach``, the
+    :func:`_can_reach` mask.
+
+    With X = all states every action is eligible, so the first outer
+    round of the fixpoint is exactly :func:`_can_reach`; the iteration
+    starts from its result instead.
+    """
+    g = mdp.graph
+    x = reach
+    while True:
+        # An action is eligible while its whole support stays in X.
+        leaves = np.zeros(mdp.num_actions, dtype=bool)
+        leaves[g.trans_action[~x[mdp.cols]]] = True
+        y = attractor(g, target, 1, eligible=~leaves[g.trans_action])[0]
+        # y is a subset of x by monotonicity, so counts decide equality.
+        if np.count_nonzero(y) == np.count_nonzero(x):
+            return y
+        x = y
+
+
+def _prob1_min(mdp, target, avoid):
+    """The :func:`prob1_min` mask given ``avoid``, the
+    :func:`_prob0_min` mask: the complement of the states with a
+    transition into the attractor of ``avoid`` (the adversary, who
+    minimises reachability, can steer towards avoidance), where
+    targets never join."""
+    need = np.where(target, len(mdp.cols) + 1, 1)
+    return ~attractor(mdp.graph, avoid, need)[0]
 
 
 def prob0_max(mdp, targets):
     """States where the *maximal* reachability probability is 0:
-    no path reaches the target at all.
-
-    Backward reachability from the targets over the predecessor CSR.
-    """
-    reach = _can_reach(mdp, _target_set(mdp, targets))
-    return {s for s, r in enumerate(reach) if not r}
-
-
-def _can_reach(mdp, target_set):
-    """Per state, whether it has a path to ``target_set`` (a validated
-    set): the complement of :func:`prob0_max`, as a list of flags."""
-    g = mdp.graph
-    pred_offsets = g.pred_offsets_l
-    pred_source = g.pred_source_l
-    reach = [False] * mdp.num_states
-    for t in target_set:
-        reach[t] = True
-    stack = list(target_set)
-    while stack:
-        t = stack.pop()
-        for k in range(pred_offsets[t], pred_offsets[t + 1]):
-            s = pred_source[k]
-            if not reach[s]:
-                reach[s] = True
-                stack.append(s)
-    return reach
+    no path reaches the target at all."""
+    return _states(~_can_reach(mdp, _target_mask(mdp, targets)))
 
 
 def prob0_min(mdp, targets):
@@ -92,92 +123,22 @@ def prob0_min(mdp, targets):
     scheduler avoids the target forever.
 
     Greatest fixpoint U = non-target states with some action whose
-    whole support stays in U, computed as the complement of a
-    counting-based attractor: a state is *removed* (cannot avoid) once
-    every one of its actions has a successor already removed.  Each
-    transition is inspected at most once.
+    whole support stays in U, computed as the complement of a counting
+    attractor: a state is removed (cannot avoid) once every one of its
+    actions has a successor already removed.
     """
-    removed = _target_set(mdp, targets)
-    g = mdp.graph
-    pred_offsets = g.pred_offsets_l
-    pred_action = g.pred_action_l
-    action_state = g.action_state_l
-    state_offsets_all = g.state_offsets_all
-    degree = np.diff(state_offsets_all).tolist()
-    unsafe_action = [False] * mdp.num_actions
-    unsafe_count = [0] * mdp.num_states
-    stack = list(removed)
-    while stack:
-        t = stack.pop()
-        for k in range(pred_offsets[t], pred_offsets[t + 1]):
-            a = pred_action[k]
-            if unsafe_action[a]:
-                continue
-            unsafe_action[a] = True
-            s = action_state[a]
-            unsafe_count[s] += 1
-            if unsafe_count[s] == degree[s] and s not in removed:
-                removed.add(s)
-                stack.append(s)
-    return set(range(mdp.num_states)) - removed
+    return _states(_prob0_min(mdp, _target_mask(mdp, targets)))
 
 
 def prob1_max(mdp, targets):
     """States where the maximal reachability probability is 1 (Prob1E).
 
     de Alfaro's nested fixpoint nu X. mu Y, with the inner least
-    fixpoint as a backward traversal over *eligible* actions (support
-    inside X) and eligibility recomputed vectorised per outer round.
+    fixpoint as an attractor over *eligible* actions (support inside X)
+    and eligibility recomputed vectorised per outer round.
     """
-    target_set = _target_set(mdp, targets)
-    return _prob1_max(mdp, target_set, _can_reach(mdp, target_set))
-
-
-def _prob1_max(mdp, target_set, reach):
-    """:func:`prob1_max` from ``reach``, the :func:`_can_reach` flags.
-
-    With X = all states every action is eligible, so the first outer
-    round of the fixpoint is exactly :func:`_can_reach`; the iteration
-    starts from its result instead.
-    """
-    g = mdp.graph
-    n = mdp.num_states
-    cols = mdp.cols
-    pred_offsets = g.pred_offsets_l
-    pred_action = g.pred_action_l
-    action_state = g.action_state_l
-    x_mask = np.array(reach, dtype=bool)
-    x_count = int(np.count_nonzero(x_mask))
-    while True:
-        if len(cols):
-            eligible = np.bincount(
-                g.trans_action,
-                weights=(~x_mask)[cols].astype(np.float64),
-                minlength=mdp.num_actions) == 0
-        else:
-            eligible = np.ones(mdp.num_actions, dtype=bool)
-        eligible = eligible.tolist()
-        y = [False] * n
-        for t in target_set:
-            y[t] = True
-        y_count = len(target_set)
-        stack = list(target_set)
-        while stack:
-            t = stack.pop()
-            for k in range(pred_offsets[t], pred_offsets[t + 1]):
-                a = pred_action[k]
-                if not eligible[a]:
-                    continue
-                s = action_state[a]
-                if not y[s]:
-                    y[s] = True
-                    y_count += 1
-                    stack.append(s)
-        # y is a subset of x by monotonicity, so counts decide equality.
-        if y_count == x_count:
-            return {s for s, member in enumerate(y) if member}
-        x_mask = np.array(y, dtype=bool)
-        x_count = y_count
+    target = _target_mask(mdp, targets)
+    return _states(_prob1_max(mdp, target, _can_reach(mdp, target)))
 
 
 def prob1_min(mdp, targets):
@@ -185,30 +146,29 @@ def prob1_min(mdp, targets):
     complement of the states from which some scheduler reaches, with
     positive probability, the region where the target can be avoided
     surely (``prob0_min``)."""
-    target_set = _target_set(mdp, targets)
-    return _prob1_min(mdp, target_set, prob0_min(mdp, target_set))
+    target = _target_mask(mdp, targets)
+    return _states(_prob1_min(mdp, target, _prob0_min(mdp, target)))
 
 
-def _prob1_min(mdp, target_set, avoid):
-    """:func:`prob1_min` given ``avoid``, the :func:`prob0_min` set the
-    caller already holds (not modified)."""
-    g = mdp.graph
-    pred_offsets = g.pred_offsets_l
-    pred_source = g.pred_source_l
-    bad = set(avoid)
-    stack = list(bad)
-    while stack:
-        t = stack.pop()
-        for k in range(pred_offsets[t], pred_offsets[t + 1]):
-            # The transition itself witnesses an action with a successor
-            # in bad -> the adversary (who minimises reachability) can
-            # steer towards avoidance.
-            s = pred_source[k]
-            if s in bad or s in target_set:
-                continue
-            bad.add(s)
-            stack.append(s)
-    return set(range(mdp.num_states)) - bad
+def _precompute(mdp, target, maximize, rewards=False):
+    """The Prob0 and Prob1 masks of one query, as ``(zeros, ones)``,
+    computed in one ``mdp.prob01`` span.
+
+    A reachability query takes the sets of its own direction.  An
+    expected reward takes those of the other one: its maximiser makes
+    the reward infinite wherever some scheduler can miss the target,
+    and its minimiser wherever every scheduler can.
+    """
+    start = time.perf_counter()
+    with span("mdp.prob01", maximize=maximize):
+        if maximize != rewards:
+            reach = _can_reach(mdp, target)
+            zeros, ones = ~reach, _prob1_max(mdp, target, reach)
+        else:
+            zeros = _prob0_min(mdp, target)
+            ones = _prob1_min(mdp, target, zeros)
+    observe("mdp.prob01_ms", (time.perf_counter() - start) * 1000.0)
+    return zeros, ones
 
 
 # -- value iteration -------------------------------------------------------------
@@ -273,25 +233,12 @@ def reachability_probability(mdp, targets, maximize=True, epsilon=1e-12,
     :func:`_interval_upper_max`) and returns the midpoint, guaranteeing
     the result is within ``epsilon`` of the true value.
     """
-    targets = _target_set(mdp, targets)
-    if not targets:
+    target = _target_mask(mdp, targets)
+    if not target.any():
         return np.zeros(mdp.num_states)
-    start = time.perf_counter()
-    with span("mdp.prob01", maximize=maximize):
-        if maximize:
-            reach = _can_reach(mdp, targets)
-            zeros = {s for s, r in enumerate(reach) if not r}
-            ones = _prob1_max(mdp, targets, reach)
-        else:
-            zeros = prob0_min(mdp, targets)
-            ones = _prob1_min(mdp, targets, zeros)
-    observe("mdp.prob01_ms", (time.perf_counter() - start) * 1000.0)
-    values = np.zeros(mdp.num_states)
-    for s in ones:
-        values[s] = 1.0
-    frozen = np.zeros(mdp.num_states, dtype=bool)
-    for s in zeros | ones | targets:
-        frozen[s] = True
+    zeros, ones = _precompute(mdp, target, maximize)
+    values = ones.astype(np.float64)
+    frozen = zeros | ones | target
     iterations = topological_value_iteration(
         mdp, values, frozen, maximize, epsilon=epsilon)
     if not interval:
@@ -306,9 +253,7 @@ def reachability_probability(mdp, targets, maximize=True, epsilon=1e-12,
         # Minimal reachability needs no collapse: with the prob0_min
         # region pinned at 0 the Bellman operator has a unique fixpoint
         # on the rest, so the from-above sequence converges to it.
-        upper = np.ones(mdp.num_states)
-        for s in zeros:
-            upper[s] = 0.0
+        upper = np.where(zeros, 0.0, 1.0)
         upper_iterations = topological_value_iteration(
             mdp, upper, frozen, maximize, epsilon=epsilon)
     incr("mdp.vi_iterations", iterations + upper_iterations)
@@ -329,21 +274,10 @@ def expected_total_reward(mdp, targets, maximize=True, epsilon=1e-12,
     to avoid the target) have infinite expected reward, following the
     standard model-checking semantics.
     """
-    targets = _target_set(mdp, targets)
-    start = time.perf_counter()
-    with span("mdp.prob01", maximize=maximize):
-        certain = (prob1_min(mdp, targets) if maximize
-                   else prob1_max(mdp, targets))
-    observe("mdp.prob01_ms", (time.perf_counter() - start) * 1000.0)
-    infinite = np.ones(mdp.num_states, dtype=bool)
-    for s in certain:
-        infinite[s] = False
-    for s in targets:
-        infinite[s] = False
-    frozen = np.zeros(mdp.num_states, dtype=bool)
-    for s in targets:
-        frozen[s] = True
-    frozen |= infinite
+    target = _target_mask(mdp, targets)
+    _zeros, certain = _precompute(mdp, target, maximize, rewards=True)
+    infinite = ~(certain | target)
+    frozen = target | infinite
     # Infinite states are frozen at a huge finite sentinel (np.inf * 0
     # would poison the products with nan) so they never look attractive
     # when minimising; restored to inf afterwards.
@@ -354,7 +288,7 @@ def expected_total_reward(mdp, targets, maximize=True, epsilon=1e-12,
         # too low (a scheduler could "hide" in a free cycle), so iterate
         # from above, which converges to the optimal proper policy.
         work = np.where(frozen, work, sentinel / 4)
-        work[list(targets)] = 0.0
+        work[target] = 0.0
     iterations = topological_value_iteration(
         mdp, work, frozen, maximize, rewards=mdp.action_rewards,
         epsilon=epsilon, max_iterations=max_iterations)
@@ -364,12 +298,8 @@ def expected_total_reward(mdp, targets, maximize=True, epsilon=1e-12,
 
 def bounded_reachability(mdp, targets, steps, maximize=True):
     """Probability of reaching the target within ``steps`` actions."""
-    targets = _target_set(mdp, targets)
-    values = np.zeros(mdp.num_states)
-    frozen = np.zeros(mdp.num_states, dtype=bool)
-    for s in targets:
-        values[s] = 1.0
-        frozen[s] = True
+    frozen = _target_mask(mdp, targets)
+    values = frozen.astype(np.float64)
     reduce_actions = np.maximum if maximize else np.minimum
     for _ in range(steps):
         contrib = mdp.probs * values[mdp.cols]

@@ -102,45 +102,64 @@ def tarjan_scc(n, offsets, targets):
 def concat_ranges(lo, hi):
     """Concatenate the integer ranges ``[lo[k], hi[k])`` into one array."""
     counts = hi - lo
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    shift = lo - np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
+    return ((lo - ends + counts).repeat(counts)
+            + np.arange(total, dtype=np.int64))
 
 
-def _peel_sinks(pred_offsets, pred_source):
-    """Peel sink states bottom up, one vectorised level at a time, over
-    the predecessor CSR (``pred_source`` holds the source state of each
-    incoming transition, grouped by target).
+def _distinct(values):
+    """The distinct entries of ``values`` in ascending order: what
+    ``np.unique`` returns, at a fraction of its fixed cost on the
+    short arrays of an attractor round."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
-    A sink has no transitions left but self-loops; removing a level of
-    sinks can make their predecessors sinks.  Returns the peeled states
-    in peel order (ascending within a level) and each one's level,
-    which is the height of its singleton SCC in the condensation.
-    States on a cycle, or that reach one, stay unpeeled.
+
+def attractor(g, seeds, need, by_action=False, eligible=None):
+    """Backward attractor of the ``seeds`` mask over the predecessor
+    CSR of ``g``, one vectorised frontier at a time.
+
+    Each round takes the transitions into the last frontier and maps
+    them to *units*: the transitions themselves or, with ``by_action``,
+    their actions, each action counted once.  With ``eligible`` (a mask
+    over units) only eligible units count.  A state joins once
+    ``need[s]`` of its units (``need`` may be a scalar) lead into the
+    joined states; one that must never join gets a ``need`` above its
+    number of units.  Returns the joined mask and the frontiers: the
+    seeds, then the states each round added, each in ascending order.
     """
-    n = len(pred_offsets) - 1
-    target = np.repeat(np.arange(n), np.diff(pred_offsets))
-    proper = pred_source != target
-    pred_source = pred_source[proper]
-    remaining = np.bincount(pred_source, minlength=n)
-    offsets = np.concatenate(
-        ([0], np.cumsum(np.bincount(target[proper], minlength=n))))
-    levels = []
-    level = np.flatnonzero(remaining == 0)
-    while level.size:
-        levels.append(level)
-        preds, counts = np.unique(
-            pred_source[concat_ranges(offsets[level], offsets[level + 1])],
-            return_counts=True)
-        remaining[preds] -= counts
-        level = preds[remaining[preds] == 0]
-    if not levels:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-    height = np.repeat(np.arange(len(levels), dtype=np.int32),
-                       [len(level) for level in levels])
-    return np.concatenate(levels), height
+    joined = seeds.copy()
+    need = np.broadcast_to(need, joined.shape)
+    count = np.zeros(len(joined), dtype=np.int64)
+    if by_action:
+        owner = g.action_state
+        counted = np.zeros(len(owner), dtype=bool)
+    else:
+        owner = g.trans_source
+    frontier = np.flatnonzero(joined)
+    frontiers = []
+    while frontier.size:
+        frontiers.append(frontier)
+        units = g.pred_trans[concat_ranges(g.pred_offsets[frontier],
+                                           g.pred_offsets[frontier + 1])]
+        if by_action:
+            units = _distinct(g.trans_action[units])
+            units = units[~counted[units]]
+            counted[units] = True
+        if eligible is not None:
+            units = units[eligible[units]]
+        states = owner[units]
+        np.add.at(count, states, 1)
+        frontier = _distinct(
+            states[(count[states] >= need[states]) & ~joined[states]])
+        joined[frontier] = True
+    return joined, frontiers
 
 
 class GraphCore:
@@ -148,12 +167,10 @@ class GraphCore:
 
     Built once by :meth:`repro.mdp.MDP.finalize`; every analysis in
     :mod:`repro.mdp.analysis` reads these arrays instead of rescanning
-    the per-state action lists.  The ``*_l`` attributes are the plain
-    lists walked by the O(transitions) attractor fixpoints (Python-int
-    indexing is several times faster than NumPy scalar indexing in
-    those loops): ``pred_source_l`` and ``pred_action_l`` give the
-    source state and the action of each incoming transition in
-    predecessor-CSR order.  SCC ids below
+    the per-state action lists, and every backward fixpoint runs as an
+    :func:`attractor` over the predecessor CSR (``pred_offsets``,
+    ``pred_trans``) and the owner maps (``trans_source``,
+    ``trans_action``, ``action_state``).  SCC ids below
     ``len(peel_height)`` are the peeled singletons, and ``peel_height``
     holds each one's peel level.  ``levels`` holds the
     :class:`LevelPlan` once the first value iteration has built it.
@@ -164,8 +181,6 @@ class GraphCore:
         "trans_action", "trans_source", "action_state",
         "pred_offsets", "pred_trans",
         "scc_of", "scc_count", "peel_height", "levels",
-        "pred_offsets_l", "pred_source_l", "pred_action_l",
-        "action_state_l",
     )
 
     @classmethod
@@ -196,37 +211,42 @@ class GraphCore:
         else:
             self.pred_trans = np.empty(0, dtype=np.int64)
             self.pred_offsets = np.zeros(n + 1, dtype=np.int64)
-        pred_source = self.trans_source[self.pred_trans]
-        order, self.peel_height = _peel_sinks(self.pred_offsets, pred_source)
-        peeled = len(order)
+        # Sink peel: a state joins once all its transitions but
+        # self-loops lead to peeled states; round k is peel level k,
+        # the height of its singleton SCCs in the condensation.  States
+        # on a cycle, or that reach one, stay unpeeled.
+        need = np.bincount(self.trans_source[self.trans_source != cols],
+                           minlength=n)
+        peeled, levels = attractor(self, need == 0, need)
+        self.peel_height = np.repeat(
+            np.arange(len(levels), dtype=np.int32),
+            [len(level) for level in levels])
+        self.scc_count = peel_count = len(self.peel_height)
         scc_of = np.empty(n, dtype=np.int32)
-        scc_of[order] = np.arange(peeled, dtype=np.int32)
-        self.scc_count = peeled
-        if peeled < n:
+        if levels:
+            scc_of[np.concatenate(levels)] = np.arange(peel_count,
+                                                       dtype=np.int32)
+        if peel_count < n:
             # Tarjan on the subgraph the peel left, renumbered 0..r-1;
             # its edges into peeled states lead to smaller ids anyway.
-            residue = np.ones(n, dtype=bool)
-            residue[order] = False
+            residue = ~peeled
             local = np.cumsum(residue) - 1
             inner = residue[self.trans_source] & residue[cols]
             offsets_l, targets_l = _filtered_csr(
-                n - peeled, local[self.trans_source[inner]],
+                n - peel_count, local[self.trans_source[inner]],
                 local[cols[inner]])
-            residue_scc, count = tarjan_scc(n - peeled, offsets_l, targets_l)
-            scc_of[residue] = peeled + np.asarray(residue_scc,
-                                                  dtype=np.int32)
+            residue_scc, count = tarjan_scc(n - peel_count, offsets_l,
+                                            targets_l)
+            scc_of[residue] = peel_count + np.asarray(residue_scc,
+                                                      dtype=np.int32)
             self.scc_count += count
         self.scc_of = scc_of
         self.levels = None
-        self.pred_offsets_l = self.pred_offsets.tolist()
-        self.pred_source_l = pred_source.tolist()
-        self.pred_action_l = self.trans_action[self.pred_trans].tolist()
-        self.action_state_l = self.action_state.tolist()
         set_gauge("mdp.scc_count", self.scc_count)
         return self
 
     def __repr__(self):
-        return (f"GraphCore({len(self.action_state_l)} actions, "
+        return (f"GraphCore({len(self.action_state)} actions, "
                 f"{self.scc_count} SCCs)")
 
 

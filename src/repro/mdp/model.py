@@ -168,15 +168,6 @@ class MDP:
             out.update(t for t, _p in pairs)
         return out
 
-    def predecessors_map(self):
-        """state -> set of predecessor states (graph view)."""
-        preds = [set() for _ in range(self.num_states)]
-        for s, acts in enumerate(self._actions):
-            for _label, pairs, _reward in acts:
-                for t, _p in pairs:
-                    preds[t].add(s)
-        return preds
-
     def __repr__(self):
         return (f"MDP({self.name}, {self.num_states} states, "
                 f"{self.num_transitions} transitions)")

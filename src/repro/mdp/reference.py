@@ -32,11 +32,21 @@ from ..core.errors import AnalysisError, ModelError, SearchLimitError
 
 # -- graph precomputations ------------------------------------------------------
 
+def _predecessors_map(mdp):
+    """state -> set of predecessor states (graph view)."""
+    preds = [set() for _ in range(mdp.num_states)]
+    for s, acts in enumerate(mdp._actions):
+        for _label, pairs, _reward in acts:
+            for t, _p in pairs:
+                preds[t].add(s)
+    return preds
+
+
 def prob0_max(mdp, targets):
     """States where the *maximal* reachability probability is 0:
     no path reaches the target at all."""
     can_reach = set(targets)
-    preds = mdp.predecessors_map()
+    preds = _predecessors_map(mdp)
     stack = list(targets)
     while stack:
         t = stack.pop()
@@ -114,7 +124,7 @@ def prob1_min(mdp, targets):
     # States with min prob < 1: some scheduler reaches avoid_surely with
     # positive probability (standard Prob1A complement).
     bad = set(avoid_surely)
-    preds = mdp.predecessors_map()
+    preds = _predecessors_map(mdp)
     stack = list(bad)
     while stack:
         t = stack.pop()

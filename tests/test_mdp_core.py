@@ -114,7 +114,7 @@ def layered_mdps(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_mdps())
+@given(st.one_of(random_mdps(), layered_mdps()))
 def test_prob01_sets_match_reference(case):
     mdp, targets = case
     mdp.finalize()
@@ -122,8 +122,9 @@ def test_prob01_sets_match_reference(case):
                            (core.prob0_min, ref.prob0_min),
                            (core.prob1_max, ref.prob1_max),
                            (core.prob1_min, ref.prob1_min)):
-        assert new_fn(mdp, targets) == ref_fn(mdp, targets), \
-            new_fn.__name__
+        states = new_fn(mdp, targets)
+        assert states == ref_fn(mdp, targets), new_fn.__name__
+        assert all(type(s) is int for s in states), new_fn.__name__
 
 
 @settings(max_examples=150, deadline=None)
