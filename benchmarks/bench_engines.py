@@ -350,7 +350,8 @@ def flight_overhead_measurement(n, abstraction="lu+", rounds=5,
                                 min_sample_seconds=0.3):
     """Measured wall-time cost of the flight recorder on the Fischer
     exploration: recorder-off and recorder-on samples alternate on
-    fresh graphs (so neither side inherits warm caches), and the
+    fresh graphs (so neither side inherits warm caches), the side
+    that runs first alternating from round to round, and the
     overhead is computed best-of-``rounds`` against best-of-``rounds``
     — the *min* is the noise-robust statistic for a fixed workload.
     Each timed sample batches enough explorations to last at least
@@ -381,9 +382,14 @@ def flight_overhead_measurement(n, abstraction="lu+", rounds=5,
 
     def measure(n_rounds):
         offs, ons = [], []
-        for _ in range(n_rounds):
-            offs.append(timed(False, iters))
-            ons.append(timed(True, iters))
+        for round_ in range(n_rounds):
+            # Alternate which side runs first, so that neither side
+            # always runs right after the other and inherits its
+            # leftovers (or the host's drift) in every round.
+            first_on = round_ % 2 == 0
+            for recorder_on in (first_on, not first_on):
+                (ons if recorder_on else offs).append(
+                    timed(recorder_on, iters))
         ratio = max(0.0, min(ons) / min(offs) - 1.0)
         print(f"flight-recorder overhead: {ratio:.2%} "
               f"(best off {min(offs):.3f}s, best on {min(ons):.3f}s, "

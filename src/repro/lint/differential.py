@@ -54,6 +54,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..mc.reachability import explore
 from ..mc.reference import reference_explore
 from ..mdp import analysis as core_analysis
@@ -244,12 +246,17 @@ def _check_mdp(gate, model_name, network_a, network_b, predicate):
         new.mdp.num_states == ref.mdp.num_states,
         f"builder states {new.mdp.num_states} vs reference "
         f"{ref.mdp.num_states}")
+    same = new.mdp.num_states == ref.mdp.num_states
+    if same:
+        mine, theirs = new.mdp.finalize(), ref.mdp.finalize()
+        same = (all(np.array_equal(getattr(mine, name), getattr(theirs, name))
+                    for name in ("cols", "probs", "action_offsets",
+                                 "action_rewards", "state_offsets"))
+                and mine.action_labels == theirs.action_labels)
     gate.record(
-        "mdp-vs-reference", model_name, "actions",
-        new.mdp._actions == ref.mdp._actions,
-        "per-state action tables "
-        + ("identical" if new.mdp._actions == ref.mdp._actions
-           else "differ"))
+        "mdp-vs-reference", model_name, "actions", same,
+        "sparse arrays and action labels "
+        + ("identical" if same else "differ"))
     if new.mdp.num_states != ref.mdp.num_states:
         return
     targets_new = new.states_where(predicate)

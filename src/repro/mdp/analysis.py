@@ -183,44 +183,64 @@ def _interval_upper_max(mdp, values, frozen, epsilon):
     at its starting value (1) regardless of the true probability.
     """
     n = mdp.num_states
+    g = mdp.graph
     mec_of, mec_count = maximal_end_components(mdp, restrict=~frozen)
-    mec_l = mec_of.tolist()
-    frozen_l = frozen.tolist()
-    # Quotient state ids: every non-MEC state keeps its own, each MEC
-    # becomes one fresh state.
-    q_of = [0] * n
+    # Quotient ids in state order: every non-MEC state keeps its own,
+    # each MEC becomes one fresh state at its first member.
+    members = np.flatnonzero(mec_of >= 0)
+    head = np.full(mec_count, n, dtype=np.int64)
+    np.minimum.at(head, mec_of[members], members)
+    fresh = mec_of < 0
+    fresh[head] = True
+    q_of = np.cumsum(fresh) - 1
+    q_of[members] = q_of[head[mec_of[members]]]
+    nq = int(fresh.sum())
+    # Keep the actions of live states that leave their MEC (an internal
+    # one would be a quotient self-loop); frozen quotient states stay
+    # absorbing.
+    cols = mdp.cols
+    owner = g.action_state
+    internal = np.logical_and.reduceat(
+        mec_of[cols] == mec_of[g.trans_source], mdp.action_offsets)
+    keep = ~frozen[owner] & ~((mec_of[owner] >= 0) & internal)
+    trans = keep[g.trans_action]
+    action = g.trans_action[trans]
+    targets = q_of[cols[trans]]
+    probs = mdp.probs[trans]
+    # Targets of one action that fall into one MEC merge into a single
+    # transition whose probability sums theirs in order, as add_action
+    # would merge them.
+    key = action * nq + targets
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[1:] = key[order[1:]] == key[order[:-1]]
+    if repeat.any():
+        group = np.empty(len(key), dtype=np.int64)
+        group[order] = np.cumsum(~repeat) - 1
+        merged = np.zeros(len(order) - int(repeat.sum()))
+        np.add.at(merged, group, probs)
+        first = np.zeros(len(key), dtype=bool)
+        first[order[~repeat]] = True
+        action, targets = action[first], targets[first]
+        probs = merged[group[first]]
     quotient = MDP(f"{mdp.name}/mec")
-    mec_id = [-1] * mec_count
-    for s in range(n):
-        m = mec_l[s]
-        if m >= 0:
-            if mec_id[m] < 0:
-                mec_id[m] = quotient.add_state()
-            q_of[s] = mec_id[m]
-        else:
-            q_of[s] = quotient.add_state()
-    for s in range(n):
-        if frozen_l[s]:
-            continue  # frozen quotient states stay absorbing
-        ms = mec_l[s]
-        for _label, pairs, _r in mdp._actions[s]:
-            if ms >= 0 and all(mec_l[t] == ms for t, _p in pairs):
-                continue  # MEC-internal action: a quotient self-loop
-            quotient.add_action(
-                q_of[s], [(p, q_of[t]) for t, p in pairs])
+    quotient.num_states = nq
+    quotient._source = q_of[owner[keep]]
+    quotient._label = [None] * int(keep.sum())
+    quotient._reward = np.zeros(len(quotient._label))
+    quotient._end = np.cumsum(
+        np.bincount(action, minlength=len(keep))[keep])
+    quotient._target, quotient._prob = targets, probs
     quotient.finalize()
-    nq = quotient.num_states
     upper_q = np.ones(nq)
     frozen_q = np.zeros(nq, dtype=bool)
-    for s in range(n):
-        if frozen_l[s]:
-            upper_q[q_of[s]] = values[s]
-            frozen_q[q_of[s]] = True
+    upper_q[q_of[frozen]] = values[frozen]
+    frozen_q[q_of[frozen]] = True
     iterations = topological_value_iteration(
         quotient, upper_q, frozen_q, maximize=True, epsilon=epsilon)
     upper = values.copy()
     live = ~frozen
-    upper[live] = upper_q[np.asarray(q_of, dtype=np.int64)[live]]
+    upper[live] = upper_q[q_of[live]]
     return upper, iterations
 
 

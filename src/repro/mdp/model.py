@@ -11,6 +11,7 @@ A DTMC is simply an MDP with one action per state.
 from __future__ import annotations
 
 from math import isfinite
+from operator import index as as_index
 
 import numpy as np
 
@@ -25,22 +26,41 @@ class MDP:
     :meth:`finalize`.  States without actions receive an implicit
     self-loop so every state has at least one enabled action (the usual
     explicit-engine convention for absorbing states).
+
+    The model is flat from its first action on.  While it is built it
+    holds append-only buffers, one entry per action in the order the
+    actions were added (``_source``, ``_label``, ``_reward`` and
+    ``_end``, the end offset of its transitions) and one entry per
+    transition (``_target``, ``_prob``).  Every pair stored there is
+    merged and positive.  :meth:`add_action` appends to them, and so
+    do :func:`repro.pta.build_digital_mdp` and the MEC quotient of
+    :mod:`repro.mdp.analysis`, which write the same layout directly.
+    :meth:`finalize` groups the buffers by source state into the
+    frozen arrays: ``cols`` / ``probs`` per transition grouped by
+    action, ``action_offsets``, ``action_rewards`` and
+    ``action_labels`` per action grouped by state, ``state_offsets``
+    per state.  :meth:`actions_of` reads either form.
     """
 
     def __init__(self, name="mdp"):
         self.name = name
-        self._actions = []       # per state: list of (label, pairs, reward)
         self.labels = {}         # label -> set of state indices
         self.initial_state = 0
+        self.num_states = 0
         self._frozen = False
+        self._source, self._label, self._reward, self._end = [], [], [], []
+        self._target, self._prob = [], []
+        #: (action count, per-state action indices) of the buffers, for
+        #: :meth:`actions_of` before :meth:`finalize`
+        self._by_source = (0, [])
 
     # -- construction -----------------------------------------------------------
 
     def add_state(self, labels=()):
         if self._frozen:
             raise ModelError("MDP already finalized")
-        index = len(self._actions)
-        self._actions.append([])
+        index = self.num_states
+        self.num_states = index + 1
         for label in labels:
             self.labels.setdefault(label, set()).add(index)
         return index
@@ -58,15 +78,15 @@ class MDP:
         zero-probability pairs are dropped.  Note the *stored* shape
         (as returned by :meth:`actions_of`) is the transposed
         post-merge tuple ``(target_state, probability)`` — the layout
-        :meth:`finalize` flattens into ``cols`` / ``probs``.
+        :meth:`finalize` groups into ``cols`` / ``probs``.
         """
         if self._frozen:
             raise ModelError("MDP already finalized")
         try:
-            actions = self._actions[state] if state >= 0 else None
-        except (IndexError, TypeError):
-            actions = None
-        if actions is None:
+            source = as_index(state)
+        except TypeError:
+            source = -1
+        if not 0 <= source < self.num_states:
             raise ModelError(f"unknown source state {state!r}")
         reward = float(reward)
         if not isfinite(reward):
@@ -78,33 +98,62 @@ class MDP:
             if not (abs(p - 1.0) <= 1e-9):
                 raise ModelError(
                     f"action probabilities sum to {p}, expected 1")
-            actions.append((label, ((t, 0.0 + p),), reward))
-            return
-        total = sum(p for p, _t in pairs)
-        if not (abs(total - 1.0) <= 1e-9):
-            raise ModelError(
-                f"action probabilities sum to {total}, expected 1")
-        merged = {}
-        for p, t in pairs:
-            if p < 0:
-                raise ModelError(f"negative probability {p}")
-            if p > 0:
-                merged[t] = merged.get(t, 0.0) + p
-        actions.append((label, tuple(merged.items()), reward))
-
-    @property
-    def num_states(self):
-        return len(self._actions)
+            self._target.append(t)
+            self._prob.append(0.0 + p)
+        else:
+            total = sum(p for p, _t in pairs)
+            if not (abs(total - 1.0) <= 1e-9):
+                raise ModelError(
+                    f"action probabilities sum to {total}, expected 1")
+            merged = {}
+            for p, t in pairs:
+                if p < 0:
+                    raise ModelError(f"negative probability {p}")
+                if p > 0:
+                    merged[t] = merged.get(t, 0.0) + p
+            self._target.extend(merged)
+            self._prob.extend(merged.values())
+        self._source.append(source)
+        self._label.append(label)
+        self._reward.append(reward)
+        self._end.append(len(self._target))
 
     @property
     def num_transitions(self):
-        if self._frozen:
-            return len(self.cols)
-        return sum(len(pairs) for acts in self._actions
-                   for _l, pairs, _r in acts)
+        return len(self.cols) if self._frozen else len(self._target)
 
     def actions_of(self, state):
-        return self._actions[state]
+        """The actions of ``state`` as ``(label, ((target, probability),
+        ...), reward)`` tuples, in the order they were added (after
+        :meth:`finalize`, the implicit self-loop of an action-less
+        state)."""
+        if self._frozen:
+            g = self.graph
+            first = int(g.state_offsets_all[state])
+            last = int(g.state_offsets_all[state + 1])
+            bounds = g.action_offsets_all[first:last + 1].tolist()
+            targets = self.cols[bounds[0]:bounds[-1]].tolist()
+            probs = self.probs[bounds[0]:bounds[-1]].tolist()
+            bounds = [b - bounds[0] for b in bounds]
+            return [
+                (label, tuple(zip(targets[lo:hi], probs[lo:hi])), reward)
+                for label, lo, hi, reward in zip(
+                    self.action_labels[first:last], bounds, bounds[1:],
+                    self.action_rewards[first:last].tolist())]
+        count, by_source = self._by_source
+        if count != len(self._source) or len(by_source) != self.num_states:
+            by_source = [[] for _ in range(self.num_states)]
+            for action, source in enumerate(self._source):
+                by_source[source].append(action)
+            self._by_source = (len(self._source), by_source)
+        ends, targets, probs = self._end, self._target, self._prob
+        actions = []
+        for a in by_source[state]:
+            lo, hi = ends[a - 1] if a else 0, ends[a]
+            actions.append((self._label[a],
+                            tuple(zip(targets[lo:hi], probs[lo:hi])),
+                            self._reward[a]))
+        return actions
 
     def states_with(self, label):
         return self.labels.get(label, set())
@@ -125,48 +174,56 @@ class MDP:
         return self
 
     def _compile(self):
-        for state, acts in enumerate(self._actions):
-            if not acts:
-                acts.append((None, ((state, 1.0),), 0.0))
-        # Flat layout: transitions grouped by action, actions by state.
-        probs, cols = [], []
-        action_offsets = [0]
-        action_rewards = []
-        state_offsets = [0]
-        for acts in self._actions:
-            for _label, pairs, reward in acts:
-                for target, p in pairs:
-                    probs.append(p)
-                    cols.append(target)
-                action_offsets.append(len(probs))
-                action_rewards.append(reward)
-            state_offsets.append(len(action_rewards))
-        n = len(self._actions)
-        cols = np.asarray(cols)
-        if cols.size and cols.dtype.kind not in "iu":
+        from .graph import GraphCore, concat_ranges
+
+        n = self.num_states
+        targets = np.asarray(self._target)
+        if targets.size and targets.dtype.kind not in "iu":
             raise ModelError(
                 f"action targets of {self.name} must be state indices")
+        sources = np.asarray(self._source, dtype=np.int64)
+        m = len(targets)
+        counts = np.bincount(sources, minlength=n)
+        # Every action-less state gets a self-loop, appended last.
+        idle = np.flatnonzero(counts == 0)
+        sources = np.concatenate((sources, idle))
+        ends = np.concatenate((np.asarray(self._end, dtype=np.int64),
+                               np.arange(m + 1, m + 1 + len(idle))))
+        lengths = np.diff(ends, prepend=0)
+        # Stable group-by-source: builders may add states' actions in
+        # any state order, but a state's own actions keep theirs.
+        order = np.argsort(sources, kind="stable")
+        trans = concat_ranges((ends - lengths)[order], ends[order])
+        cols = np.concatenate(
+            (targets.astype(np.int64, copy=False), idle))[trans]
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             bad = cols[(cols < 0) | (cols >= n)][0]
             raise ModelError(
                 f"action target {bad} is not a state of {self.name} "
                 f"({n} states)")
-        self.probs = np.asarray(probs, dtype=np.float64)
-        self.cols = cols.astype(np.int64, copy=False)
-        self.action_offsets = np.asarray(action_offsets[:-1], dtype=np.int64)
-        self.action_rewards = np.asarray(action_rewards, dtype=np.float64)
-        self.state_offsets = np.asarray(state_offsets[:-1], dtype=np.int64)
-        self.num_actions = len(action_rewards)
+        self.cols = cols
+        self.probs = np.concatenate(
+            (np.asarray(self._prob, dtype=np.float64),
+             np.ones(len(idle))))[trans]
+        lengths = lengths[order]
+        self.action_offsets = np.cumsum(lengths) - lengths
+        self.action_rewards = np.concatenate(
+            (np.asarray(self._reward, dtype=np.float64),
+             np.zeros(len(idle))))[order]
+        labels = self._label + [None] * len(idle)
+        self.action_labels = [labels[a] for a in order.tolist()]
+        counts[idle] = 1
+        self.state_offsets = np.cumsum(counts) - counts
+        self.num_actions = len(order)
         self._frozen = True
-        from .graph import GraphCore
+        self._source = self._label = self._reward = self._end = None
+        self._target = self._prob = self._by_source = None
         self.graph = GraphCore.build(self)
 
     def successors(self, state):
         """Union of all action supports (graph view)."""
-        out = set()
-        for _label, pairs, _reward in self._actions[state]:
-            out.update(t for t, _p in pairs)
-        return out
+        return {t for _label, pairs, _reward in self.actions_of(state)
+                for t, _p in pairs}
 
     def __repr__(self):
         return (f"MDP({self.name}, {self.num_states} states, "

@@ -35,8 +35,8 @@ from ..core.errors import AnalysisError, ModelError, SearchLimitError
 def _predecessors_map(mdp):
     """state -> set of predecessor states (graph view)."""
     preds = [set() for _ in range(mdp.num_states)]
-    for s, acts in enumerate(mdp._actions):
-        for _label, pairs, _reward in acts:
+    for s in range(mdp.num_states):
+        for _label, pairs, _reward in mdp.actions_of(s):
             for t, _p in pairs:
                 preds[t].add(s)
     return preds

@@ -22,10 +22,24 @@ state.  Builder and the :class:`~repro.pta.simulate.DigitalSimulator`
 :func:`digital_semantics`, which also carries the simulator's bounded
 ``step_plans`` table.
 
+The builder writes the MDP flat from the start: each expanded state's
+actions are appended straight into the construction buffers of
+:class:`~repro.mdp.MDP` (per action its source, label, reward and
+transition end offset, per transition its target and probability),
+the layout :meth:`~repro.mdp.MDP.add_action` writes, with no tuple,
+merge dict or method call per action.  A fire's outcome
+probabilities are fixed once they are compiled, so their sum is
+computed once per fire (``mass``) and checked against 1 as
+``add_action`` would check it.  Only a fire with several outcomes can
+reach one state twice; those outcomes are merged into one transition
+as ``add_action`` merges them.  :meth:`~repro.mdp.MDP.finalize` then
+groups the actions by source state in one vectorised step, since the
+builder expands states in LIFO order, not index order.
+
 The builder pauses the cyclic garbage collector around its
-exploration loop: the loop allocates hundreds of thousands of tuples,
-dicts and states, which would trigger full collections, yet it creates
-no reference cycles (states, keys and actions only point at immutable
+exploration loop: the loop allocates tens of thousands of states,
+clock tuples and dicts, which would trigger full collections, yet it
+creates no reference cycles (states and keys only point at immutable
 data and at one another's indices), so those collections find nothing
 to free.  Reference counting still frees everything as usual, and the
 caller's ``gc.isenabled()`` state is restored even when the build
@@ -44,7 +58,7 @@ from __future__ import annotations
 import gc
 from weakref import WeakKeyDictionary
 
-from ..core.errors import SearchLimitError
+from ..core.errors import ModelError, SearchLimitError
 from ..obs import checkpoint
 from ..ta.discrete import DiscreteSemantics, DiscreteState
 
@@ -135,8 +149,17 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
     config_for = sem.config_for
     expand = sem.expand
     mdp = MDP(network.name)
-    add_state = mdp.add_state
-    add_action = mdp.add_action
+    # The MDP's construction buffers (see MDP): per action its source,
+    # label, reward and transition end offset, per transition its
+    # target and probability.
+    add_source = mdp._source.append
+    add_label = mdp._label.append
+    add_reward = mdp._reward.append
+    add_end = mdp._end.append
+    targets = mdp._target
+    probs = mdp._prob
+    add_target = targets.append
+    add_prob = probs.append
     initial = sem.initial()
     tick_reward = 1.0 if time_reward else 0.0
 
@@ -159,7 +182,6 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
                 raise SearchLimitError(
                     f"digital MDP exceeds {max_states} states",
                     limit=max_states)
-            add_state()
             table[clocks] = idx
             states.append(DiscreteState(locs, valuation, clocks))
             queue.append(idx)
@@ -174,6 +196,7 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
         # Build-local, so the shared LRU pays its recency bookkeeping once
         # per configuration rather than once per state.
         configs = {}
+        m = 0   # transitions appended so far
 
         while queue:
             current = queue.pop()
@@ -185,16 +208,44 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
                 config = configs[key] = config_for(locs, valuation)
             fires, ticked = expand(config, state.clocks)
             for fire, outcomes in fires:
-                add_action(
-                    current,
-                    [(p, intern(to_locs, to_valuation, to_clocks))
-                     for p, to_locs, to_valuation, to_clocks in outcomes],
-                    label=fire.label, reward=0.0)
+                if len(outcomes) == 1:
+                    ((p, to_locs, to_valuation, to_clocks),) = outcomes
+                    add_target(intern(to_locs, to_valuation, to_clocks))
+                    add_prob(p)
+                    m += 1
+                else:
+                    # A state reached by several outcomes gets one
+                    # transition carrying their summed probability.
+                    start = m
+                    for p, to_locs, to_valuation, to_clocks in outcomes:
+                        target = intern(to_locs, to_valuation, to_clocks)
+                        for j in range(start, m):
+                            if targets[j] == target:
+                                probs[j] += p
+                                break
+                        else:
+                            add_target(target)
+                            add_prob(p)
+                            m += 1
+                mass = fire.mass
+                if mass != 1.0 and not abs(mass - 1.0) <= 1e-9:
+                    raise ModelError(
+                        f"action probabilities sum to {mass}, expected 1")
+                add_source(current)
+                add_label(fire.label)
+                add_reward(0.0)
+                add_end(m)
             if ticked is not None:
-                add_action(current, [(1.0, intern(locs, valuation, ticked))],
-                           label="tick", reward=tick_reward)
+                add_target(intern(locs, valuation, ticked))
+                add_prob(1.0)
+                m += 1
+                add_source(current)
+                add_label("tick")
+                add_reward(tick_reward)
+                add_end(m)
     finally:
         if gc_was_enabled:
             gc.enable()
+    mdp.num_states = len(states)
     checkpoint("pta.digital", len(states))
     return DigitalMDP(mdp, states, network)

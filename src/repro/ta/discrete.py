@@ -134,11 +134,13 @@ class _Fire:
     invariant plan.  ``dirac``, set with ``outcomes``, records whether
     the transition had a single branch combination, which decides what
     a broken target invariant means in
-    :meth:`DiscreteSemantics.expand`.
+    :meth:`DiscreteSemantics.expand`, and ``mass`` the sum of the
+    outcome probabilities, which the digital-clocks builder checks
+    against 1.
     """
 
     __slots__ = ("transition", "label", "guard", "controllable",
-                 "outcomes", "dirac")
+                 "outcomes", "dirac", "mass")
 
     def __init__(self, transition):
         self.transition = transition
@@ -150,6 +152,7 @@ class _Fire:
             edge.controllable for _process, edge in transition.participants)
         self.outcomes = None
         self.dirac = None
+        self.mass = None
 
 
 class _Config:
@@ -210,8 +213,8 @@ class DiscreteSemantics:
         return config
 
     def _compile_outcomes(self, config, fire):
-        """Fill in ``fire.outcomes`` and ``fire.dirac``; an update that
-        raises leaves both unset."""
+        """Fill in ``fire.outcomes``, ``fire.dirac`` and ``fire.mass``;
+        an update that raises leaves them unset."""
         participants = fire.transition.participants
         combos = list(product(*[edge_branches(edge)
                                 for _process, edge in participants]))
@@ -233,6 +236,7 @@ class DiscreteSemantics:
             outcomes.append((probability, locs, env.commit(), tuple(resets),
                              self._invariant_plan(locs)))
         fire.dirac = len(combos) == 1
+        fire.mass = sum(outcome[0] for outcome in outcomes)
         fire.outcomes = outcomes = tuple(outcomes)
         return outcomes
 

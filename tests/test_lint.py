@@ -398,19 +398,22 @@ class TestMDPRules:
 
     def test_prob_invalid_after_hand_edit(self):
         mdp, a, _b = self._chain()
-        # add_action validates; a post-construction edit is the attack.
-        label, pairs, reward = mdp._actions[a][0]
-        mdp._actions[a][0] = (label, ((pairs[0][0], 0.5),), reward)
+        # add_action validates; a post-construction edit of the flat
+        # buffers is the attack.  Action 0 is a's, transition 0 its only.
+        assert mdp._source[0] == a and mdp._end[0] == 1
+        mdp._prob[0] = 0.5
         assert_flags(mdp, "mdp-prob-invalid")
 
     def test_target_invalid(self):
         mdp, a, _b = self._chain()
-        mdp._actions[a][0] = ("step", ((7, 1.0),), 0.0)
+        assert mdp._source[0] == a and mdp._end[0] == 1
+        mdp._target[0] = 7
         assert_flags(mdp, "mdp-target-invalid")
 
     def test_reward_trap(self):
         mdp, _a, b = self._chain()
-        mdp._actions[b][0] = ("stay", ((b, 1.0),), 2.0)
+        assert mdp._source[1] == b and mdp._target[1] == b
+        mdp._reward[1] = 2.0
         report = assert_flags(mdp, "mdp-reward-trap")
         assert f"state[{b}]" in [f.where for f in report.findings]
 

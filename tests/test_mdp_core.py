@@ -239,6 +239,88 @@ def test_trimmed_scc_decomposition(mdp):
     assert sorted(seen) == list(range(n))
 
 
+def _assert_same_arrays(mdp_a, mdp_b):
+    """Two finalized MDPs hold the same sparse arrays, bit for bit, and
+    the same action labels."""
+    assert mdp_a.num_states == mdp_b.num_states
+    for name in ("cols", "probs", "action_offsets", "action_rewards",
+                 "state_offsets"):
+        a, b = getattr(mdp_a, name), getattr(mdp_b, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert mdp_a.action_labels == mdp_b.action_labels
+
+
+@st.composite
+def action_tables(draw):
+    """Up to 12 states, each with 0-4 actions ``(label, pairs,
+    reward)`` whose pairs may name a target twice or carry probability
+    0, plus an interleaved order to add them in: a shuffled sequence of
+    source states, one entry per action, in which each state's own
+    actions keep their order."""
+    n = draw(st.integers(1, 12))
+    table = []
+    for _ in range(n):
+        actions = []
+        for _ in range(draw(st.integers(0, 4))):
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=4))
+            weights = [draw(st.integers(0, 3)) for _ in targets]
+            weights[0] = weights[0] or 1
+            total = sum(weights)
+            actions.append((draw(st.sampled_from([None, "a", "tick"])),
+                            [(w / total, t) for w, t in zip(weights, targets)],
+                            draw(st.sampled_from([0, 0.0, 1, 2.5]))))
+        table.append(actions)
+    sources = [s for s, actions in enumerate(table) for _ in actions]
+    return table, draw(st.permutations(sources))
+
+
+def _build(table, sources):
+    mdp = MDP("table")
+    for _ in table:
+        mdp.add_state()
+    taken = [0] * len(table)
+    for s in sources:
+        label, pairs, reward = table[s][taken[s]]
+        taken[s] += 1
+        mdp.add_action(s, pairs, label=label, reward=reward)
+    return mdp
+
+
+def _assert_python_typed(actions):
+    for _label, pairs, reward in actions:
+        assert type(reward) is float
+        for target, probability in pairs:
+            assert type(target) is int and type(probability) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_tables())
+def test_finalize_groups_actions_added_in_any_state_order(case):
+    """Actions added in a shuffled state order finalize to the arrays
+    of the same actions added in index order, and ``actions_of`` shows
+    the merged, zero-free pairs as Python ints and floats before and
+    after finalize (an action-less state gains its self-loop)."""
+    table, shuffled = case
+    expected = [
+        [(label,
+          tuple({t: 0.0 + sum(q for q, u in pairs[:i + 1] if u == t)
+                 for i, (p, t) in enumerate(pairs) if p > 0}.items()),
+          float(reward))
+         for label, pairs, reward in actions]
+        for actions in table]
+    mdp = _build(table, shuffled)
+    in_order = _build(table, sorted(shuffled))
+    for state, actions in enumerate(expected):
+        assert mdp.actions_of(state) == actions
+        _assert_python_typed(mdp.actions_of(state))
+    _assert_same_arrays(mdp.finalize(), in_order.finalize())
+    for state, actions in enumerate(expected):
+        assert mdp.actions_of(state) == \
+            (actions or [(None, ((state, 1.0),), 0.0)])
+        _assert_python_typed(mdp.actions_of(state))
+
+
 def test_trivial_backups_sum_left_to_right():
     """An acyclic state's backup adds its pairs in order, starting from
     0.0, exactly as a scalar loop does, for every support of fewer than
@@ -347,10 +429,9 @@ class TestEndComponentInterval:
 
 
 def _assert_same_build(dm_new, dm_ref):
-    assert dm_new.mdp.num_states == dm_ref.mdp.num_states
     assert [s.key() for s in dm_new.states] == \
         [s.key() for s in dm_ref.states]
-    assert dm_new.mdp._actions == dm_ref.mdp._actions
+    _assert_same_arrays(dm_new.mdp.finalize(), dm_ref.mdp.finalize())
 
 
 class TestPipelineDifferential:
@@ -472,9 +553,10 @@ GOLDEN = {
              "90187fb5266acd9f3777e56efd39ddf1", 53731),
 }
 
-#: sha256 of ``repr(([s.key() for s in states], mdp._actions))`` of
-#: Table I's finalized deadline-clock (Dmax) digital MDP: state order,
-#: state keys and every stored action, as the builder must produce them.
+#: sha256 of ``repr(([s.key() for s in states], [mdp.actions_of(s) for
+#: s in range(n)]))`` of Table I's finalized deadline-clock (Dmax)
+#: digital MDP: state order, state keys and every stored action, as the
+#: builder must produce them.
 DMAX_BUILD = ("4fc5c86c7e0f84a16545e44bb39d4c3d"
               "cfb55970f89db5f9297bc94ddbb372b6")
 
@@ -540,7 +622,9 @@ class TestGoldenValues:
         _net, timed, _events = table1_timed
         mdp = timed.mdp.finalize()
         assert mdp.num_states == 68364
-        snapshot = repr(([s.key() for s in timed.states], mdp._actions))
+        snapshot = repr(([s.key() for s in timed.states],
+                         [mdp.actions_of(s)
+                          for s in range(mdp.num_states)]))
         assert hashlib.sha256(snapshot.encode()).hexdigest() == DMAX_BUILD
 
     def test_table1_mdps_peel_completely(self, table1_timed):

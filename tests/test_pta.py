@@ -1,6 +1,8 @@
 """Tests for PTA syntax, the digital-clocks translation, the
 overapproximation, and the digital simulator."""
 
+import math
+
 import pytest
 
 from repro.core import ModelError, Declarations
@@ -139,6 +141,38 @@ class TestDigitalTranslation:
         full = dm.location_states("C", "full")
         v = reachability_probability(dm.mdp, full)
         assert v[0] == pytest.approx(0.8)
+
+    def test_branches_into_one_state_merge(self):
+        """Two branches that reach the same state become one transition
+        carrying their summed probability, in first-branch order, as
+        ``MDP.add_action`` merges them."""
+        a = PTA("Coin", clocks=["x"])
+        a.add_location("flip", invariant=[clk("x", "<=", 1)])
+        a.add_location("heads")
+        a.add_location("tails")
+        a.initial_location = "flip"
+        a.add_prob_edge("flip", [(0.3, "heads"), (0.2, "tails"),
+                                 (0.5, "heads")],
+                        guard=[clk("x", ">=", 1)])
+        net = PTANetwork("coin")
+        net.add_process("C", a)
+        dm = build_digital_mdp(net.freeze())
+        heads = dm.location_states("C", "heads")
+        tails = dm.location_states("C", "tails")
+        [((to_heads, p_heads), (to_tails, p_tails))] = [
+            pairs
+            for state in dm.location_states("C", "flip")
+            for label, pairs, _reward in dm.mdp.actions_of(state)
+            if label != "tick"]
+        assert to_heads in heads and to_tails in tails
+        assert (p_heads, p_tails) == (0.3 + 0.5, 0.2)
+
+    def test_rejects_a_distribution_not_summing_to_one(self):
+        """A NaN branch probability passes ``add_prob_edge`` but not
+        the builder, which checks each fire's probability sum as
+        ``MDP.add_action`` does."""
+        with pytest.raises(ModelError, match="sum to nan"):
+            build_digital_mdp(coin_pta(math.nan))
 
 
 class TestOverapproximation:
