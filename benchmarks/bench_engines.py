@@ -30,6 +30,7 @@ against a recorder-off run and asserts the ≤ 3 % bound
 """
 
 import math
+import statistics
 import time
 
 import pytest
@@ -349,51 +350,52 @@ MAX_FLIGHT_OVERHEAD = 0.03
 def flight_overhead_measurement(n, abstraction="lu+", rounds=5,
                                 min_sample_seconds=0.3):
     """Measured wall-time cost of the flight recorder on the Fischer
-    exploration: recorder-off and recorder-on samples alternate on
-    fresh graphs (so neither side inherits warm caches), the side
-    that runs first alternating from round to round, and the
-    overhead is computed best-of-``rounds`` against best-of-``rounds``
-    — the *min* is the noise-robust statistic for a fixed workload.
-    Each timed sample batches enough explorations to last at least
-    ``min_sample_seconds``, so the quick CI instance (fischer4,
-    tens of milliseconds per exploration) is not noise-dominated.
-    Asserts the :data:`MAX_FLIGHT_OVERHEAD` bound and returns the
-    measured ratio (recorded in the obs artifact as
-    ``obs.flight.overhead``)."""
+    exploration.  Each round times ``iters`` recorder-off and ``iters``
+    recorder-on explorations, each on a fresh graph (so neither side
+    inherits warm caches), interleaved one exploration at a time in
+    ABBA order, with the side that starts alternating from round to
+    round; the round's ratio is its on time over its off time, and the
+    overhead is the median of the rounds' ratios.  Both sides of a
+    round thus see the same state of a shared host, whose load swings
+    single samples by 25 % and more.  ``iters`` is chosen so that each
+    side of a round lasts at least ``min_sample_seconds``, so the quick
+    CI instance (fischer4, tens of milliseconds per exploration) is
+    not noise-dominated.  Asserts the :data:`MAX_FLIGHT_OVERHEAD`
+    bound and returns the measured ratio (recorded in the obs artifact
+    as ``obs.flight.overhead``)."""
     from repro.obs.flight import FlightRecorder, recording
 
     network = make_fischer(n)
 
-    def timed(recorder_on, iters):
+    def timed(recorder_on):
         import contextlib
 
-        graphs = [ZoneGraph(network, abstraction=abstraction)
-                  for _ in range(iters)]
+        graph = ZoneGraph(network, abstraction=abstraction)
         scope = recording(FlightRecorder()) if recorder_on \
             else contextlib.nullcontext()
         with scope:
             start = time.perf_counter()
-            for graph in graphs:
-                explore(graph)
+            explore(graph)
             return time.perf_counter() - start
 
-    single = timed(True, 1)   # also warms bytecode / allocator
+    single = timed(True)   # also warms bytecode / allocator
     iters = max(1, math.ceil(min_sample_seconds / max(single, 1e-9)))
 
     def measure(n_rounds):
-        offs, ons = [], []
+        ratios = []
         for round_ in range(n_rounds):
-            # Alternate which side runs first, so that neither side
-            # always runs right after the other and inherits its
-            # leftovers (or the host's drift) in every round.
             first_on = round_ % 2 == 0
-            for recorder_on in (first_on, not first_on):
-                (ons if recorder_on else offs).append(
-                    timed(recorder_on, iters))
-        ratio = max(0.0, min(ons) / min(offs) - 1.0)
+            spent = {True: 0.0, False: 0.0}
+            for i in range(iters):
+                leads = first_on == (i % 2 == 0)
+                for recorder_on in (leads, not leads):
+                    spent[recorder_on] += timed(recorder_on)
+            ratios.append(spent[True] / spent[False])
+        ratio = max(0.0, statistics.median(ratios) - 1.0)
         print(f"flight-recorder overhead: {ratio:.2%} "
-              f"(best off {min(offs):.3f}s, best on {min(ons):.3f}s, "
-              f"{iters} explorations/sample, {n_rounds} rounds)")
+              f"(median of {n_rounds} rounds' on/off ratios, "
+              f"{min(ratios) - 1.0:+.2%} to {max(ratios) - 1.0:+.2%}, "
+              f"{iters} interleaved explorations per side and round)")
         return ratio
 
     overhead = measure(rounds)

@@ -35,11 +35,14 @@ class MDP:
     merged and positive.  :meth:`add_action` appends to them, and so
     do :func:`repro.pta.build_digital_mdp` and the MEC quotient of
     :mod:`repro.mdp.analysis`, which write the same layout directly.
-    :meth:`finalize` groups the buffers by source state into the
-    frozen arrays: ``cols`` / ``probs`` per transition grouped by
-    action, ``action_offsets``, ``action_rewards`` and
-    ``action_labels`` per action grouped by state, ``state_offsets``
-    per state.  :meth:`actions_of` reads either form.
+    A builder that writes every action at once may hand the numeric
+    buffers over as numpy arrays (``_label`` stays a list); the MDP
+    then takes no further actions.  :meth:`finalize` groups the
+    buffers by source state into the frozen arrays: ``cols`` /
+    ``probs`` per transition grouped by action, ``action_offsets``,
+    ``action_rewards`` and ``action_labels`` per action grouped by
+    state, ``state_offsets`` per state.  :meth:`actions_of` reads
+    either form.
     """
 
     def __init__(self, name="mdp"):
@@ -82,6 +85,8 @@ class MDP:
         """
         if self._frozen:
             raise ModelError("MDP already finalized")
+        if not isinstance(self._target, list):
+            raise ModelError("MDP buffers were handed over complete")
         try:
             source = as_index(state)
         except TypeError:
@@ -150,9 +155,11 @@ class MDP:
         actions = []
         for a in by_source[state]:
             lo, hi = ends[a - 1] if a else 0, ends[a]
-            actions.append((self._label[a],
-                            tuple(zip(targets[lo:hi], probs[lo:hi])),
-                            self._reward[a]))
+            to, p = targets[lo:hi], probs[lo:hi]
+            if not isinstance(to, list):   # buffers handed over as arrays
+                to, p = to.tolist(), p.tolist()
+            actions.append((self._label[a], tuple(zip(to, p)),
+                            float(self._reward[a])))
         return actions
 
     def states_with(self, label):

@@ -192,6 +192,18 @@ class DiscreteSemantics:
         #: locs -> bound plan of the location vector's invariant
         self._invariant_plans = {}
 
+    def _holding(self, clocks):
+        """A view of this semantics in which the clocks at the indices
+        ``clocks`` never advance (cap 0).  It shares every memoised
+        table with ``self``, whose caps stay as they are: the
+        digital-clocks builder explores its projection with it."""
+        from copy import copy
+
+        view = copy(self)
+        view._caps = tuple(0 if index in clocks else cap
+                           for index, cap in enumerate(self._caps))
+        return view
+
     def _invariant_plan(self, locs):
         """The memoised bound plan of a location vector's invariant."""
         plan = self._invariant_plans.get(locs)
