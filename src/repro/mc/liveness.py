@@ -24,6 +24,7 @@ programmatically.
 
 from __future__ import annotations
 
+from ..core.scc import tarjan_scc
 from .reachability import build_graph
 
 
@@ -82,59 +83,19 @@ def _nodes_on_bad_paths(kept, restricted, edges):
 
 
 def _cycle_nodes(kept, restricted):
-    """Nodes on a cycle of the kept sub-graph (iterative Tarjan SCC)."""
-    n = len(restricted)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    scc_stack = []
-    counter = [0]
-    cycle_nodes = set()
-
-    for root in range(n):
-        if not kept[root] or index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                scc_stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            succs = restricted[node]
-            while pi < len(succs):
-                child = succs[pi]
-                pi += 1
-                if index[child] is None:
-                    work[-1] = (node, pi)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if on_stack[child]:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    cycle_nodes.update(component)
-                else:
-                    only = component[0]
-                    if only in restricted[only]:
-                        cycle_nodes.add(only)  # self-loop
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[node])
-    return cycle_nodes
+    """Nodes on a cycle of the kept sub-graph: kept nodes in an SCC of
+    more than one node, or with a self-loop."""
+    offsets = [0]
+    targets = []
+    for succs in restricted:
+        targets.extend(succs)
+        offsets.append(len(targets))
+    scc_of, count = tarjan_scc(len(restricted), offsets, targets)
+    size = [0] * count
+    for component in scc_of:
+        size[component] += 1
+    return {i for i, succs in enumerate(restricted)
+            if kept[i] and (size[scc_of[i]] > 1 or i in succs)}
 
 
 def check_af(network, nodes, edges, initial, phi):

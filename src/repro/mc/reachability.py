@@ -98,13 +98,12 @@ def _record_search(collector, result, passed, graph, zones_before,
 
 
 def explore(graph, goal=None, on_state=None, use_inclusion=True,
-            max_states=None, order="bfs", evict_waiting=True):
+            max_states=None, evict_waiting=True):
     """Symbolic exploration over the unified passed/waiting list.
 
     ``goal(state)`` stops the search with a positive result; ``on_state``
-    is an observer callback.  ``order`` selects the frontier discipline:
-    ``"bfs"`` (default, shortest witnesses — the UPPAAL default) or
-    ``"dfs"``.  ``evict_waiting=False`` disables dead-marking of
+    is an observer callback.  The frontier is breadth-first, so
+    witnesses are shortest (the UPPAAL default).  ``evict_waiting=False`` disables dead-marking of
     subsumed frontier entries (the pre-unification behaviour; see
     :class:`~repro.mc.explorecore.PassedWaitingList`).  Returns a
     :class:`Reachability`, whose ``trace`` is the list of (transition,
@@ -121,7 +120,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
         passed = PassedWaitingList(use_inclusion, evict_waiting)
         root = SearchNode(initial)
         passed.add_if_new(initial.discrete_key(), initial.zone, root)
-        waiting = Frontier(order)
+        waiting = Frontier()
         waiting.push(root)
         root.waiting = True
         explored = 0

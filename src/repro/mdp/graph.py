@@ -15,8 +15,8 @@ Modest Toolset / PRISM explicit engines):
   (out-degree 0 once self-loops are ignored) are peeled bottom up, one
   vectorised level at a time over the predecessor CSR, and become
   singleton SCCs numbered in peel order.  The iterative Tarjan
-  (:func:`tarjan_scc`) then runs only on the unpeeled residue, its ids
-  offset after the peeled ones.  A digital-clocks MDP is mostly an
+  (:func:`repro.core.scc.tarjan_scc`) then runs only on the unpeeled
+  residue, its ids offset after the peeled ones.  A digital-clocks MDP is mostly an
   acyclic tick structure and typically peels completely, so no
   per-state Python search runs on it at all;
 * :func:`maximal_end_components` — the standard iterated-SCC MEC
@@ -40,63 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import AnalysisError
+from ..core.scc import tarjan_scc
 from ..obs import checkpoint, set_gauge
-
-
-def tarjan_scc(n, offsets, targets):
-    """Iterative Tarjan over a CSR adjacency.
-
-    ``offsets`` (length ``n + 1``) and ``targets`` are plain Python
-    lists — the successors of ``v`` are ``targets[offsets[v]:
-    offsets[v + 1]]``.  Returns ``(scc_of, count)`` where ``scc_of`` is
-    a list assigning component ids in completion order, i.e. reverse
-    topological order: every component reachable from ``C`` (other
-    than ``C`` itself) has a smaller id.
-    """
-    unvisited = -1
-    index = [unvisited] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    scc_of = [unvisited] * n
-    stack = []
-    next_index = 0
-    comp = 0
-    for root in range(n):
-        if index[root] != unvisited:
-            continue
-        index[root] = lowlink[root] = next_index
-        next_index += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, offsets[root])]
-        while work:
-            v, ptr = work[-1]
-            if ptr < offsets[v + 1]:
-                work[-1] = (v, ptr + 1)
-                w = targets[ptr]
-                if index[w] == unvisited:
-                    index[w] = lowlink[w] = next_index
-                    next_index += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, offsets[w]))
-                elif on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            else:
-                work.pop()
-                if lowlink[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        scc_of[w] = comp
-                        if w == v:
-                            break
-                    comp += 1
-                if work:
-                    u = work[-1][0]
-                    if lowlink[v] < lowlink[u]:
-                        lowlink[u] = lowlink[v]
-    return scc_of, comp
 
 
 def concat_ranges(lo, hi):

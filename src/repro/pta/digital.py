@@ -15,26 +15,23 @@ The semantics itself is the integer-clock semantics of
 a one-branch PTA edge: it memoises the untimed firing data per discrete
 configuration and applies the guard, reset and invariant rules to a
 clock vector in one routine, :meth:`~repro.ta.discrete.DiscreteSemantics.expand`.
-:func:`build_digital_mdp` calls that routine directly and creates a
-:class:`~repro.ta.discrete.DiscreteState` only for a newly interned
-state.  Builder and the :class:`~repro.pta.simulate.DigitalSimulator`
-(modes) obtain a shared per-network instance from
-:func:`digital_semantics`, which also carries the simulator's bounded
-``step_plans`` table.
+:func:`build_digital_mdp` runs the one explorer of that semantics,
+:meth:`~repro.ta.discrete.DiscreteSemantics.explore`, which the game
+arena (:class:`repro.tiga.GameGraph`) runs too.  Builder and the
+:class:`~repro.pta.simulate.DigitalSimulator` (modes) obtain a shared
+per-network instance from :func:`digital_semantics`, which also
+carries the simulator's bounded ``step_plans`` table.
 
-The builder writes the MDP flat from the start: each expanded state's
-actions are appended straight into the construction buffers of
-:class:`~repro.mdp.MDP` (per action its source, label, reward and
-transition end offset, per transition its target and probability),
-the layout :meth:`~repro.mdp.MDP.add_action` writes, with no tuple,
-merge dict or method call per action.  A fire's outcome
-probabilities are fixed once they are compiled, so their sum is
-computed once per fire (``mass``) and checked against 1 as
-``add_action`` would check it.  Only a fire with several outcomes can
-reach one state twice; those outcomes are merged into one transition
-as ``add_action`` merges them.  :meth:`~repro.mdp.MDP.finalize` then
-groups the actions by source state in one vectorised step, since the
-builder expands states in LIFO order, not index order.
+The builder writes the MDP flat from the start: the explorer's buffers
+(per action its source and transition end offset, per transition its
+target and probability) become the construction buffers of
+:class:`~repro.mdp.MDP`, the layout :meth:`~repro.mdp.MDP.add_action`
+writes, and each action's label and reward follow from its fire.  The
+explorer checks each fire's outcome mass against 1 and merges the
+outcomes of a multi-outcome fire that reach one state, as
+``add_action`` would.  :meth:`~repro.mdp.MDP.finalize` then groups the
+actions by source state in one vectorised step, since the explorer
+expands states in LIFO order, not index order.
 
 A *free-running* clock, one that no invariant, guard or branch reset
 names (Table I's deadline clock ``t``), influences neither which
@@ -51,14 +48,11 @@ buffers vectorised.  On Table I's Dmax network the projection has
 1,463 states and the product 68,364.  The projection reports progress
 as ``pta.digital.projection``, the product as ``pta.digital``.
 
-The builder pauses the cyclic garbage collector around its
-exploration loop and the unfold: they allocate tens of thousands of
-states, clock tuples and dicts, which would trigger full collections,
-yet they create no reference cycles (states and keys only point at
-immutable data and at one another's indices), so those collections
-find nothing to free.  Reference counting still frees everything as
-usual, and the caller's ``gc.isenabled()`` state is restored even
-when the build raises.
+The builder pauses the cyclic garbage collector around the
+exploration and the unfold (:func:`~repro.ta.discrete.gc_paused`):
+they create no reference cycles, so full collections would find
+nothing to free, and the caller's ``gc.isenabled()`` state is restored
+even when the build raises.
 
 The MDP layer (and with it numpy) is imported only when an MDP is
 built, so a simulation-only client of :func:`digital_semantics` never
@@ -70,12 +64,16 @@ The pre-memoization builder is preserved verbatim in
 
 from __future__ import annotations
 
-import gc
 from weakref import WeakKeyDictionary
 
-from ..core.errors import ModelError, SearchLimitError
+from ..core.errors import SearchLimitError
 from ..obs import checkpoint, span
-from ..ta.discrete import DiscreteSemantics, DiscreteState
+from ..ta.discrete import (
+    DiscreteSemantics,
+    DiscreteState,
+    gc_paused,
+    states_where,
+)
 from ..ta.syntax import edge_branches
 
 
@@ -88,22 +86,11 @@ class DigitalMDP:
         self.network = network
         self._names_by_locs = {}      # locs tuple -> location name vector
 
-    def _names(self, locs):
-        names = self._names_by_locs.get(locs)
-        if names is None:
-            names = self.network.location_vector_names(locs)
-            self._names_by_locs[locs] = names
-        return names
-
     def states_where(self, predicate):
         """Indices of states satisfying ``predicate(locs_names, valuation,
         clocks)``."""
-        out = set()
-        for index, state in enumerate(self.states):
-            if predicate(self._names(state.locs), state.valuation,
-                         state.clocks):
-                out.add(index)
-        return out
+        return states_where(self.network, self.states, predicate,
+                            self._names_by_locs)
 
     def location_states(self, process_name, location_name):
         """Indices of states where a process stands in a location."""
@@ -164,17 +151,16 @@ def _observer_clocks(network):
     return tuple(i for i in range(1, network.dbm_size) if i not in named)
 
 
-def build_digital_mdp(network, extra_constants=None, time_reward=True,
-                      max_states=2000000):
+def build_digital_mdp(network, extra_constants=None, max_states=2000000):
     """Explore the digital-clocks semantics into a :class:`DigitalMDP`.
 
-    Successors come from
-    :meth:`~repro.ta.discrete.DiscreteSemantics.expand`; a
-    :class:`~repro.ta.discrete.DiscreteState` is created only for a
-    newly interned key.  A network with free-running clocks is
-    explored with those clocks held at 0 and then unfolded by a tick
-    counter (:func:`_unfold`).  The cyclic garbage collector is paused
-    while the state space is built (see the module docstring).
+    The states and the MDP's buffers come from
+    :meth:`~repro.ta.discrete.DiscreteSemantics.explore`; a tick
+    carries reward 1 and a fire, labelled by its edges, reward 0.  A
+    network with free-running clocks is explored with those clocks
+    held at 0 and then unfolded by a tick counter (:func:`_unfold`).
+    The cyclic garbage collector is paused while the state space is
+    built (see the module docstring).
     """
     from ..mdp.model import MDP
 
@@ -185,109 +171,16 @@ def build_digital_mdp(network, extra_constants=None, time_reward=True,
     if observers:
         sem = sem._holding(observers)
         kind = "pta.digital.projection"
-    config_for = sem.config_for
-    expand = sem.expand
     mdp = MDP(network.name)
-    # The MDP's construction buffers (see MDP): per action its source,
-    # label, reward and transition end offset, per transition its
-    # target and probability.
-    add_source = mdp._source.append
-    add_label = mdp._label.append
-    add_reward = mdp._reward.append
-    add_end = mdp._end.append
-    targets = mdp._target
-    probs = mdp._prob
-    add_target = targets.append
-    add_prob = probs.append
-    initial = sem.initial()
-    tick_reward = 1.0 if time_reward else 0.0
-
-    #: (locs, valuation values) -> {clocks: state index}; keyed by the
-    #: clock vector the new state already holds, so interning a state
-    #: allocates no key tuple of its own
-    index_of = {}
-    states = []
-    queue = []
-
-    def intern(locs, valuation, clocks):
-        key = (locs, valuation.values)
-        table = index_of.get(key)
-        if table is None:
-            table = index_of[key] = {}
-        idx = table.get(clocks)
-        if idx is None:
-            idx = len(states)
-            if idx >= max_states:
-                raise SearchLimitError(
-                    f"digital MDP exceeds {max_states} states",
-                    limit=max_states)
-            table[clocks] = idx
-            states.append(DiscreteState(locs, valuation, clocks))
-            queue.append(idx)
-            if not len(states) & 4095:
-                checkpoint(kind, len(states))
-        return idx
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        intern(initial.locs, initial.valuation, initial.clocks)
-        # Build-local, so the shared LRU pays its recency bookkeeping once
-        # per configuration rather than once per state.
-        configs = {}
-        m = 0   # transitions appended so far
-
-        while queue:
-            current = queue.pop()
-            state = states[current]
-            locs, valuation = state.locs, state.valuation
-            key = (locs, valuation.values)
-            config = configs.get(key)
-            if config is None:
-                config = configs[key] = config_for(locs, valuation)
-            fires, ticked = expand(config, state.clocks)
-            for fire, outcomes in fires:
-                if len(outcomes) == 1:
-                    ((p, to_locs, to_valuation, to_clocks),) = outcomes
-                    add_target(intern(to_locs, to_valuation, to_clocks))
-                    add_prob(p)
-                    m += 1
-                else:
-                    # A state reached by several outcomes gets one
-                    # transition carrying their summed probability.
-                    start = m
-                    for p, to_locs, to_valuation, to_clocks in outcomes:
-                        target = intern(to_locs, to_valuation, to_clocks)
-                        for j in range(start, m):
-                            if targets[j] == target:
-                                probs[j] += p
-                                break
-                        else:
-                            add_target(target)
-                            add_prob(p)
-                            m += 1
-                mass = fire.mass
-                if mass != 1.0 and not abs(mass - 1.0) <= 1e-9:
-                    raise ModelError(
-                        f"action probabilities sum to {mass}, expected 1")
-                add_source(current)
-                add_label(fire.label)
-                add_reward(0.0)
-                add_end(m)
-            if ticked is not None:
-                add_target(intern(locs, valuation, ticked))
-                add_prob(1.0)
-                m += 1
-                add_source(current)
-                add_label("tick")
-                add_reward(tick_reward)
-                add_end(m)
+    with gc_paused():
+        states, mdp._source, fires, mdp._end, mdp._target, mdp._prob = \
+            sem.explore(sem.initial(), max_states, kind, "digital MDP")
+        mdp._label = ["tick" if fire is None else fire.label
+                      for fire in fires]
+        mdp._reward = [1.0 if fire is None else 0.0 for fire in fires]
         mdp.num_states = len(states)
         if observers:
             mdp, states = _unfold(mdp, states, observers, caps, max_states)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     checkpoint("pta.digital", len(states))
     return DigitalMDP(mdp, states, network)
 

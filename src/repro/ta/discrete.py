@@ -39,17 +39,27 @@ Per clock vector, one routine applies the guard, reset and invariant
 rules: :meth:`DiscreteSemantics.expand`.  The timed-automaton views
 (:meth:`~DiscreteSemantics.moves`, :meth:`~DiscreteSemantics.tick`,
 :meth:`~DiscreteSemantics.action_successors`, ...) wrap it and reject
-probabilistic transitions; the digital-clocks builder and simulator
-call it directly.
+probabilistic transitions; the simulator calls it directly.
+
+Per arena, one loop explores the whole reachable state space:
+:meth:`DiscreteSemantics.explore`, which expands each state once and
+writes its actions into flat buffers.  The digital-clocks MDP builder
+(:func:`repro.pta.build_digital_mdp`) and the game arena
+(:class:`repro.tiga.GameGraph`) both read those buffers.  CORA's cost
+searches stop at goal states, and ECDAR and TRON explore on the fly,
+so they call the per-state views instead.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from itertools import product, repeat
 from math import inf
 from operator import add
 
-from ..core.errors import ModelError
+from ..core.errors import ModelError, SearchLimitError
+from ..obs import checkpoint
 from .syntax import edge_branches
 from .transitions import (
     delay_forbidden,
@@ -80,6 +90,49 @@ def check_closed_diagonal_free(network, semantics):
                 raise ModelError(
                     f"{semantics} requires closed automata "
                     f"({process.name}: {atom!r})")
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's
+    ``gc.isenabled()`` state on every exit.
+
+    An explicit-state build allocates tens of thousands of states,
+    clock tuples and dicts, which would trigger full collections, yet
+    creates no reference cycles (states and keys only point at
+    immutable data and at one another's indices), so those collections
+    would find nothing to free.  Reference counting still frees
+    everything as usual.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def states_where(network, states, predicate, names_of):
+    """Indices of ``states`` where ``predicate(location_names,
+    valuation, clocks)`` holds.  ``names_of`` is the caller's cache of
+    location names by location vector, filled as the scan meets them."""
+    out = set()
+    for index, state in enumerate(states):
+        locs = state.locs
+        names = names_of.get(locs)
+        if names is None:
+            names = names_of[locs] = network.location_vector_names(locs)
+        if predicate(names, state.valuation, state.clocks):
+            out.add(index)
+    return out
+
+
+def probabilistic_step_error(fire):
+    """The error for a timed-automaton view asked to take ``fire``, an
+    enabled transition with several branch combinations."""
+    return ModelError("timed-automaton semantics cannot take the "
+                      f"probabilistic transition {fire.label}")
 
 
 def _bound_plan(atoms):
@@ -328,6 +381,114 @@ class DiscreteSemantics:
                         break
         return fires, ticked
 
+    def explore(self, initial, max_states, kind, what):
+        """Explore every state reachable from ``initial``, a
+        :class:`DiscreteState`, into flat buffers.
+
+        Returns ``(states, sources, fires, ends, targets, probs)``:
+        ``states`` lists the interned states by index; per action,
+        ``sources`` holds its state's index, ``fires`` its fire
+        (``None`` for a tick) and ``ends`` the end offset of its
+        transitions; per transition, ``targets`` holds the target's
+        index and ``probs`` its probability.  Each state's actions are
+        contiguous: its fires in candidate order, then its tick.
+
+        States are expanded in LIFO order, once each, and a
+        :class:`DiscreteState` is created only for a newly interned
+        state.  A fire's outcomes that reach one state are merged into
+        one transition carrying their summed probability, and the
+        fire's ``mass`` is checked against 1.  Interning state number
+        ``max_states + 1`` raises
+        :class:`~repro.core.errors.SearchLimitError` naming ``what``;
+        every 4096 interned states report progress as ``kind``.
+        """
+        config_for = self.config_for
+        expand = self.expand
+        sources, fires_of, ends = [], [], []
+        targets, probs = [], []
+        add_source = sources.append
+        add_fire = fires_of.append
+        add_end = ends.append
+        add_target = targets.append
+        add_prob = probs.append
+
+        #: (locs, valuation values) -> {clocks: state index}; keyed by
+        #: the clock vector the new state already holds, so interning a
+        #: state allocates no key tuple of its own
+        index_of = {}
+        states = []
+        queue = []
+
+        def intern(locs, valuation, clocks):
+            key = (locs, valuation.values)
+            table = index_of.get(key)
+            if table is None:
+                table = index_of[key] = {}
+            idx = table.get(clocks)
+            if idx is None:
+                idx = len(states)
+                if idx >= max_states:
+                    raise SearchLimitError(
+                        f"{what} exceeds {max_states} states",
+                        limit=max_states)
+                table[clocks] = idx
+                states.append(DiscreteState(locs, valuation, clocks))
+                queue.append(idx)
+                if not len(states) & 4095:
+                    checkpoint(kind, len(states))
+            return idx
+
+        intern(initial.locs, initial.valuation, initial.clocks)
+        # Build-local, so the shared LRU pays its recency bookkeeping once
+        # per configuration rather than once per state.
+        configs = {}
+        m = 0   # transitions appended so far
+
+        while queue:
+            current = queue.pop()
+            state = states[current]
+            locs, valuation = state.locs, state.valuation
+            key = (locs, valuation.values)
+            config = configs.get(key)
+            if config is None:
+                config = configs[key] = config_for(locs, valuation)
+            fires, ticked = expand(config, state.clocks)
+            for fire, outcomes in fires:
+                if len(outcomes) == 1:
+                    ((p, to_locs, to_valuation, to_clocks),) = outcomes
+                    add_target(intern(to_locs, to_valuation, to_clocks))
+                    add_prob(p)
+                    m += 1
+                else:
+                    # A state reached by several outcomes gets one
+                    # transition carrying their summed probability.
+                    start = m
+                    for p, to_locs, to_valuation, to_clocks in outcomes:
+                        target = intern(to_locs, to_valuation, to_clocks)
+                        for j in range(start, m):
+                            if targets[j] == target:
+                                probs[j] += p
+                                break
+                        else:
+                            add_target(target)
+                            add_prob(p)
+                            m += 1
+                mass = fire.mass
+                if mass != 1.0 and not abs(mass - 1.0) <= 1e-9:
+                    raise ModelError(
+                        f"action probabilities sum to {mass}, expected 1")
+                add_source(current)
+                add_fire(fire)
+                add_end(m)
+            if ticked is not None:
+                add_target(intern(locs, valuation, ticked))
+                add_prob(1.0)
+                m += 1
+                add_source(current)
+                add_fire(None)
+                add_end(m)
+        return states, sources, fires_of, ends, targets, probs
+
     # -- timed-automaton views ----------------------------------------------------
 
     def initial(self):
@@ -349,9 +510,7 @@ class DiscreteSemantics:
         out = []
         for fire, outcomes in fires:
             if not fire.dirac:
-                raise ModelError(
-                    "timed-automaton semantics cannot take the "
-                    f"probabilistic transition {fire.label}")
+                raise probabilistic_step_error(fire)
             _probability, locs, valuation, clocks = outcomes[0]
             out.append((fire, DiscreteState(locs, valuation, clocks)))
         return out

@@ -8,87 +8,68 @@ the environment may always preempt with one of its own edges.
 
 The game is solved over the discrete-time (integer clock) semantics,
 which is sound and complete for the closed, diagonal-free automata used
-in the paper's example (see DESIGN.md).
+in the paper's example (see DESIGN.md).  The arena is explored by the
+one explorer of that semantics,
+:meth:`~repro.ta.discrete.DiscreteSemantics.explore`, which the
+digital-clocks MDP builder runs too; :class:`GameGraph` only sorts its
+actions by player.
 """
 
 from __future__ import annotations
 
-from ..core.errors import SearchLimitError
-from ..obs import checkpoint, incr, span
-from ..ta.discrete import DiscreteSemantics
+from ..obs import incr, span
+from ..ta.discrete import (
+    DiscreteSemantics,
+    gc_paused,
+    probabilistic_step_error,
+    states_where,
+)
 
 
 class GameGraph:
     """The explored arena: per state, controller moves, environment
-    moves and the tick successor."""
+    moves and the tick successor.
+
+    ``ctrl[i]`` and ``unc[i]`` list state ``i``'s controllable and
+    uncontrollable moves as ``(transition, successor index)``, and
+    ``tick[i]`` is its tick successor's index or ``None``.  An enabled
+    probabilistic transition raises
+    :class:`~repro.core.errors.ModelError`; the cyclic garbage collector
+    is paused while the arena is built.
+    """
 
     def __init__(self, network, initial_state=None, extra_constants=None,
                  max_states=2000000):
-        self.semantics = DiscreteSemantics(network,
-                                           extra_constants=extra_constants)
-        self.network = self.semantics.network
+        self.semantics = semantics = DiscreteSemantics(
+            network, extra_constants=extra_constants)
+        self.network = semantics.network
         initial = initial_state if initial_state is not None \
-            else self.semantics.initial()
-        self.index_of = {initial.key(): 0}
-        self.states = [initial]
-        self.ctrl = []   # per state: list of (transition, succ_index)
-        self.unc = []    # per state: list of (transition, succ_index)
-        self.tick = []   # per state: succ_index or None
+            else semantics.initial()
+        with span("tiga.explore") as sp, gc_paused():
+            states, sources, fires, ends, targets, _probs = \
+                semantics.explore(initial, max_states, "tiga.explore",
+                                  "game arena")
+            n = len(states)
+            ctrl = [[] for _ in range(n)]
+            unc = [[] for _ in range(n)]
+            tick = [None] * n
+            lo = 0   # a tick or a Dirac fire has one transition
+            for source, fire, hi in zip(sources, fires, ends):
+                if fire is None:
+                    tick[source] = targets[lo]
+                elif not fire.dirac:
+                    raise probabilistic_step_error(fire)
+                else:
+                    moves = ctrl if fire.controllable else unc
+                    moves[source].append((fire.transition, targets[lo]))
+                lo = hi
+            sp.set("states", n)
+        incr("tiga.arena_states", n)
+        self.states = states
+        self.ctrl = ctrl
+        self.unc = unc
+        self.tick = tick
         self._names_by_locs = {}  # locs tuple -> location name vector
-        self._explore(max_states)
-
-    def _intern(self, state, queue):
-        key = state.key()
-        idx = self.index_of.get(key)
-        if idx is None:
-            idx = len(self.states)
-            self.index_of[key] = idx
-            self.states.append(state)
-            queue.append(idx)
-        return idx
-
-    def _explore(self, max_states):
-        with span("tiga.explore") as sp:
-            queue = [0]
-            expanded = 0
-            while queue:
-                i = queue.pop()
-                while len(self.ctrl) <= i:
-                    self.ctrl.append(None)
-                    self.unc.append(None)
-                    self.tick.append(None)
-                state = self.states[i]
-                ctrl_moves, unc_moves = [], []
-                for move, succ in self.semantics.moves(state):
-                    moves = ctrl_moves if move.controllable else unc_moves
-                    moves.append((move.transition, self._intern(succ, queue)))
-                self.ctrl[i] = ctrl_moves
-                self.unc[i] = unc_moves
-                ticked = self.semantics.tick(state)
-                self.tick[i] = self._intern(ticked, queue) \
-                    if ticked is not None else None
-                expanded += 1
-                if expanded & 1023 == 0:
-                    checkpoint("tiga.explore", expanded,
-                               waiting=len(queue))
-                if len(self.states) > max_states:
-                    raise SearchLimitError(
-                        f"game arena exceeds {max_states} states",
-                        limit=max_states)
-            # Pad arrays for states discovered last.
-            while len(self.ctrl) < len(self.states):
-                self.ctrl.append([])
-                self.unc.append([])
-                self.tick.append(None)
-            sp.set("states", len(self.states))
-        incr("tiga.arena_states", len(self.states))
-
-    def _names(self, locs):
-        names = self._names_by_locs.get(locs)
-        if names is None:
-            names = self.network.location_vector_names(locs)
-            self._names_by_locs[locs] = names
-        return names
 
     @property
     def num_states(self):
@@ -97,12 +78,8 @@ class GameGraph:
     def satisfying(self, predicate):
         """State indices where ``predicate(location_names, valuation,
         clocks)`` holds."""
-        out = set()
-        for i, state in enumerate(self.states):
-            if predicate(self._names(state.locs), state.valuation,
-                         state.clocks):
-                out.add(i)
-        return out
+        return states_where(self.network, self.states, predicate,
+                            self._names_by_locs)
 
     def __repr__(self):
         return f"GameGraph({self.num_states} states)"

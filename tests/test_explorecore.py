@@ -227,13 +227,6 @@ class TestEngineEquivalence:
                 (ref.states_explored, ref.states_stored)
             assert new_stats == ref_stats
 
-    def test_dfs_order_explores_same_states(self):
-        """DFS visits a different sequence but the same reachable set."""
-        dfs = explore(ZoneGraph(make_fischer(3), abstraction="k"),
-                      order="dfs", evict_waiting=False)
-        ref = reference_explore(ZoneGraph(make_fischer(3), abstraction="k"))
-        assert dfs.states_stored == ref.states_stored
-
 
 @st.composite
 def random_automata(draw):

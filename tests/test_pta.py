@@ -91,12 +91,6 @@ class TestDigitalTranslation:
         v = expected_total_reward(dm.mdp, done, maximize=True)
         assert v[0] == pytest.approx(4.0)
 
-    def test_tick_reward_can_be_disabled(self):
-        dm = build_digital_mdp(retry_pta(0.5), time_reward=False)
-        done = dm.location_states("R", "done")
-        v = expected_total_reward(dm.mdp, done, maximize=True)
-        assert v[0] == pytest.approx(0.0)
-
     def test_rejects_open_guards(self):
         a = PTA("A", clocks=["x"])
         a.add_location("s")

@@ -167,7 +167,8 @@ def test_library_runs_without_scipy():
     and ``repro.runtime``, then checking deadlock freedom, solving a
     safety game (which compiles transition outcomes) and estimating
     first-passage CDFs and a probability all run with both libraries
-    unavailable."""
+    unavailable.  A leads-to query checks that liveness (its SCC pass
+    included) is numpy-free too."""
     script = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None  # any `import scipy` now fails
@@ -175,13 +176,16 @@ def test_library_runs_without_scipy():
         from functools import partial
         import repro.models.traingate, repro.models.traingame
         import repro.mc, repro.runtime, repro.smc, repro.tiga
-        from repro.mc import Verifier
+        from repro.mc import LeadsTo, LocationIs, Verifier
         from repro.models.traingame import make_traingame, safety_predicate
         from repro.models.traingate import cross_predicate, make_traingate
         from repro.smc import (
             estimate_probability, first_passage_cdfs, network_simulator)
         from repro.tiga import GameGraph, controller_wins_safety
-        assert Verifier(make_traingate(2)).deadlock_free()
+        verifier = Verifier(make_traingate(2))
+        assert verifier.deadlock_free()
+        assert verifier.check(LeadsTo(LocationIs("Train(0)", "Appr"),
+                                      LocationIs("Train(0)", "Cross")))
         wins, _strategy = controller_wins_safety(
             GameGraph(make_traingame(2, scale=2)), safety_predicate(2))
         assert wins
