@@ -262,13 +262,23 @@ class DBM:
         """
         if self.is_empty():
             return self
-        n = self.size
-        if len(max_constants) != n:
+        if len(max_constants) != self.size:
             raise ModelError("need one max constant per clock (incl. ref)")
+        return self.extrapolate_k(*k_bounds(max_constants))
+
+    def extrapolate_k(self, uppers, lowers):
+        """:meth:`extrapolate` with its bounds encoded by
+        :func:`k_bounds`, so that a zone graph encodes them once.
+
+        An entry above its row clock's ``<= k`` ceiling is forgotten
+        (INF) and one below its column clock's ``< -k`` floor is raised
+        to it; the diagonal is left alone.
+        """
+        if self.is_empty():
+            return self
+        n = self.size
         m = self.m
         changed = False
-        uppers = [le(c) for c in max_constants]
-        lowers = [lt(-c) for c in max_constants]
         for i in range(n):
             row_i = i * n
             upper_i = uppers[i]
@@ -371,6 +381,27 @@ class DBM:
         # element-wise comparison in C (this is the passed-list hot loop).
         return not any(map(_bound_lt, mine, theirs))
 
+    def past_includes(self, other):
+        """True when the past of this zone (:meth:`down`) includes
+        ``other`` (both canonical), decided without building the past.
+
+        Moving a point down the diagonal keeps every clock difference,
+        so the canonical past has this zone's rows ``1..n-1`` and a new
+        row 0 bounded by ``<= 0``.  ``other`` fits under those rows
+        exactly when its own rows ``1..n-1`` do and its clocks are
+        non-negative: canonicity then gives ``0 - x_j <= (0 - x_i) +
+        (x_i - x_j)`` for each new row-0 entry.
+        """
+        mine = self.m
+        theirs = other.m
+        if theirs[0] < LE_ZERO:
+            return True
+        if mine[0] < LE_ZERO:
+            return False
+        n = self.size
+        return (max(theirs[:n]) <= LE_ZERO
+                and not any(map(_bound_lt, mine[n:], theirs[n:])))
+
     def __eq__(self, other):
         if not isinstance(other, DBM):
             return NotImplemented
@@ -434,3 +465,10 @@ class DBM:
             rows.append(" ".join(
                 bound_str(self.m[i * n + j]).rjust(7) for j in range(n)))
         return f"DBM(size={n},\n  " + "\n  ".join(rows) + ")"
+
+
+def k_bounds(max_constants):
+    """The encoded ``(uppers, lowers)`` of :meth:`DBM.extrapolate_k`:
+    ``<= k`` and ``< -k`` per clock maximal constant ``k``."""
+    return (tuple(le(c) for c in max_constants),
+            tuple(lt(-c) for c in max_constants))

@@ -23,7 +23,10 @@ documented tolerances:
     configuration (classic k-extrapolation, no waiting-list eviction)
     must match the oracle exactly — verdict, explored and stored state
     counts; the default lu+ abstraction must reach exactly the same
-    discrete configurations while never storing more states.
+    discrete configurations while never storing more states.  The
+    deadlock query of :meth:`repro.mc.Verifier.deadlock_free` must give
+    the verdict and explored-state count of a search whose goal is the
+    federation oracle :func:`repro.mc.reference.reference_has_deadlock`.
 
 ``mdp-vs-reference``
     Digital-clocks MDP construction and numeric analyses through the
@@ -56,8 +59,9 @@ import math
 
 import numpy as np
 
+from ..mc.engine import Verifier
 from ..mc.reachability import explore
-from ..mc.reference import reference_explore
+from ..mc.reference import reference_explore, reference_has_deadlock
 from ..mdp import analysis as core_analysis
 from ..mdp import reference as mdp_reference
 from ..models.brp_modest import brp_modest_source, not_success, reported
@@ -202,7 +206,9 @@ def _check_explore(gate, model_name, network_a, network_b):
     oracle.  The default lu+ abstraction legitimately visits fewer
     symbolic states, so it is held to set-level exactness instead: the
     same discrete configurations, never more stored states, and
-    identical sets with eviction on or off.
+    identical sets with eviction on or off.  The deadlock query, which
+    decides most states by a one-zone cover test, must match a search
+    over the federation oracle.
     """
     configs_k = set()
     new = explore(ZoneGraph(network_a, abstraction="k"),
@@ -235,6 +241,19 @@ def _check_explore(gate, model_name, network_a, network_b):
                 f"lu+ stores {lu.states_stored} states vs reference "
                 f"{ref.states_stored}: the coarser abstraction must "
                 f"never store more")
+
+
+    fused = Verifier(network_a).deadlock_free()
+    graph = ZoneGraph(network_b, abstraction="k")
+    oracle = explore(graph,
+                     goal=lambda s: reference_has_deadlock(graph, s))
+    gate.record(
+        "mc-vs-reference", model_name, "deadlock",
+        (fused.holds, fused.states_explored)
+        == (not oracle.found, oracle.states_explored),
+        f"deadlock_free holds={fused.holds} after "
+        f"{fused.states_explored} states vs oracle deadlock "
+        f"found={oracle.found} after {oracle.states_explored}")
 
 
 def _check_mdp(gate, model_name, network_a, network_b, predicate):

@@ -9,7 +9,7 @@ from ..obs.metrics import incr
 from ..obs.trace import span
 from ..ta.zonegraph import ZoneGraph
 from . import liveness
-from .deadlock import has_deadlock
+from .deadlock import DeadlockGoal
 from .queries import AF, AG, ClockPred, Deadlock, EF, EG, LeadsTo, Not
 from .reachability import explore
 
@@ -195,7 +195,7 @@ class Verifier:
 
     def _goal_predicate(self, formula):
         if isinstance(formula, Deadlock):
-            return lambda state: has_deadlock(self.graph, state)
+            return DeadlockGoal(self.graph)
         if _contains_deadlock_atom(formula):
             raise QueryError(_DEADLOCK_ALONE)
         return lambda state: formula.holds(self.network, state)

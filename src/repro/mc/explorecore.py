@@ -38,8 +38,10 @@ hot path linear instead of quadratic:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from operator import lt
 
 from ..core.errors import ModelError, SearchLimitError
+from ..dbm.bounds import LE_ZERO
 
 #: Default bound of every :class:`LRUCache`.  Each entry is a handful of
 #: machine words; 64k entries comfortably cover the benchmark models
@@ -209,15 +211,23 @@ class PassedWaitingList:
             self.subsumed += 1
             return False
         if self.use_inclusion:
+            # DBM.includes inlined on the raw matrices: ``a`` includes
+            # ``b`` when no entry of ``a`` is tighter, or ``b`` is empty.
+            theirs = zone.m
+            if theirs[0] < LE_ZERO and bucket:
+                self.subsumed += 1
+                seen[id(zone)] = zone
+                return False
             for stored, _node in bucket:
-                if stored.includes(zone):
+                if not any(map(lt, stored.m, theirs)):
                     self.subsumed += 1
                     seen[id(zone)] = zone
                     return False
             kept = []
             evict_waiting = self.evict_waiting
             for entry in bucket:
-                if zone.includes(entry[0]):
+                mine = entry[0].m
+                if mine[0] < LE_ZERO or not any(map(lt, theirs, mine)):
                     self.evicted += 1
                     self.size -= 1
                     stored_node = entry[1]

@@ -102,7 +102,10 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
     """Symbolic exploration over the unified passed/waiting list.
 
     ``goal(state)`` stops the search with a positive result; ``on_state``
-    is an observer callback.  The frontier is breadth-first, so
+    is an observer callback.  A goal with an ``expand(state)`` method,
+    such as :class:`repro.mc.deadlock.DeadlockGoal`, is decided from the
+    state's expansion instead: the method returns the state's
+    successors and the verdict from one fire loop.  The frontier is breadth-first, so
     witnesses are shortest (the UPPAAL default).  ``evict_waiting=False`` disables dead-marking of
     subsumed frontier entries (the pre-unification behaviour; see
     :class:`~repro.mc.explorecore.PassedWaitingList`).  Returns a
@@ -112,6 +115,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
     """
     collector = active()
     telemetry = getattr(graph, "telemetry", dict)
+    expand = getattr(goal, "expand", None)
     stats = getattr(graph, "stats", None)
     zones_before = stats.snapshot() if stats is not None else None
     caches_before = _cache_snapshot(graph)
@@ -140,13 +144,19 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
                                stored=passed.size, **telemetry())])
             if on_state is not None:
                 on_state(state)
-            if goal is not None and goal(state):
+            if expand is not None:
+                successors, hit = expand(state)
+            else:
+                successors, hit = None, goal is not None and goal(state)
+            if hit:
                 result = Reachability(True, state, reconstruct_trace(node),
                                       explored, passed.size)
                 break
             if max_states is not None and explored >= max_states:
                 break
-            for transition, succ in graph.successors(state):
+            if successors is None:
+                successors = graph.successors(state)
+            for transition, succ in successors:
                 child = SearchNode(succ, transition, node)
                 if passed.add_if_new(succ.discrete_key(), succ.zone, child):
                     waiting.push(child)

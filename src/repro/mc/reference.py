@@ -12,13 +12,20 @@ not exported from :mod:`repro.mc` — for two purposes only:
 * ``benchmarks/bench_engines.py --explore`` measures the wall-clock
   improvement of the rewritten engine against this baseline.
 
+It also keeps the pre-fusion deadlock check as the oracle of
+:mod:`repro.mc.deadlock`: a second fire loop per state that collects
+each fire's guard zone, then one federation ``down`` and ``subtract``
+(:func:`reference_has_deadlock`).
+
 Do not use it in production code paths.
 """
 
 from __future__ import annotations
 
 from ..dbm.bounds import LE_ZERO
+from ..dbm.federation import Federation
 from ..obs import active, checkpoint, span
+from ..ta.transitions import delay_forbidden
 from .reachability import Reachability, _cache_snapshot, _record_search
 
 
@@ -116,3 +123,52 @@ def reference_explore(graph, goal=None, on_state=None, use_inclusion=True,
         _record_search(collector, result, passed, graph, zones_before,
                        caches_before)
     return result
+
+
+def enabled_action_zone_parts(graph, state):
+    """For each enabled transition, the part of the zone where its
+    clock guards hold (before delay): the deadlock check's own fire
+    loop, separate from the graph's successor computation."""
+    parts = []
+    config = graph._config_for(state.locs, state.valuation)
+    for fire in config.fires:
+        zone = state.zone.copy()
+        graph.stats.zones_created += 1
+        for group in fire.guard_groups:
+            for i, j, b in group:
+                zone.constrain(i, j, b)
+                graph.stats.constraints_applied += 1
+            if zone.is_empty():
+                break
+        if zone.is_empty():
+            continue
+        # The step must also land in a non-empty target situation:
+        # apply resets and target invariants.
+        probe = zone.copy()
+        for clock_index, value in fire.resets:
+            probe.reset(clock_index, value)
+        probe = graph._apply_invariants(probe, fire.locs)
+        if probe.is_empty():
+            continue
+        parts.append(zone)
+    return parts
+
+
+def reference_deadlocked_part(graph, state):
+    """The sub-zone of ``state`` whose points deadlock, by the
+    federation route on every state."""
+    network = graph.network
+    parts = enabled_action_zone_parts(graph, state)
+    whole = Federation.from_zone(state.zone)
+    if not parts:
+        return whole
+    enabled = Federation(network.dbm_size, parts)
+    if not delay_forbidden(network, state.locs):
+        enabled = enabled.down()
+    return whole.subtract(enabled)
+
+
+def reference_has_deadlock(graph, state):
+    """The deadlock oracle: True when some point of ``state``
+    deadlocks."""
+    return not reference_deadlocked_part(graph, state).is_empty()

@@ -10,9 +10,13 @@ The synthesis objective is safety — never two trains on the bridge —
 and, as a liveness demonstration, the reachability objective "an
 approaching train eventually crosses".
 
-Constants can be scaled down (``scale=2`` halves every bound) to keep
-the discrete-time arena small for the larger instances; the game is
-closed under scaling, so verdicts are unaffected.
+Constants can be scaled down to keep the discrete-time arena small for
+the larger instances: ``scale=k`` replaces every bound ``c`` by
+``max(1, c // k)``.  The floor division does not keep the ratios
+between bounds (with ``scale=2``, 5 becomes 2 and 3 becomes 1), so a
+scaled game is a different game, not the same one on a coarser time
+grid, and its verdicts need not match the unscaled game's.  The tests
+check the verdicts of the bundled sizes and scales.
 """
 
 from __future__ import annotations

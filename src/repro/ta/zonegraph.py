@@ -27,12 +27,20 @@ configuration is memoised (:class:`_Config`); successor zones are not:
 one search expands each stored state once, and the only re-walks of a
 graph (liveness after safety, repeated queries on one verifier) saved
 less than the lookups cost on the deadlock query.
+
+A fire is two steps: :meth:`ZoneGraph._guard_zone` cuts a copy of the
+zone by the clock guards, and :meth:`ZoneGraph._land` turns that guard
+zone into the successor in place.  Between them :meth:`ZoneGraph.expand`
+tests whether the guard zone covers the zone under delay, so the
+deadlock query is decided from the same fire loop that yields the
+successors; :meth:`ZoneGraph.guard_zones` keeps copies of the guard
+zones for the exact definition in :mod:`repro.mc.deadlock`.
 """
 
 from __future__ import annotations
 
 from ..core.errors import ModelError
-from ..dbm.dbm import DBM
+from ..dbm.dbm import DBM, k_bounds
 from .bounds import network_bounds
 from .transitions import (
     delay_forbidden,
@@ -65,16 +73,19 @@ class _Config:
     """Memoised untimed data of one discrete configuration.
 
     Everything about a configuration that does not depend on the zone:
-    the :class:`_ZoneFire` of each candidate transition, and whether
-    delay is blocked (committed / urgent locations or an enabled urgent
-    synchronisation).  Computed once per ``(locs, valuation)`` and
-    shared by every zone that reaches the configuration.
+    the :class:`_ZoneFire` of each candidate transition, whether a
+    committed or urgent location forbids delay (``delay_forbidden``)
+    and whether delay is blocked at all, which an enabled urgent
+    synchronisation also does (``no_delay``).  Computed once per
+    ``(locs, valuation)`` and shared by every zone that reaches the
+    configuration.
     """
 
-    __slots__ = ("fires", "no_delay")
+    __slots__ = ("fires", "delay_forbidden", "no_delay")
 
-    def __init__(self, fires, no_delay):
+    def __init__(self, fires, delay_forbidden, no_delay):
         self.fires = fires
+        self.delay_forbidden = delay_forbidden
         self.no_delay = no_delay
 
 
@@ -161,8 +172,9 @@ class ZoneGraph:
                 bounds = None
         self.abstraction = abstraction
         self._bounds = bounds
-        self._max_constants = (network.max_constants(extra_constants)
-                               if abstraction == "k" else None)
+        # The k-extrapolation bounds, encoded once per graph.
+        self._k_bounds = (k_bounds(network.max_constants(extra_constants))
+                          if abstraction == "k" else None)
         self.stats = ZoneGraphStats()
         self.zone_store = ZoneStore()
         self._trans_cache = LRUCache()
@@ -218,8 +230,8 @@ class ZoneGraph:
             lowers, uppers = bounds.lu_for(locs)
             zone.extrapolate_lu(lowers, uppers)
             stats.lu_extrapolated += 1
-        elif self._max_constants is not None:
-            zone.extrapolate(self._max_constants)
+        elif self._k_bounds is not None:
+            zone.extrapolate_k(*self._k_bounds)
         return zone
 
     def _config_for(self, locs, valuation):
@@ -236,9 +248,10 @@ class ZoneGraph:
         transitions = tuple(discrete_transitions(network, locs, valuation))
         fires = tuple(_ZoneFire(transition, locs)
                       for transition in transitions)
-        no_delay = (delay_forbidden(network, locs)
+        forbidden = delay_forbidden(network, locs)
+        no_delay = (forbidden
                     or has_urgent_sync(network, locs, valuation, transitions))
-        config = _Config(fires, no_delay)
+        config = _Config(fires, forbidden, no_delay)
         self._trans_cache.put(key, config)
         return config
 
@@ -255,21 +268,71 @@ class ZoneGraph:
                         self.zone_store.intern(self._finish(zone, locs)))
 
     def successors(self, state):
-        """Yield ``(transition, successor)`` pairs."""
+        """The ``(transition, successor)`` pairs of ``state``, in fire
+        order."""
         out = []
         config = self._config_for(state.locs, state.valuation)
         for fire in config.fires:
-            succ = self._fire(state, fire)
-            if succ is not None:
-                out.append((fire.transition, succ))
+            zone = self._guard_zone(state.zone, fire)
+            if zone is not None:
+                succ = self._land(state, fire, zone)
+                if succ is not None:
+                    out.append((fire.transition, succ))
         return out
 
-    def _fire(self, state, fire):
+    def expand(self, state):
+        """:meth:`successors` plus a one-zone deadlock cover test, from
+        the same fire loop: ``(successors, covered)``.
+
+        ``covered`` is True when the guard zone ``P`` of one fire that
+        yields a successor already covers the zone ``Z``: ``Z ⊆ ↓P``,
+        or ``Z ⊆ P`` where a committed or urgent location forbids
+        delay.  Then no point of ``Z`` deadlocks.  False means only that
+        no single guard zone covers ``Z``; :func:`repro.mc.deadlock.
+        deadlocked_part` decides that case over all of them.
+        """
+        out = []
+        config = self._config_for(state.locs, state.valuation)
+        zone = state.zone
+        covers = (DBM.includes if config.delay_forbidden
+                  else DBM.past_includes)
+        covered = False
+        for fire in config.fires:
+            guard = self._guard_zone(zone, fire)
+            if guard is None:
+                continue
+            # Decided before _land resets the guard zone in place.
+            cover = not covered and covers(guard, zone)
+            succ = self._land(state, fire, guard)
+            if succ is not None:
+                out.append((fire.transition, succ))
+                covered = covered or cover
+        return out, covered
+
+    def guard_zones(self, state):
+        """The guard zone of every fire of ``state`` that yields a
+        successor: the part of the zone where the fire's clock guards
+        hold, before delay.  The deadlock definition reads them."""
+        parts = []
+        config = self._config_for(state.locs, state.valuation)
+        for fire in config.fires:
+            guard = self._guard_zone(state.zone, fire)
+            if guard is None:
+                continue
+            kept = guard.copy()
+            self.stats.zones_created += 1
+            if self._land(state, fire, guard) is not None:
+                parts.append(kept)
+        return parts
+
+    def _guard_zone(self, zone, fire):
+        """A copy of ``zone`` cut by the fire's clock guards, or None
+        when they are unsatisfiable in it."""
         stats = self.stats
-        zone = state.zone.copy()
+        zone = zone.copy()
         stats.zones_created += 1
-        # Clock guards (emptiness checked per guard atom, as the atoms
-        # were originally applied).
+        # Emptiness is checked per guard atom, as the atoms were
+        # originally applied.
         for group in fire.guard_groups:
             for i, j, b in group:
                 zone.constrain(i, j, b)
@@ -280,6 +343,12 @@ class ZoneGraph:
         if zone.is_empty():
             stats.empty_zones += 1
             return None
+        return zone
+
+    def _land(self, state, fire, zone):
+        """The successor that firing from guard zone ``zone`` reaches,
+        or None when it is empty.  Mutates ``zone``."""
+        stats = self.stats
         new_locs, new_valuation = fire.locs, fire.valuation
         if new_valuation is None:
             new_valuation = fire.valuation = \
@@ -298,30 +367,3 @@ class ZoneGraph:
             return None
         return SymState(new_locs, new_valuation,
                         self.zone_store.intern(self._finish(zone, new_locs)))
-
-    def enabled_action_zone_parts(self, state):
-        """For each enabled transition, the part of the zone where its
-        clock guards hold (before delay).  Used by the deadlock check."""
-        parts = []
-        config = self._config_for(state.locs, state.valuation)
-        for fire in config.fires:
-            zone = state.zone.copy()
-            self.stats.zones_created += 1
-            for group in fire.guard_groups:
-                for i, j, b in group:
-                    zone.constrain(i, j, b)
-                    self.stats.constraints_applied += 1
-                if zone.is_empty():
-                    break
-            if zone.is_empty():
-                continue
-            # The step must also land in a non-empty target situation:
-            # apply resets and target invariants.
-            probe = zone.copy()
-            for clock_index, value in fire.resets:
-                probe.reset(clock_index, value)
-            probe = self._apply_invariants(probe, fire.locs)
-            if probe.is_empty():
-                continue
-            parts.append(zone)
-        return parts

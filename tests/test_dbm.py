@@ -262,6 +262,13 @@ def test_down_contains_past(z, a, b):
         assert past.contains_point((a - d, b - d))
 
 
+@settings(max_examples=300, deadline=None)
+@given(zones, zones)
+def test_past_includes_matches_the_built_past(z1, z2):
+    """The matrix test equals inclusion in the materialised down()."""
+    assert z1.past_includes(z2) == z1.copy().down().includes(z2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(zones)
 def test_close_is_idempotent(z):

@@ -67,7 +67,7 @@ class TestZoneGraph:
     def test_guard_restricts_window(self):
         graph = ZoneGraph(ping_pong())
         init = graph.initial()
-        parts = graph.enabled_action_zone_parts(init)
+        parts = graph.guard_zones(init)
         assert len(parts) == 1
         # Enabled only for x in [2, 4].
         assert parts[0].contains_point((2, 2))
