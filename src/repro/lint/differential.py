@@ -242,7 +242,6 @@ def _check_explore(gate, model_name, network_a, network_b):
                 f"{ref.states_stored}: the coarser abstraction must "
                 f"never store more")
 
-
     fused = Verifier(network_a).deadlock_free()
     graph = ZoneGraph(network_b, abstraction="k")
     oracle = explore(graph,

@@ -22,12 +22,14 @@ from ..ta.transitions import delay_forbidden
 
 def deadlocked_part(graph, state):
     """The sub-zone of ``state`` whose points deadlock (may be empty)."""
+    network = graph.network
     parts = graph.guard_zones(state)
+    size = network.dbm_size
     whole = Federation.from_zone(state.zone)
     if not parts:
         return whole
-    enabled = Federation(graph.network.dbm_size, parts)
-    if not delay_forbidden(graph.network, state.locs):
+    enabled = Federation(size, parts)
+    if not delay_forbidden(network, state.locs):
         # Points that can delay into an enabled part.  The zone is convex
         # and delay-closed, so staying inside it on the way is automatic.
         enabled = enabled.down()

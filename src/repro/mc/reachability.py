@@ -105,8 +105,9 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
     is an observer callback.  A goal with an ``expand(state)`` method,
     such as :class:`repro.mc.deadlock.DeadlockGoal`, is decided from the
     state's expansion instead: the method returns the state's
-    successors and the verdict from one fire loop.  The frontier is breadth-first, so
-    witnesses are shortest (the UPPAAL default).  ``evict_waiting=False`` disables dead-marking of
+    successors and the verdict from one fire loop.  The frontier is
+    breadth-first, so witnesses are shortest (the UPPAAL default).
+    ``evict_waiting=False`` disables dead-marking of
     subsumed frontier entries (the pre-unification behaviour; see
     :class:`~repro.mc.explorecore.PassedWaitingList`).  Returns a
     :class:`Reachability`, whose ``trace`` is the list of (transition,

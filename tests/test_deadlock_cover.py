@@ -48,7 +48,8 @@ def test_fused_check_matches_the_oracle(make):
     explore(graph, on_state=states.append)
     for state in states:
         successors, deadlocked = goal.expand(state)
-        assert deadlocked == reference_has_deadlock(graph, state)
+        assert deadlocked == goal(state) == reference_has_deadlock(graph,
+                                                                   state)
         assert (deadlocked_part(graph, state)
                 == reference_deadlocked_part(graph, state))
         assert ([(t.describe(), s.key()) for t, s in successors]
