@@ -29,11 +29,13 @@ file::
         --baseline benchmarks/BENCH_baseline.json \
         parallel_smc.json engine_metrics.json ...
 
-``--update`` keeps each metric's spec shape (tolerance band, floor) and
-only refreshes the expected values; review the diff like any other code
-change.  Artifacts are keyed by basename, metrics by dotted path into
-the report (``counters.X`` / ``gauges.X`` / ``meta.X``, with list
-indices allowed, e.g. ``meta.workloads.0.speedup``).
+``--update`` keeps each metric's spec shape (tolerance band, floor),
+the file's key order and its ``meta`` entries, and only refreshes the
+expected values and the ``meta`` provenance stamp; review the diff like
+any other code change.  Artifacts are keyed by basename, metrics by
+dotted path into the report (``counters.X`` / ``gauges.X`` /
+``meta.X``, with list indices allowed, e.g.
+``meta.workloads.0.speedup``).
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def check_artifact(name, specs, report):
 
 def update_baseline(baseline, reports):
     """Refresh expected values in place, keeping each spec's shape, and
-    stamp provenance (git SHA + date) into the baseline's ``meta``."""
+    stamp provenance (git SHA + date) into the baseline's ``meta``,
+    keeping its other entries (such as ``note``)."""
     for name, report in reports.items():
         specs = baseline["artifacts"].get(name)
         if specs is None:
@@ -141,8 +144,9 @@ def update_baseline(baseline, reports):
             if actual is None or "min" in spec:
                 continue
             spec["value"] = actual
-    baseline["meta"] = {"git_sha": _git_sha(),
-                        "updated": time.strftime("%Y-%m-%d")}
+    meta = baseline.setdefault("meta", {})
+    meta["git_sha"] = _git_sha()
+    meta["updated"] = time.strftime("%Y-%m-%d")
     return baseline
 
 
@@ -220,7 +224,7 @@ def main(argv=None):
     if args.update:
         update_baseline(baseline, reports)
         with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
+            json.dump(baseline, handle, indent=2)
             handle.write("\n")
         print(f"rewrote {args.baseline}")
         return 0

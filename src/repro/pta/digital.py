@@ -20,7 +20,7 @@ clock vector in one routine, :meth:`~repro.ta.discrete.DiscreteSemantics.expand`
 arena (:class:`repro.tiga.GameGraph`) runs too.  Builder and the
 :class:`~repro.pta.simulate.DigitalSimulator` (modes) obtain a shared
 per-network instance from :func:`digital_semantics`, which also
-carries the simulator's bounded ``step_plans`` table.
+carries the simulator's generation-bounded ``step_plans`` table.
 
 The builder writes the MDP flat from the start: the explorer's buffers
 (per action its source and transition end offset, per transition its
@@ -117,10 +117,11 @@ def digital_semantics(network, extra_constants=None):
     Builder and simulators all draw from here, so e.g. the thousands of
     per-seed :class:`~repro.pta.simulate.DigitalSimulator` instances a
     modes run creates share one set of firing tables.  The instance's
-    ``step_plans`` maps a state key to the simulator's step plan; it is
-    bounded like the configuration table.
+    ``step_plans`` is the simulator's
+    :class:`~repro.pta.simulate.PlanTable`, which maps a state key to
+    its linked step plan.
     """
-    from ..mc.explorecore import LRUCache
+    from .simulate import PlanTable
 
     per_network = _SEMANTICS.get(network)
     if per_network is None:
@@ -131,7 +132,7 @@ def digital_semantics(network, extra_constants=None):
     semantics = per_network.get(key)
     if semantics is None:
         semantics = DiscreteSemantics(network, extra_constants)
-        semantics.step_plans = LRUCache()
+        semantics.step_plans = PlanTable()
         per_network[key] = semantics
     return semantics
 

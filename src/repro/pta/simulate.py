@@ -21,15 +21,31 @@ Runs revisit few distinct states, so each digital state's step data is
 computed once, by the successor routine
 :meth:`~repro.ta.discrete.DiscreteSemantics.expand` that
 :func:`~repro.pta.digital.build_digital_mdp` also explores with, and
-kept as a step plan: the location names, the enabled actions with their
-outcome lists as cumulative branch tables, and the saturation-checked
-tick successor.  The plans live in a bounded
-:class:`~repro.mc.explorecore.LRUCache` on the network's shared
-semantics (``step_plans``), so every per-seed simulator of a batch
-walks one table.  Building a plan computes every enabled action's
-outcomes, so a probabilistic branch that breaks its target invariant
-raises :class:`~repro.core.errors.ModelError` on the first visit to
-the state, and a Dirac edge into a broken invariant is never enabled.
+kept as a step plan: the state, its location names, the enabled
+actions with their outcome lists as cumulative branch tables, and the
+saturation-checked tick successor.  Each successor is a link that a
+walk fills with the successor's plan on its first visit there, so a
+run looks a state up by key only when it follows a link for the first
+time; after that it moves from plan to plan.  The plans live in a
+:class:`PlanTable` on the network's shared semantics (``step_plans``),
+so every per-seed simulator of a batch walks one linked graph.  The
+table is bounded by generations: when it is full, every plan in it is
+unlinked and all are dropped, so at most ``maxsize`` plans are live,
+plus the one each walk is standing on.  Building a plan computes every
+enabled action's outcomes, so a probabilistic branch that breaks its
+target invariant raises :class:`~repro.core.errors.ModelError` on the
+first visit to the state, and a Dirac edge into a broken invariant is
+never enabled.
+
+:meth:`DigitalSimulator.first_passage` records when watched predicates
+first hold on one run.  Each plan memoises, for one tuple of
+predicates at a time, the bitmask of those that hold in its state, so
+a predicate is called once per state, not once per step.  This assumes
+that predicates are pure functions of ``(names, valuation, clocks)``,
+as data guards already are.  The memo is a single ``(predicates,
+mask)`` pair, stored in one assignment, so threads walking one network
+with different predicates never read each other's masks; the equal
+tuples of a campaign's batches share it.
 
 The RNG draw order is a contract.  Per step: under ``"uniform"`` only,
 one ``randint(0, len(actions))`` when both a tick and an action are
@@ -51,6 +67,9 @@ from .digital import digital_semantics
 
 POLICIES = ("max-delay", "min-delay", "uniform", "por")
 
+#: Step budget of a run unless the caller gives one.
+MAX_STEPS = 100000
+
 
 class SimulationRun:
     """Outcome of one simulated run."""
@@ -67,11 +86,23 @@ class SimulationRun:
         return f"SimulationRun(elapsed={self.elapsed}, steps={self.steps})"
 
 
+class _Link:
+    """One successor of a step plan: its state, and the state's plan
+    once a walk has visited it (``None`` before that, and again after
+    the table started a new generation)."""
+
+    __slots__ = ("state", "plan")
+
+    def __init__(self, state):
+        self.state = state
+        self.plan = None
+
+
 class _Action:
     """One enabled fire of a step plan: its transition and its branch
     table, the cumulative branch probabilities (the last one replaced
     by infinity, so it catches any remaining probability) with the
-    successor state of each branch."""
+    successor link of each branch."""
 
     __slots__ = ("transition", "cumulative", "successors")
 
@@ -84,33 +115,84 @@ class _Action:
             cumulative.append(acc)
         cumulative[-1] = inf
         self.cumulative = cumulative
-        self.successors = tuple(DiscreteState(locs, valuation, clocks)
-                                for _p, locs, valuation, clocks in outcomes)
+        self.successors = tuple(
+            _Link(DiscreteState(locs, valuation, clocks))
+            for _p, locs, valuation, clocks in outcomes)
 
 
 class _StepPlan:
-    """Everything a step needs from one digital state: the location
-    names, the enabled actions in firing-table order, and the tick
-    successor (``None`` when time may not pass or every clock is
-    saturated).  A plan with neither a tick nor an action is stuck."""
+    """Everything a step needs from one digital state: the state, its
+    location names, the enabled actions in firing-table order, and the
+    tick successor's link (``None`` when time may not pass or every
+    clock is saturated).  A plan with neither a tick nor an action is
+    stuck.  ``verdicts`` is the first-passage memo, a ``(predicates,
+    mask)`` pair or ``None``."""
 
-    __slots__ = ("names", "actions", "tick")
+    __slots__ = ("state", "names", "actions", "tick", "verdicts")
 
     def __init__(self, semantics, state):
         locs, valuation = state.locs, state.valuation
         fires, ticked = semantics.expand(
             semantics.config_for(locs, valuation), state.clocks)
+        self.state = state
         self.names = semantics.network.location_vector_names(locs)
         self.actions = tuple(_Action(fire.transition, outcomes)
                              for fire, outcomes in fires)
         self.tick = (None if ticked is None or ticked == state.clocks
-                     else DiscreteState(locs, valuation, ticked))
+                     else _Link(DiscreteState(locs, valuation, ticked)))
+        self.verdicts = None
+
+    def unlink(self):
+        """Forget the plans of every successor."""
+        if self.tick is not None:
+            self.tick.plan = None
+        for action in self.actions:
+            for link in action.successors:
+                link.plan = None
+
+    def judge(self, predicates):
+        """Memoise and return ``(predicates, mask)``: the bitmask of the
+        ``predicates`` (a tuple) that hold in this plan's state, bit
+        ``i`` for ``predicates[i]``."""
+        state = self.state
+        mask = 0
+        for bit, predicate in enumerate(predicates):
+            if predicate(self.names, state.valuation, state.clocks):
+                mask |= 1 << bit
+        verdicts = self.verdicts = (predicates, mask)
+        return verdicts
+
+
+class PlanTable(dict):
+    """The step plans of one network's digital semantics, by state key,
+    bounded by generations: adding a plan to a table of ``maxsize``
+    plans first unlinks and drops them all and counts a new
+    ``generation``.  A walk standing on a dropped plan finds its
+    successors in the new generation."""
+
+    __slots__ = ("maxsize", "generation")
+
+    def __init__(self):
+        from ..mc.explorecore import DEFAULT_CACHE_SIZE
+
+        super().__init__()
+        self.maxsize = DEFAULT_CACHE_SIZE
+        self.generation = 0
+
+    def add(self, key, plan):
+        if len(self) >= self.maxsize:
+            dropped = list(self.values())
+            self.clear()
+            self.generation += 1
+            for old in dropped:
+                old.unlink()
+        self[key] = plan
 
 
 class DigitalSimulator:
     """Simulates runs of a PTA network under a scheduler policy.
 
-    Steps walk the step plans of the network's shared
+    Steps walk the linked step plans of the network's shared
     :func:`~repro.pta.digital.digital_semantics`, so the per-seed
     simulator instances a modes batch creates all reuse one table.
     """
@@ -129,16 +211,18 @@ class DigitalSimulator:
         return self.semantics.initial()
 
     def _plan(self, state):
+        """The plan of a visited state: from the table, or built now."""
         key = state.key()
         plan = self._plans.get(key)
         if plan is None:
             plan = _StepPlan(self.semantics, state)
-            self._plans.put(key, plan)
+            self._plans.add(key, plan)
         return plan
 
     def _move(self, plan):
-        """The scheduler move out of a plan's state: ``(kind,
-        new_state, time_advance)``, or ``None`` when it is stuck."""
+        """The scheduler move out of a plan's state: ``(kind, link,
+        time_advance)`` with the successor's link, or ``None`` when it
+        is stuck."""
         actions = plan.actions
         if plan.tick is not None and (
                 not actions or self.policy == "max-delay"
@@ -163,9 +247,13 @@ class DigitalSimulator:
         """One scheduler move; returns (kind, new_state, time_advance)
         or None when the run is stuck (deadlock or quiescence: all
         clocks saturated and no action will ever become enabled)."""
-        return self._move(self._plan(state))
+        move = self._move(self._plan(state))
+        if move is None:
+            return None
+        kind, link, dt = move
+        return (kind, link.state, dt)
 
-    def run(self, stop=None, max_time=None, max_steps=100000,
+    def run(self, stop=None, max_time=None, max_steps=MAX_STEPS,
             record_trace=False, observer=None, start=None):
         """Simulate until ``stop(state)`` is true, time/step budget runs
         out, or the run deadlocks.
@@ -179,13 +267,16 @@ class DigitalSimulator:
         ``.time`` into the active metrics collector (no-op lookups once
         per run, not per step, when observability is off).
         """
-        state = self.initial() if start is None else start
+        link = _Link(self.initial() if start is None else start)
         elapsed = 0
         steps = 0
         trace = [] if record_trace else None
         try:
             for steps in range(max_steps):
-                plan = self._plan(state)
+                plan = link.plan
+                if plan is None:
+                    plan = link.plan = self._plan(link.state)
+                state = plan.state
                 names = plan.names
                 if observer is not None:
                     observer(elapsed, names, state.valuation, state.clocks)
@@ -197,12 +288,60 @@ class DigitalSimulator:
                 move = self._move(plan)
                 if move is None:
                     return SimulationRun(state, elapsed, steps, trace)
-                kind, state, dt = move
+                kind, link, dt = move
                 elapsed += dt
                 if record_trace:
                     trace.append((kind, elapsed))
             steps = max_steps
             raise AnalysisError(f"run exceeded {max_steps} steps")
+        finally:
+            incr("pta.sim.runs")
+            incr("pta.sim.steps", steps)
+            incr("pta.sim.time", elapsed)
+
+    def first_passage(self, predicates, horizon):
+        """When each predicate first holds on one run: ``{key: time}``
+        (``inf`` = never), for ``predicates`` mapping keys to functions
+        of ``(names, valuation, clocks)``.
+
+        The run is :meth:`run` with a
+        :class:`~repro.smc.cdf.FirstPassageRecorder` as observer and its
+        ``all_seen`` as stop, under ``max_time=horizon``: same moves,
+        same draws, same counters.  Predicates must be pure; each
+        plan's verdicts are memoised (see the module docstring).
+        """
+        keys = tuple(predicates)
+        tests = tuple(predicates.values())
+        times = dict.fromkeys(keys, inf)
+        pending = (1 << len(keys)) - 1
+        if horizon is None:
+            horizon = inf
+        link = _Link(self.initial())
+        elapsed = 0
+        steps = 0
+        try:
+            for steps in range(MAX_STEPS):
+                plan = link.plan
+                if plan is None:
+                    plan = link.plan = self._plan(link.state)
+                verdicts = plan.verdicts
+                if verdicts is None or verdicts[0] != tests:
+                    verdicts = plan.judge(tests)
+                hit = pending & verdicts[1]
+                if hit:
+                    pending ^= hit
+                    for bit, key in enumerate(keys):
+                        if hit >> bit & 1:
+                            times[key] = elapsed
+                if not pending or elapsed >= horizon:
+                    return times
+                move = self._move(plan)
+                if move is None:
+                    return times
+                _kind, link, dt = move
+                elapsed += dt
+            steps = MAX_STEPS
+            raise AnalysisError(f"run exceeded {MAX_STEPS} steps")
         finally:
             incr("pta.sim.runs")
             incr("pta.sim.steps", steps)

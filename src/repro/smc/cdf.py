@@ -7,8 +7,15 @@ probability, over time, of a time-bounded reachability event — e.g.
 :func:`first_passage_batch` is the one worker that records when
 predicates first hold on a seeded run, for either simulator: the Fig. 4
 CDFs, the modes backend (:func:`repro.modest.modes`) and time-bounded
-SMC (:func:`~repro.smc.stochastic.simulate_once` drives the same
-:class:`FirstPassageRecorder`) all read their outcomes from it.
+SMC (:func:`~repro.smc.stochastic.simulate_once`) all read their
+outcomes from a simulator's ``first_passage(predicates, horizon)``.
+:class:`~repro.smc.StochasticSimulator` implements it as a run watched
+by a :class:`FirstPassageRecorder`;
+:class:`~repro.pta.DigitalSimulator` walks its linked step plans and
+reads each plan's memoised bitmask of the predicates that hold there.
+Either way a predicate must be a pure function of ``(names, valuation,
+clocks)``: the digital simulator calls it once per state, not once per
+step.
 """
 
 from __future__ import annotations
@@ -68,23 +75,18 @@ def first_passage_batch(simulator_factory, predicates, horizon, seeds):
 
     Module-level (hence picklable) worker entry point: returns one
     ``{key: time}`` dict per seed, in seed order (``inf`` = never
-    within ``horizon``).  Each run builds ``simulator_factory(
-    RandomSource(seed))`` and stops once every predicate has held.
-    Predicate values may be :class:`~repro.runtime.Spec` references,
-    resolved here.
+    within ``horizon``), from ``simulator_factory(RandomSource(seed))
+    .first_passage(predicates, horizon)``; a run stops once every
+    predicate has held.  Predicate values may be
+    :class:`~repro.runtime.Spec` references, resolved here.
     """
     from ..core.rng import RandomSource
     from ..runtime.spec import build_cached
 
     resolved = {key: build_cached(p) for key, p in predicates.items()}
-    out = []
-    for seed in seeds:
-        simulator = simulator_factory(RandomSource(seed))
-        recorder = FirstPassageRecorder(resolved)
-        simulator.run(max_time=horizon, observer=recorder,
-                      stop=recorder.all_seen)
-        out.append(recorder.times)
-    return out
+    return [simulator_factory(RandomSource(seed)).first_passage(
+                resolved, horizon)
+            for seed in seeds]
 
 
 def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
@@ -92,13 +94,14 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     """Estimate, for each predicate, the CDF of its first-passage time.
 
     ``simulator_factory(rng)`` builds a fresh simulator; each run calls
-    its ``run(max_time=horizon, observer=..., stop=...)`` by keyword, as
-    both :class:`~repro.smc.StochasticSimulator` and
-    :class:`~repro.pta.DigitalSimulator` accept, and stops once every
+    its ``first_passage(predicates, horizon)``, which both
+    :class:`~repro.smc.StochasticSimulator` and
+    :class:`~repro.pta.DigitalSimulator` provide, and stops once every
     predicate has held.  A hit is recorded only in a state entered at
     or before ``horizon``: the stochastic simulator observes no state
     past it, and the digital one, moving in unit ticks, none past an
-    integer horizon.  Returns ``{key: [probabilities over grid]}``.
+    integer horizon.  Predicates must be pure functions of ``(names,
+    valuation, clocks)``.  Returns ``{key: [probabilities over grid]}``.
 
     Batches of seeded runs go through ``executor`` (see
     :mod:`repro.runtime`; ``None`` means

@@ -428,6 +428,16 @@ class StochasticSimulator:
             incr("smc.sim.runs")
             incr("smc.sim.steps", steps)
 
+    def first_passage(self, predicates, horizon):
+        """When each predicate first holds on one run up to ``horizon``:
+        ``{key: time}`` (``inf`` = never), for ``predicates`` mapping
+        keys to functions of ``(names, valuation, clocks)``.  The run
+        stops once every predicate has held."""
+        recorder = FirstPassageRecorder(predicates)
+        self.run(max_time=horizon, observer=recorder,
+                 stop=recorder.all_seen)
+        return recorder.times
+
 
 # -- module-level run entry points (picklable, for the parallel runtime) ------
 
@@ -450,9 +460,7 @@ def simulate_once(model, prop, horizon, rng=None, default_rate=1.0):
     ``horizon``?  ``model`` and ``prop`` may be live objects or specs."""
     from ..runtime.spec import build_cached
 
-    recorder = FirstPassageRecorder({"prop": build_cached(prop)})
     simulator = network_simulator(model, rng=ensure_rng(rng),
                                   default_rate=default_rate)
-    simulator.run(max_time=horizon, observer=recorder,
-                  stop=recorder.all_seen)
-    return recorder.all_seen()
+    times = simulator.first_passage({"prop": build_cached(prop)}, horizon)
+    return times["prop"] != math.inf

@@ -9,6 +9,7 @@ single process and across a worker pool.  The pool test honours
 rebuilds the model from its ``Spec`` and builds its own step plans.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from repro.pta import (
     build_digital_mdp,
     digital_semantics,
 )
+from repro.pta.simulate import _StepPlan
 from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
@@ -166,13 +168,26 @@ class TestFirstPassage:
         assert cdf == {"ok": [estimate.successes / estimate.runs]}
 
 
+def live_plans():
+    """Step plans allocated since the last collection and still alive;
+    with the collector off, only reference counting frees them."""
+    return sum(type(o) is _StepPlan for o in gc.get_objects(generation=0))
+
+
 class TestStepPlans:
     def test_shared_by_every_simulator_of_a_network(self):
         network = brp.make_brp(2, 2, 1)
         plans = digital_semantics(network).step_plans
         for seed in range(5):
             DigitalSimulator(network, rng=seed).run(max_time=200)
-        assert 0 < len(plans) < plans.hits
+        built = dict(plans)
+        with collecting() as collector:
+            for seed in range(5):
+                DigitalSimulator(network, rng=seed).run(max_time=200)
+        assert 0 < len(built) < collector.value("pta.sim.steps")
+        # The same runs again find every plan and build none: the table
+        # holds the same plan objects (plans compare by identity).
+        assert plans == built
         assert DigitalSimulator(network)._plans is plans
 
     def test_bounded_table_gives_the_unbounded_outputs(self):
@@ -180,12 +195,44 @@ class TestStepPlans:
         network = brp.make_brp(16, 2, 1)
         plans = digital_semantics(network).step_plans
         plans.maxsize = 4  # on this instance only; not a parameter
-        assert table1_modes(network) == unbounded
-        sizes = []
-        DigitalSimulator(network, rng=3).run(
-            max_time=200, observer=lambda *_: sizes.append(len(plans)))
+        sizes, live = [], []
+
+        def watch(*_state):
+            sizes.append(len(plans))
+            live.append(live_plans())
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert table1_modes(network) == unbounded
+            live.append(live_plans())
+            generation = plans.generation
+            DigitalSimulator(network, rng=3).run(max_time=200,
+                                                 observer=watch)
+        finally:
+            gc.enable()
         assert max(sizes) == 4
-        assert plans.misses > len(sizes) // 2
+        assert plans.generation > generation > 0
+        # The table's plans plus the one the walk stands on.
+        assert max(live) <= plans.maxsize + 1
+
+    def test_dropped_generations_are_freed_without_the_collector(self):
+        """A walk that takes ``self_loop_network``'s loop links a plan
+        to itself; a new generation unlinks the plans it drops, so
+        reference counting alone frees them."""
+        network = self_loop_network()
+        plans = digital_semantics(network).step_plans
+        plans.maxsize = 4  # on this instance only; not a parameter
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(20):
+                DigitalSimulator(network, policy="uniform", rng=seed).run()
+            live = live_plans()
+        finally:
+            gc.enable()
+        assert plans.generation > 0
+        assert live <= plans.maxsize
 
     def test_max_steps_error_counts_every_step(self):
         with collecting() as collector:
@@ -194,6 +241,18 @@ class TestStepPlans:
                     max_time=200, max_steps=5)
         assert collector.value("pta.sim.steps") == 5
         assert collector.value("pta.sim.runs") == 1
+
+
+def self_loop_network():
+    """``P`` stays in ``A``, looping there in zero time until ``x``
+    passes 5; then it is stuck."""
+    a = PTA("P", clocks=["x"])
+    a.add_location("A")
+    a.initial_location = "A"
+    a.add_edge("A", "A", guard=[clk("x", "<=", 5)])
+    net = PTANetwork()
+    net.add_process("P", a)
+    return net.freeze()
 
 
 def guarded_choice_network():
