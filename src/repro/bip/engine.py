@@ -99,7 +99,7 @@ class BIPEngine:
                         f"invariant violated at step {index}: "
                         f"{self.state!r}")
                 if index & 255 == 0:
-                    checkpoint("bip.run", index, total=max_steps)
+                    checkpoint("bip.run")
                 if self.step() is None:
                     return self.trace
                 if observer is not None:
@@ -151,8 +151,7 @@ def explore_statespace(system, max_states=100000):
                     seen[key] = succ
                     queue.append(succ)
                     if len(seen) & 1023 == 0:
-                        checkpoint("bip.explore", len(seen),
-                                   waiting=len(queue))
+                        checkpoint("bip.explore")
                     if len(seen) > max_states:
                         raise SearchLimitError(
                             f"state space exceeds {max_states} states",

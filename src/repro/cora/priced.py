@@ -113,7 +113,7 @@ def min_cost_reachability(priced, goal, extra_constants=None,
                 continue
             explored += 1
             if explored & 1023 == 0:
-                checkpoint("cora.min_cost", explored)
+                checkpoint("cora.min_cost")
             names = network.location_vector_names(state.locs)
             if goal(names, state.valuation, state.clocks):
                 result = CostResult(cost, state, _steps_of(node), explored)

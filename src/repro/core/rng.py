@@ -19,34 +19,46 @@ from __future__ import annotations
 
 import random
 
+#: The draws :meth:`RandomSource._bind` binds, left out of the pickled
+#: state.
+_DRAWS = ("random", "uniform", "expovariate", "randint", "choice",
+          "shuffle")
+
 
 class RandomSource:
-    """Seedable RNG with the few primitives the engines need."""
+    """Seedable RNG with the few primitives the engines need.
+
+    The draws — ``random``, ``uniform``, ``expovariate``, ``randint``
+    (inclusive bounds), ``choice`` and ``shuffle`` — are the bound
+    methods of the underlying :class:`random.Random`, so a draw costs
+    no wrapper frame.  :mod:`copy` treats bound builtin methods as
+    atomic, so the pickled (and deep-copied) state leaves them out and
+    :meth:`__setstate__` binds them to the copy's own generator.
+    """
 
     def __init__(self, seed=None, spawn_key=()):
         self._random = random.Random(seed)
         self.seed = seed
         self.spawn_key = tuple(spawn_key)
         self._spawn_count = 0
+        self._bind()
 
-    def random(self):
-        return self._random.random()
+    def _bind(self):
+        rng = self._random
+        self.random = rng.random
+        self.uniform = rng.uniform
+        self.expovariate = rng.expovariate
+        self.randint = rng.randint
+        self.choice = rng.choice
+        self.shuffle = rng.shuffle
 
-    def uniform(self, low, high):
-        return self._random.uniform(low, high)
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _DRAWS}
 
-    def expovariate(self, rate):
-        return self._random.expovariate(rate)
-
-    def randint(self, low, high):
-        """Uniform integer in [low, high], inclusive."""
-        return self._random.randint(low, high)
-
-    def choice(self, sequence):
-        return self._random.choice(sequence)
-
-    def shuffle(self, sequence):
-        self._random.shuffle(sequence)
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     def spawn(self):
         """An independent child source (for parallel experiment arms).

@@ -27,9 +27,9 @@ collector installed they flush states-explored / passed-list / zone
 counters at the end of the search (plus the physical
 ``mc.zone_interned`` interning delta), emit a ``mc.explore`` span, and
 call :func:`repro.obs.checkpoint` every 1024 states.  That one call
-delivers the progress heartbeat, beats a flight recorder's stall
-watchdog, and samples the ``mc.explore.*`` time series (frontier /
-passed-list / zone-store sizes); the searches log ``mc.explore.done`` /
+beats a flight recorder's stall watchdog and samples the
+``mc.explore.*`` time series (frontier / passed-list / zone-store
+sizes); the searches log ``mc.explore.done`` /
 ``mc.build_graph.done`` events.  All counting in the search loop itself
 is plain-int arithmetic, so the overhead with observability off is nil.
 """
@@ -138,11 +138,9 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
             state = node.state
             explored += 1
             if explored & 1023 == 0:
-                checkpoint("mc.explore", explored,
-                           waiting=len(waiting), stored=passed.size,
-                           series=lambda: [dict(
-                               explored=explored, waiting=len(waiting),
-                               stored=passed.size, **telemetry())])
+                checkpoint("mc.explore", series=lambda: [dict(
+                    explored=explored, waiting=len(waiting),
+                    stored=passed.size, **telemetry())])
             if on_state is not None:
                 on_state(state)
             if expand is not None:
@@ -212,11 +210,9 @@ def build_graph(graph, max_states=200000):
                     nodes.append(succ)
                     waiting.push(j)
                     if len(nodes) & 1023 == 0:
-                        checkpoint("mc.build_graph", len(nodes),
-                                   waiting=len(waiting),
-                                   series=lambda: [{
-                                       "states": len(nodes),
-                                       "waiting": len(waiting)}])
+                        checkpoint("mc.build_graph", series=lambda: [{
+                            "states": len(nodes),
+                            "waiting": len(waiting)}])
                     if len(nodes) > max_states:
                         raise SearchLimitError(
                             f"symbolic graph exceeds {max_states} states",

@@ -101,8 +101,7 @@ def reference_explore(graph, goal=None, on_state=None, use_inclusion=True,
             state, chain = waiting.pop(0)
             explored += 1
             if explored & 1023 == 0:
-                checkpoint("mc.explore", explored,
-                           waiting=len(waiting), stored=passed.size)
+                checkpoint("mc.explore")
             if on_state is not None:
                 on_state(state)
             if goal is not None and goal(state):

@@ -465,14 +465,13 @@ def topological_value_iteration(mdp, values, frozen, maximize,
                 delta = np.max(np.abs(new_values - values[live]))
                 values[live] = new_values
                 total_iterations += 1
-                checkpoint("mdp.vi", total_iterations,
-                           series=lambda: [{"residual": float(delta),
-                                            "iteration": total_iterations}])
+                checkpoint("mdp.vi", series=lambda: [{
+                    "residual": float(delta), "iteration": total_iterations}])
                 if delta <= epsilon:
                     break
             else:
                 raise AnalysisError(
                     f"value iteration did not converge in {max_iterations} "
                     f"iterations")
-        checkpoint("mdp.vi", total_iterations)
+        checkpoint("mdp.vi")
     return total_iterations

@@ -289,7 +289,7 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
                  max_time),
                 seeds, executor, fault_policy):
             done += len(batch)
-            checkpoint("modest.modes", done, total=runs)
+            checkpoint("modest.modes")
             for hit_time in batch:
                 _tally(reach_props, time_props, hit_time, observed,
                        durations)

@@ -29,7 +29,9 @@ module is that trajectory view:
 
 Like every other ambient observer, the recorder is **off by default**:
 without a :func:`recording` scope the module helpers are single
-context-variable lookups.
+context-variable lookups.  Engines reach it only through
+:func:`repro.obs.checkpoint` (beat plus series points) and
+:func:`repro.obs.log`.
 
 Determinism contract (asserted by ``tests/test_flight.py``): event
 *timestamps* are physical (per-process monotonic seconds since the

@@ -24,16 +24,14 @@ memory column for free.
 | ``obs.gc_collected``    | cumulative objects collected                  |
 | ``obs.gc_uncollectable``| cumulative uncollectable objects              |
 
-Heap figures appear only while :mod:`tracemalloc` is tracing — it
-roughly doubles allocation cost, so it stays opt-in via
-:func:`heap_tracing`.
+Heap figures appear only while the caller runs :mod:`tracemalloc` — it
+roughly doubles allocation cost, so it stays the caller's choice.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
-from contextlib import contextmanager
 
 from .metrics import active
 
@@ -108,21 +106,3 @@ def sample(collector=None):
             col.set_max(name, value)
     return readings
 
-
-@contextmanager
-def heap_tracing(collector=None):
-    """Opt-in :mod:`tracemalloc` window: traces allocations for the
-    ``with`` body and samples the heap gauges (plus the rest of
-    :func:`sample`) into ``collector`` on exit.  Nested use leaves an
-    already-tracing interpreter tracing."""
-    import tracemalloc
-
-    already = tracemalloc.is_tracing()
-    if not already:
-        tracemalloc.start()
-    try:
-        yield
-    finally:
-        sample(collector)
-        if not already:
-            tracemalloc.stop()

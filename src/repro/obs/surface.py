@@ -1,12 +1,12 @@
 """The one instrumentation surface engines and the runtime call.
 
-Which ambient observers are active — collector, profiler, progress
-sink, flight recorder — and how each is fed, snapshotted and merged is
-decided here, so engine and executor code never asks:
+Which ambient observers are active — collector, profiler, flight
+recorder — and how each is fed, snapshotted and merged is decided
+here, so engine and executor code never asks:
 
-* :func:`checkpoint` — one call per coarse engine checkpoint: it
-  delivers the progress heartbeat, beats the flight recorder's stall
-  watchdog, and records the checkpoint's time-series points;
+* :func:`checkpoint` — one call per coarse engine checkpoint: it beats
+  the flight recorder's stall watchdog and records the checkpoint's
+  time-series points;
 * :func:`capture_spec` / :func:`capturing` / :func:`merge` — shipping
   observations home from worker processes: the coordinator reads a
   picklable spec of its active scopes, each worker task runs under
@@ -25,23 +25,21 @@ from contextlib import ExitStack, contextmanager
 from .flight import FlightRecorder, active_recorder, recording
 from .metrics import Collector, active, collecting
 from .profiler import active_profiler, profiling
-from .progress import heartbeat
 
 
-def checkpoint(kind, done, total=None, series=None, **info):
-    """Report that ``kind`` (e.g. ``"mc.explore"``) has reached ``done``
-    of ``total`` units (``None`` when open-ended).
+def checkpoint(kind, series=None):
+    """Mark that ``kind`` (e.g. ``"mc.explore"``) has reached a coarse
+    checkpoint.
 
-    Delivers a progress heartbeat carrying ``info`` and beats the
-    active flight recorder, so an engine that checkpoints never looks
-    stalled to the watchdog.  ``series``, when given, is called — only
-    while a recorder is on — for the checkpoint's time-series points: a
-    list of dicts, each recorded as one sample of every ``{kind}.{key}``
-    series (a batched walk that passed several sampling positions since
-    its last checkpoint returns them all).  With nothing installed the
-    call costs two context-variable lookups.
+    Beats the active flight recorder, so an engine that checkpoints
+    never looks stalled to the watchdog.  ``series``, when given, is
+    called — only while a recorder is on — for the checkpoint's
+    time-series points: a list of dicts, each recorded as one sample of
+    every ``{kind}.{key}`` series (a batched walk that passed several
+    sampling positions since its last checkpoint returns them all).
+    With no recorder installed the call costs one context-variable
+    lookup.
     """
-    heartbeat(kind, done, total, **info)
     recorder = active_recorder()
     if recorder is None:
         return

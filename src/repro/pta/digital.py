@@ -45,8 +45,8 @@ all of them start at 0 and none is ever reset.  The unfold replays the
 exploration's LIFO interning over integer keys, so states are numbered
 exactly as a direct exploration numbers them, and fills the MDP's
 buffers vectorised.  On Table I's Dmax network the projection has
-1,463 states and the product 68,364.  The projection reports progress
-as ``pta.digital.projection``, the product as ``pta.digital``.
+1,463 states and the product 68,364.  The projection checkpoints as
+``pta.digital.projection``, the product as ``pta.digital``.
 
 The builder pauses the cyclic garbage collector around the
 exploration and the unfold (:func:`~repro.ta.discrete.gc_paused`):
@@ -182,7 +182,7 @@ def build_digital_mdp(network, extra_constants=None, max_states=2000000):
         mdp.num_states = len(states)
         if observers:
             mdp, states = _unfold(mdp, states, observers, caps, max_states)
-    checkpoint("pta.digital", len(states))
+    checkpoint("pta.digital")
     return DigitalMDP(mdp, states, network)
 
 
@@ -252,7 +252,7 @@ def _unfold(projection, states, observers, caps, max_states):
                     stack.append(key)
                     count += 1
                     if not count & 4095:
-                        checkpoint("pta.digital", count)
+                        checkpoint("pta.digital")
         del below, at_top, index_of, stack
 
         keys = np.frombuffer(keys, dtype=np.int64)

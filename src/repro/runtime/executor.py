@@ -212,8 +212,8 @@ class SerialExecutor(Executor):
 
     def batch_size_for(self, runs):
         """At most :data:`SERIAL_BATCH_RUNS` runs per batch: each batch
-        ends in a progress checkpoint, so a serial campaign of any size
-        reports (and feeds the stall watchdog) every 64 runs."""
+        ends in a checkpoint, so a serial campaign of any size feeds the
+        stall watchdog (and its time series) every 64 runs."""
         return max(1, min(runs, SERIAL_BATCH_RUNS))
 
     def imap(self, fn, tasks, policy=None):

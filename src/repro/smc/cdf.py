@@ -125,7 +125,7 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
                 (simulator_factory, predicates, horizon), seeds, executor,
                 fault_policy):
             done += len(batch)
-            checkpoint("smc.cdf", done, total=runs)
+            checkpoint("smc.cdf")
             for times in batch:
                 for key, value in times.items():
                     samples[key].append(value)

@@ -267,10 +267,8 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
                     if done & 63 == 0:
                         marks.append((done, successes))
                 completed += 1
-                obs.checkpoint(
-                    "smc.estimate", done, total=runs, successes=successes,
-                    series=lambda: [_estimate_point(confidence, *mark)
-                                    for mark in marks])
+                obs.checkpoint("smc.estimate", series=lambda: [
+                    _estimate_point(confidence, *mark) for mark in marks])
                 if checkpoint is not None and checkpoint.due(completed):
                     checkpoint.save(fingerprint,
                                     {"batch": completed,
@@ -318,8 +316,7 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
                         points.append(
                             {"mean": round(total / len(samples), 6)})
                 completed += 1
-                obs.checkpoint("smc.estimate_mean", len(samples),
-                               total=runs, series=lambda: points)
+                obs.checkpoint("smc.estimate_mean", series=lambda: points)
                 if checkpoint is not None and checkpoint.due(completed):
                     checkpoint.save(fingerprint,
                                     {"batch": completed,

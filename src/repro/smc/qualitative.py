@@ -123,7 +123,7 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
         for values in seeded_batches(sample_batch, (run_once,), seeds,
                                      executor, fault_policy):
             done += len(values)
-            checkpoint("smc.expected_value", done, total=runs)
+            checkpoint("smc.expected_value")
             samples.extend(v for v in values if not math.isnan(v))
         incr("smc.runs", done)
         return MeanEstimate(samples, confidence)

@@ -129,7 +129,7 @@ def fixed_effort_splitting(network, level_of, max_level,
         incr("smc.splitting.stages")
         incr("smc.splitting.runs", done)
         incr("smc.splitting.hits", hits)
-        checkpoint("smc.splitting", level + 1, total=max_level, hits=hits)
+        checkpoint("smc.splitting")
         stage_probabilities.append(hits / done)
         if hits == 0:
             return SplittingResult(0.0, stage_probabilities, total_runs)

@@ -116,10 +116,9 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
                     if llr >= log_a or llr <= log_b:
                         decided = True
                         break
-                # After the fold, so progress reports the runs this
-                # chunk contributed — including the deciding one.
-                checkpoint("smc.sprt", run, successes=successes,
-                           series=lambda: points)
+                # After the fold, so the chunk's series points include
+                # the ones the deciding run contributed.
+                checkpoint("smc.sprt", series=lambda: points)
                 if decided:
                     return _record_verdict(SPRTResult(
                         llr >= log_a, run, successes, theta,

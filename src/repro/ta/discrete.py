@@ -400,7 +400,7 @@ class DiscreteSemantics:
         fire's ``mass`` is checked against 1.  Interning state number
         ``max_states + 1`` raises
         :class:`~repro.core.errors.SearchLimitError` naming ``what``;
-        every 4096 interned states report progress as ``kind``.
+        every 4096 interned states are a checkpoint of ``kind``.
         """
         config_for = self.config_for
         expand = self.expand
@@ -435,7 +435,7 @@ class DiscreteSemantics:
                 states.append(DiscreteState(locs, valuation, clocks))
                 queue.append(idx)
                 if not len(states) & 4095:
-                    checkpoint(kind, len(states))
+                    checkpoint(kind)
             return idx
 
         intern(initial.locs, initial.valuation, initial.clocks)

@@ -1,6 +1,8 @@
 """Tests for the distribution library and the RNG wrapper."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,30 @@ class TestRandomSource:
         rng = RandomSource(11)
         values = {rng.randint(1, 3) for _ in range(100)}
         assert values == {1, 2, 3}
+
+    @pytest.mark.parametrize("clone", [
+        lambda rng: pickle.loads(pickle.dumps(rng)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_copy_continues_the_stream_without_advancing_it(self, clone):
+        def draws(source):
+            items = list(range(8))
+            source.shuffle(items)
+            child = source.spawn()
+            return [source.random(), source.uniform(0, 5),
+                    source.expovariate(2.0), source.randint(1, 9),
+                    source.choice("abcdef"), items,
+                    child.seed, child.spawn_key]
+
+        rng = RandomSource(12, spawn_key=(3,))
+        rng.random()
+        rng.spawn()
+        twin = clone(rng)
+        assert repr(twin) == repr(rng)
+        copied = draws(twin)
+        # Had the copy drawn from the original's generator, the
+        # original would now be ahead of the copy.
+        assert draws(rng) == copied
 
 
 @settings(max_examples=100, deadline=None)

@@ -231,7 +231,7 @@ class TestStallWatchdog:
         # makes progress.
         with recording(FlightRecorder(rss_interval=None)) as rec:
             rec.last_beat -= 60.0          # a minute of silence so far
-            checkpoint("tiga.explore", 1024, waiting=3)
+            checkpoint("tiga.explore")
             assert rec.check_stall(window=30.0) is None
         assert rec.stalls == 0 and rec.to_dict()["series"] == {}
 

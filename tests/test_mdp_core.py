@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import SearchLimitError
 from repro.mdp import analysis as core
+from repro.mdp import graph as vi_graph
 from repro.mdp import reference as ref
 from repro.mdp.graph import (
     concat_ranges,
@@ -36,8 +37,10 @@ from repro.mdp.graph import (
 from repro.mdp.model import MDP
 from repro.mdp.reference import reference_build_digital_mdp
 from repro.models import brp, firewire
-from repro.obs import collecting, progress, tracing
+from repro.obs import collecting, tracing
 from repro.pta import build_digital_mdp
+from repro.pta import digital as pta_digital
+from repro.ta import discrete as ta_discrete
 
 TOL = 1e-9
 
@@ -360,19 +363,22 @@ def test_trivial_backups_sum_left_to_right():
         assert np.array_equal(values[sinks], base[sinks])
 
 
-def test_acyclic_solve_reports_progress():
+def test_acyclic_solve_reports_progress(monkeypatch):
     """A fully acyclic solve checkpoints once per level, so a long chain
-    delivers ``mdp.vi`` heartbeats (and beats the stall watchdog)."""
+    beats the stall watchdog with ``mdp.vi`` checkpoints throughout."""
     mdp = MDP("chain")
     states = [mdp.add_state() for _ in range(200)]
     sink = mdp.add_state()
     for s, t in zip(states, states[1:]):
         mdp.add_action(s, [(0.5, t), (0.5, sink)])
-    events = []
-    with progress(events.append, min_interval=0.0):
+    kinds = []
+    monkeypatch.setattr(vi_graph, "checkpoint",
+                        lambda kind, series=None: kinds.append(kind))
+    with collecting() as collector:
         values = core.reachability_probability(mdp, {states[-1]})
-    done = [e.done for e in events if e.kind == "mdp.vi"]
-    assert len(done) >= 199 and done == sorted(done) and done[-1] == 199
+    # One checkpoint per backup sweep (one per level here) and a last one.
+    assert collector.counters()["mdp.vi_iterations"] == 199
+    assert kinds == ["mdp.vi"] * 200
     assert values[0] == 0.5 ** 199
 
 
@@ -563,23 +569,28 @@ DMAX_BUILD = ("4fc5c86c7e0f84a16545e44bb39d4c3d"
 
 @pytest.fixture(scope="module")
 def table1_timed():
-    """Table I's deadline-clock network, its digital MDP and the
-    progress events its build delivered, each paired with whether the
-    cyclic garbage collector was enabled when it arrived."""
+    """Table I's deadline-clock network, its digital MDP and the kinds
+    of the checkpoints its build made, each paired with whether the
+    cyclic garbage collector was enabled at the call."""
     timed_net = brp.make_brp(16, 2, 1, with_deadline_clock=True)
     t_index = timed_net.process_by_name("Watch").resolve_clock("t")
-    events = []
-    with progress(lambda event: events.append((event, gc.isenabled())),
-                  min_interval=0.0):
+    calls = []
+
+    def spy(kind, series=None):
+        calls.append((kind, gc.isenabled()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (pta_digital, ta_discrete):
+            patch.setattr(module, "checkpoint", spy)
         timed = build_digital_mdp(timed_net, extra_constants={t_index: 65})
-    return timed_net, timed, events
+    return timed_net, timed, calls
 
 
 @pytest.fixture(scope="module")
 def table1_queries(table1_timed):
     """Query name -> thunk solving it, on Table I's two digital MDPs."""
     untimed = build_digital_mdp(brp.make_brp(16, 2, 1))
-    timed_net, timed, _events = table1_timed
+    timed_net, timed, _calls = table1_timed
     mdp = untimed.mdp
     reach = {"P1": untimed.states_where(brp.not_success),
              "P2": untimed.states_where(brp.uncertainty),
@@ -619,7 +630,7 @@ class TestGoldenValues:
             iterations
 
     def test_dmax_build(self, table1_timed):
-        _net, timed, _events = table1_timed
+        _net, timed, _calls = table1_timed
         mdp = timed.mdp.finalize()
         assert mdp.num_states == 68364
         snapshot = repr(([s.key() for s in timed.states],
@@ -630,7 +641,7 @@ class TestGoldenValues:
     def test_table1_mdps_peel_completely(self, table1_timed):
         """Both Table I MDPs are acyclic but for self-loops: the sink
         peel takes every state, so Tarjan never runs on them."""
-        _net, timed, _events = table1_timed
+        _net, timed, _calls = table1_timed
         untimed = build_digital_mdp(brp.make_brp(16, 2, 1))
         for mdp, states in ((untimed.mdp, 1463), (timed.mdp, 68364)):
             g = mdp.finalize().graph
@@ -639,16 +650,16 @@ class TestGoldenValues:
 
     def test_dmax_build_reports_progress(self, table1_timed):
         """The builder checkpoints every 4096 interned states and once
-        at the end, so a long build beats the stall watchdog."""
-        _net, timed, events = table1_timed
-        done = [e.done for e, _gc_on in events if e.kind == "pta.digital"]
-        assert done == [4096 * k for k in range(1, 17)] + [68364]
+        at the end, so a long build beats the stall watchdog: 16 times
+        inside the loop for 68,364 states, and once after it."""
+        _net, timed, calls = table1_timed
+        assert [kind for kind, _gc_on in calls] == ["pta.digital"] * 17
         assert timed.mdp.num_states == 68364
 
     def test_dmax_build_pauses_the_collector(self, table1_timed):
         """The 16 checkpoints inside the exploration loop see the cyclic
         garbage collector paused; the final one, after the loop, sees it
         enabled again."""
-        _net, _timed, events = table1_timed
-        gc_on = [on for e, on in events if e.kind == "pta.digital"]
+        _net, _timed, calls = table1_timed
+        gc_on = [on for kind, on in calls if kind == "pta.digital"]
         assert gc_on == [False] * 16 + [True]

@@ -1,16 +1,19 @@
 """Tests for the observability layer (:mod:`repro.obs`).
 
 Covers the registry primitives (counters, gauges, histograms, merge),
-hierarchical tracing and its Chrome-trace export, progress heartbeats,
+hierarchical tracing and its Chrome-trace export, engine checkpoints,
 the schema-versioned report, the engine instrumentation hooks — and the
 acceptance criterion: a parallel SMC run reports logical engine totals
 identical to the serial run on the Fig. 4 train-gate workload.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -19,30 +22,26 @@ from repro.mc import EF, LocationIs, Verifier, explore, trace_stats
 from repro.models.traingate import cross_predicate, make_traingate
 from repro.obs import (
     Collector,
-    ProgressEvent,
     Tracer,
     FlightRecorder,
     active,
-    active_tracer,
     capture_spec,
     capturing,
-    checkpoint,
     collecting,
-    heartbeat,
     incr,
     log,
     merge,
     observe,
-    progress,
     recording,
     set_gauge,
     span,
-    timed,
     tracing,
 )
+from repro.obs.metrics import timed
 from repro.obs.report import SCHEMA_VERSION, Report, check_files, validate
-from repro.obs.trace import NULL_SPAN
+from repro.obs.trace import NULL_SPAN, active_tracer
 from repro.runtime import ParallelExecutor, SerialExecutor, Spec
+from repro.runtime.executor import SERIAL_BATCH_RUNS
 from repro.smc import estimate_probability, probability_estimate, sprt
 from repro.ta import ZoneGraph
 
@@ -240,61 +239,37 @@ class TestTracing:
 
 
 class TestProgress:
-    def test_no_sink_returns_none(self):
-        assert heartbeat("x", 1) is None
+    """Engines checkpoint once per folded batch; a spy on the engine
+    module's ``checkpoint`` global counts the calls."""
 
-    def test_delivery_and_event_fields(self):
-        events = []
-        with progress(events.append, min_interval=0.0):
-            event = heartbeat("smc", 50, total=200, extra="y")
-        assert events == [event]
-        assert isinstance(event, ProgressEvent)
-        assert (event.kind, event.done, event.total) == ("smc", 50, 200)
-        assert event.rate > 0 and event.eta is not None
-        assert event.info == {"extra": "y"}
+    @staticmethod
+    def spy(monkeypatch, module):
+        kinds = []
+        monkeypatch.setattr(module, "checkpoint",
+                            lambda kind, series=None: kinds.append(kind))
+        return kinds
 
-    def test_open_ended_has_no_eta(self):
-        with progress(lambda e: None, min_interval=0.0):
-            event = heartbeat("bfs", 10)
-        assert event.total is None and event.eta is None
-
-    def test_rate_limiting_and_force(self):
-        events = []
-        with progress(events.append, min_interval=3600.0):
-            assert heartbeat("x", 1) is not None   # first one passes
-            assert heartbeat("x", 2) is None       # rate-limited
-            assert heartbeat("x", 3, force=True) is not None
-        assert [e.done for e in events] == [1, 3]
-
-    def test_checkpoint_delivers_heartbeat(self):
-        events = []
-        with progress(events.append, min_interval=0.0):
-            checkpoint("mc.explore", 1024, waiting=7,
-                       series=lambda: [{"waiting": 7}])
-        assert [(e.kind, e.done, e.info) for e in events] == \
-            [("mc.explore", 1024, {"waiting": 7})]
-
-    def test_batched_sprt_reports_folded_runs(self):
+    def test_batched_sprt_reports_folded_runs(self, monkeypatch):
         # Each chunk's checkpoint comes after its fold, so the deciding
-        # chunk is reported and the last value is the verdict's count.
-        events = []
-        with progress(events.append, min_interval=0.0):
+        # chunk (here the only one) checkpoints too: one call per
+        # folded chunk.
+        sprt_module = importlib.import_module("repro.smc.sprt")
+        kinds = self.spy(monkeypatch, sprt_module)
+        with collecting() as collector:
             result = sprt(coin_p03, 0.5, indifference=0.05, rng=7,
                           executor=SerialExecutor())
-        done = [e.done for e in events if e.kind == "smc.sprt"]
-        assert done and done[0] > 0
-        assert all(a < b for a, b in zip(done, done[1:]))
-        assert done[-1] == result.runs
+        chunks = collector.counters()["smc.sprt.chunks"]
+        assert chunks == -(-result.runs // sprt_module.CHUNK_RUNS)
+        assert kinds == ["smc.sprt"] * chunks
 
-    def test_default_campaign_heartbeats_every_64_runs(self):
+    def test_default_campaign_heartbeats_every_64_runs(self, monkeypatch):
         # The default executor runs serial batches of at most 64 runs,
-        # so a large campaign reports throughout, not once per quarter.
-        events = []
-        with progress(events.append, min_interval=0.0):
-            estimate_probability(coin_p03, runs=1000, rng=3)
-        done = [e.done for e in events if e.kind == "smc.estimate"]
-        assert len(done) >= 15
-        assert done[-1] == 1000
+        # so a large campaign checkpoints throughout, not once per
+        # quarter.  The estimator reaches the surface as ``obs.checkpoint``.
+        kinds = self.spy(monkeypatch, importlib.import_module("repro.obs"))
+        estimate_probability(coin_p03, runs=1000, rng=3)
+        assert SERIAL_BATCH_RUNS == 64
+        assert kinds == ["smc.estimate"] * 16     # ceil(1000 / 64)
 
 
 class TestReport:
@@ -528,61 +503,6 @@ class TestDemoSession:
         titles = [t.title for t in report.tables()]
         assert any("[mc]" in t for t in titles)
 
-class TestEwmaRate:
-    """The EWMA instantaneous rate: follows recent throughput, while
-    ``avg_rate`` stays the cumulative whole-run mean."""
-
-    @staticmethod
-    def fake_clock(times):
-        values = iter(times)
-        return lambda: next(values)
-
-    def test_first_event_seeds_from_cumulative_average(self):
-        events = []
-        # started at t=0, sink ctor reads the clock once.
-        clock = self.fake_clock([0.0, 10.0])
-        with progress(events.append, min_interval=0.0, clock=clock):
-            event = heartbeat("smc", 100, total=400)
-        assert event.rate == pytest.approx(10.0)   # 100 done / 10 s
-        assert event.rate == pytest.approx(event.avg_rate)
-        assert event.eta == pytest.approx(30.0)
-
-    def test_slowdown_pulls_rate_toward_recent_throughput(self):
-        events = []
-        # 100 units in the first second, then 1 unit per second.
-        clock = self.fake_clock([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        with progress(events.append, min_interval=0.0, clock=clock):
-            for done in (100, 101, 102, 103, 104):
-                heartbeat("smc", done, total=200)
-        rates = [e.rate for e in events]
-        assert rates[0] == pytest.approx(100.0)       # seeded
-        assert rates[1] == pytest.approx(100.0 + 0.3 * (1.0 - 100.0))
-        assert all(a > b for a, b in zip(rates, rates[1:]))  # decaying
-        last = events[-1]
-        # eta is driven by the EWMA rate, not the cumulative average
-        assert last.eta == pytest.approx((200 - 104) / last.rate)
-        assert last.avg_rate == pytest.approx(104 / 5.0)
-        assert last.rate != pytest.approx(last.avg_rate)
-
-    def test_done_decrease_resets_the_ewma(self):
-        events = []
-        clock = self.fake_clock([0.0, 1.0, 2.0])
-        with progress(events.append, min_interval=0.0, clock=clock):
-            heartbeat("smc", 100)
-            event = heartbeat("smc", 30)    # a second analysis restarted
-        assert event.rate == pytest.approx(event.avg_rate)
-        assert event.rate == pytest.approx(15.0)   # 30 done / 2 s elapsed
-
-    def test_kinds_track_independent_rates(self):
-        events = []
-        clock = self.fake_clock([0.0, 1.0, 1.0])
-        with progress(events.append, min_interval=0.0, clock=clock):
-            fast = heartbeat("smc", 1000)
-            slow = heartbeat("mc", 10)
-        assert fast.rate == pytest.approx(1000.0)
-        assert slow.rate == pytest.approx(10.0)
-
-
 class TestResources:
     """Fallback branches of :mod:`repro.obs.resources`."""
 
@@ -603,31 +523,6 @@ class TestResources:
         readings = resources.sample(Collector())
         assert "obs.rss_kb" not in readings
         assert "obs.gc_collections" in readings
-
-    def test_heap_tracing_records_heap_gauges(self):
-        import tracemalloc
-
-        from repro.obs.resources import heap_tracing
-
-        c = Collector()
-        with heap_tracing(c):
-            data = [object() for _ in range(1000)]
-        del data
-        assert not tracemalloc.is_tracing()
-        assert c.value("obs.heap_peak_kb") >= 0
-
-    def test_heap_tracing_nests_without_stopping_outer(self):
-        import tracemalloc
-
-        from repro.obs.resources import heap_tracing
-
-        with heap_tracing():
-            assert tracemalloc.is_tracing()
-            with heap_tracing():               # nested / double enable
-                assert tracemalloc.is_tracing()
-            # inner exit must leave the outer window tracing
-            assert tracemalloc.is_tracing()
-        assert not tracemalloc.is_tracing()
 
 
 def _store_with_runs(tmp_path, labels):
@@ -736,8 +631,15 @@ class TestCheckOneMultiError:
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-OBS_PRIVATE_MODULES = ("flight", "progress", "profiler", "resources")
-OBS_PRIVATE_NAMES = ("active_recorder", "heartbeat")
+OBS_PRIVATE_MODULES = ("flight", "profiler", "resources", "runstore", "diff",
+                       "dashboard")
+OBS_PRIVATE_NAMES = ("active_recorder",)
+#: The engine packages, and the run-store and report tooling that
+#: importing any of them must not load.
+ENGINE_PACKAGES = ("mc", "mdp", "pta", "ta", "tiga", "modest", "runtime",
+                   "smc")
+OBS_TOOL_MODULES = ("repro.obs.runstore", "repro.obs.report",
+                    "repro.obs.diff", "repro.obs.dashboard")
 
 
 def obs_bypasses(path, root):
@@ -787,10 +689,26 @@ class TestInstrumentationBoundary:
         bad = tmp_path / "repro" / "mc" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("from ..obs.flight import log\n"
-                       "from ..obs import heartbeat\n"
-                       "import repro.obs.profiler\n"
+                       "from ..obs import active_recorder\n"
+                       "import repro.obs.runstore\n"
                        "from . import obs\n"
                        "recorder = obs.active_recorder()\n")
         assert obs_bypasses(bad, tmp_path) == {
-            "repro.obs.flight.log", "repro.obs.heartbeat",
-            "repro.obs.profiler", "active_recorder"}
+            "repro.obs.flight.log", "repro.obs.active_recorder",
+            "repro.obs.runstore", "active_recorder"}
+
+    @pytest.mark.parametrize("package", ENGINE_PACKAGES)
+    def test_engine_import_loads_no_obs_tooling(self, package):
+        # A fresh interpreter, so no other test's imports count.  Only
+        # repro.* names are compared: the stdlib's import graph differs
+        # between Python versions.
+        code = (f"import sys, repro.{package}\n"
+                "print('\\n'.join(m for m in sys.modules "
+                "if m.startswith('repro.')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True).stdout.split()
+        assert f"repro.{package}" in loaded
+        assert not set(OBS_TOOL_MODULES) & set(loaded)

@@ -11,6 +11,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -240,8 +241,12 @@ class TestResources:
     def test_heap_gauges_only_when_tracing(self):
         assert "obs.heap_kb" not in resources.sample()
         collector = Collector("heap")
-        with resources.heap_tracing(collector):
+        tracemalloc.start()
+        try:
             ballast = [bytearray(1024) for _ in range(200)]
+            resources.sample(collector)
+        finally:
+            tracemalloc.stop()
         snap = collector.snapshot()["max_gauges"]
         assert snap["obs.heap_peak_kb"] >= snap["obs.heap_kb"]
         assert snap["obs.heap_peak_kb"] > 0
