@@ -1,4 +1,5 @@
-"""Shared foundations: expressions, values, RNG, distributions, tables."""
+"""Shared foundations: expressions, values, RNG, distributions, memo
+and result tables."""
 
 from .errors import (
     AnalysisError,
@@ -35,6 +36,7 @@ from .distributions import (
     Weighted,
     delay_distribution,
 )
+from .memo import MemoTable
 from .tables import ResultTable, format_number
 
 __all__ = [
@@ -47,5 +49,6 @@ __all__ = [
     "RandomSource", "ensure_rng",
     "Dirac", "Distribution", "Exponential", "Uniform", "Weighted",
     "delay_distribution",
+    "MemoTable",
     "ResultTable", "format_number",
 ]

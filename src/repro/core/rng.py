@@ -63,15 +63,19 @@ class RandomSource:
     def spawn(self):
         """An independent child source (for parallel experiment arms).
 
-        The child's seed is drawn from this stream, and its
-        ``spawn_key`` extends this source's key with the child's index,
-        so successive spawns are deterministic given the master seed and
-        each child is identifiable in logs and reprs.
+        The child's seed is :meth:`spawn_seed`, and its ``spawn_key``
+        extends this source's key with the child's index, so successive
+        spawns are deterministic given the master seed and each child
+        is identifiable in logs and reprs.
         """
-        child = RandomSource(self._random.getrandbits(64),
-                             spawn_key=self.spawn_key + (self._spawn_count,))
+        key = self.spawn_key + (self._spawn_count,)
+        return RandomSource(self.spawn_seed(), spawn_key=key)
+
+    def spawn_seed(self):
+        """The seed of the next child, drawn from this stream: the seed
+        :meth:`spawn` would give it, without building the child."""
         self._spawn_count += 1
-        return child
+        return self._random.getrandbits(64)
 
     def __repr__(self):
         if self.spawn_key:

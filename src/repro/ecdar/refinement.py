@@ -18,8 +18,9 @@ product of the two discrete-time state graphs.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..core.errors import ModelError, SearchLimitError
-from ..mc.explorecore import Frontier, LRUCache
 from ..ta.discrete import DiscreteSemantics
 from ..ta.network import Network
 
@@ -63,9 +64,9 @@ class _Side:
         if self.inputs & self.outputs:
             raise ModelError("labels cannot be both input and output")
         # Moves are looked up repeatedly (phase-1 exploration, every
-        # fixpoint re-examination); the bounded LRU of the shared
-        # exploration core replaces the seed's unbounded dict.
-        self._cache = LRUCache()
+        # fixpoint re-examination).  One entry per state the search
+        # reached, which its max_pairs/max_states cap bounds.
+        self._cache = {}
 
     def initial(self):
         return self.semantics.initial()
@@ -89,7 +90,7 @@ class _Side:
         ticked = self.semantics.tick(state)
         if ticked is not None:
             out.append(("tick", None, ticked))
-        self._cache.put(key, out)
+        self._cache[key] = out
         return out
 
 
@@ -108,8 +109,7 @@ def check_refinement(impl, spec, inputs, outputs, max_pairs=200000):
     start = (impl_side.initial(), spec_side.initial())
     start_key = (start[0].key(), start[1].key())
     pairs = {start_key: start}
-    queue = Frontier("dfs")
-    queue.push(start)
+    queue = deque([start])
     while queue:
         i_state, s_state = queue.pop()
         for kind, label, succ_pairs in _matched_moves(
@@ -118,7 +118,7 @@ def check_refinement(impl, spec, inputs, outputs, max_pairs=200000):
                 key = (pair[0].key(), pair[1].key())
                 if key not in pairs:
                     pairs[key] = pair
-                    queue.push(pair)
+                    queue.append(pair)
                     if len(pairs) > max_pairs:
                         raise SearchLimitError(
                             f"refinement product exceeds {max_pairs}",
@@ -214,8 +214,7 @@ def check_consistency(spec, inputs, outputs, max_states=100000):
     side = _Side(spec, inputs, outputs)
     initial = side.initial()
     passed = {initial.key()}
-    queue = Frontier("dfs")
-    queue.push(initial)
+    queue = deque([initial])
     while queue:
         state = queue.pop()
         moves = side.moves(state)
@@ -230,7 +229,7 @@ def check_consistency(spec, inputs, outputs, max_states=100000):
             key = succ.key()
             if key not in passed:
                 passed.add(key)
-                queue.push(succ)
+                queue.append(succ)
                 if len(passed) > max_states:
                     raise SearchLimitError(
                         "consistency search too large", limit=max_states)

@@ -22,8 +22,6 @@ from .queries import (
 )
 from .diagnostics import format_state, format_trace, trace_stats
 from .explorecore import (
-    Frontier,
-    LRUCache,
     PassedWaitingList,
     SearchLimitError,
     SearchNode,
@@ -33,7 +31,6 @@ from .explorecore import (
 )
 from .parser import parse_query
 from .reachability import Reachability, build_graph, explore
-from .liveness import materialise
 from .deadlock import deadlocked_part, has_deadlock
 from .engine import VerificationResult, Verifier
 
@@ -42,10 +39,10 @@ __all__ = [
     "EF", "EG", "FALSE_FORMULA", "LeadsTo", "LocationIs", "Not", "Or",
     "StateFormula", "TRUE_FORMULA", "exists", "forall",
     "format_state", "format_trace", "trace_stats",
-    "Frontier", "LRUCache", "PassedWaitingList", "SearchLimitError",
+    "PassedWaitingList", "SearchLimitError",
     "SearchNode", "TraceNode", "ZoneStore", "reconstruct_trace",
     "parse_query",
-    "Reachability", "build_graph", "explore", "materialise",
+    "Reachability", "build_graph", "explore",
     "deadlocked_part", "has_deadlock",
     "VerificationResult", "Verifier",
 ]

@@ -11,7 +11,7 @@ from ..ta.zonegraph import ZoneGraph
 from . import liveness
 from .deadlock import DeadlockGoal
 from .queries import AF, AG, ClockPred, Deadlock, EF, EG, LeadsTo, Not
-from .reachability import explore
+from .reachability import build_graph, explore
 
 _DEADLOCK_ALONE = ("the deadlock atom may only appear alone in "
                    "E<> deadlock / A[] not deadlock")
@@ -222,7 +222,7 @@ class Verifier:
 
     def _materialised(self):
         if self._full_graph is None:
-            self._full_graph = liveness.materialise(
+            self._full_graph = build_graph(
                 self.graph, max_states=self.max_states)
         return self._full_graph
 

@@ -1,14 +1,11 @@
 """The shared symbolic-exploration core.
 
 Every zone-based engine of the paper's UPPAAL family — reachability,
-liveness graph materialisation, TIGA fixpoints, CORA cost searches,
-ECDAR refinement — reduces to the same passed/waiting exploration over
-symbolic states.  This module owns the data structures that make that
-hot path linear instead of quadratic:
+liveness graph materialisation, CORA cost searches — reduces to the
+same passed/waiting exploration over symbolic states.  This module
+owns the data structures that make that hot path linear instead of
+quadratic:
 
-* :class:`Frontier` — a :class:`collections.deque` waiting list with a
-  pluggable BFS/DFS order.  The seed engine used ``list.pop(0)``, an
-  O(n) shift per dequeue and therefore O(n²) over a search.
 * :class:`PassedWaitingList` — the unified passed/waiting store:
   bidirectional zone subsumption over *both* populations in one bucket
   scan, with lazy dead-marking of evicted frontier entries
@@ -27,30 +24,23 @@ hot path linear instead of quadratic:
   instead of re-hashing the full matrix.  Interning is physical: its
   sharing events are reported as the ``mc.zone_interned`` counter,
   apart from the logical counters the differential tests compare.
-* :class:`LRUCache` — the bounded memo behind the per-configuration
-  tables of :class:`repro.ta.zonegraph.ZoneGraph` and of the
-  integer-clock semantics :class:`repro.ta.discrete.DiscreteSemantics`
-  (shared by the TA engines and the digital-clocks builder), the modes
-  simulator's step plans, and the ECDAR move cache.
-  :data:`DEFAULT_CACHE_SIZE` is its one default bound.
+
+The waiting lists themselves are plain :class:`collections.deque`
+objects, popped oldest-first by :func:`repro.mc.explore` (as by the
+TIGA fixpoints) and newest-first by :func:`repro.mc.build_graph` (as
+by ECDAR's searches); the seed engine's ``list.pop(0)`` was an O(n)
+shift per dequeue and therefore O(n²) over a search.  Memo tables are
+not kept here: see :mod:`repro.core.memo`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
 from operator import lt
 
-from ..core.errors import ModelError, SearchLimitError
+from ..core.errors import SearchLimitError
 from ..dbm.bounds import LE_ZERO
 
-#: Default bound of every :class:`LRUCache`.  Each entry is a handful of
-#: machine words; 64k entries comfortably cover the benchmark models
-#: while bounding memory on adversarial ones.
-DEFAULT_CACHE_SIZE = 1 << 16
-
 __all__ = [
-    "Frontier",
-    "LRUCache",
     "PassedWaitingList",
     "SearchLimitError",
     "SearchNode",
@@ -58,43 +48,6 @@ __all__ = [
     "ZoneStore",
     "reconstruct_trace",
 ]
-
-
-class Frontier:
-    """The waiting list: a deque with O(1) push/pop in either order.
-
-    ``order="bfs"`` pops oldest-first (the default, matching UPPAAL's
-    breadth-first search and the seed engine's ``pop(0)`` order exactly);
-    ``order="dfs"`` pops newest-first.
-    """
-
-    __slots__ = ("order", "_items")
-
-    def __init__(self, order="bfs"):
-        if order not in ("bfs", "dfs"):
-            raise ModelError(f"unknown frontier order {order!r}")
-        self.order = order
-        self._items = deque()
-
-    def push(self, item):
-        self._items.append(item)
-
-    def pop(self):
-        if self.order == "bfs":
-            return self._items.popleft()
-        return self._items.pop()
-
-    def extend(self, items):
-        self._items.extend(items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __bool__(self):
-        return bool(self._items)
-
-    def __repr__(self):
-        return f"Frontier({self.order}, {len(self._items)} waiting)"
 
 
 class TraceNode:
@@ -300,49 +253,3 @@ class ZoneStore:
 
     def __repr__(self):
         return f"ZoneStore({len(self._zones)} zones, {self.hits} hits)"
-
-
-class LRUCache:
-    """A bounded least-recently-used memo table of ``maxsize`` entries."""
-
-    __slots__ = ("maxsize", "hits", "misses", "_data")
-
-    _MISSING = object()
-
-    def __init__(self, maxsize=DEFAULT_CACHE_SIZE):
-        if maxsize < 1:
-            raise ModelError(f"bad cache size {maxsize!r}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data = OrderedDict()
-
-    def get(self, key, default=None):
-        value = self._data.get(key, self._MISSING)
-        if value is self._MISSING:
-            self.misses += 1
-            return default
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
-
-    def put(self, key, value):
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        if len(data) > self.maxsize:
-            data.popitem(last=False)
-
-    def __contains__(self, key):
-        return key in self._data
-
-    def __len__(self):
-        return len(self._data)
-
-    def clear(self):
-        self._data.clear()
-
-    def __repr__(self):
-        return (f"LRUCache({len(self._data)}/{self.maxsize}, "
-                f"hits={self.hits}, misses={self.misses})")

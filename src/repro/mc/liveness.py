@@ -14,29 +14,18 @@ cycles and stuck states refute inevitability.  This is what makes the
 paper's train-gate liveness properties hold although the ``Stop``
 location carries no invariant.
 
-The exact graph comes from :func:`materialise` (a thin wrapper over
-:func:`repro.mc.reachability.build_graph` on the shared exploration
-core): node identity is interned-zone identity, and exceeding the state
-cap raises :class:`~repro.core.errors.SearchLimitError` instead of a
-bare ``MemoryError`` so callers can react to "budget exceeded"
-programmatically.
+The exact graph comes from :func:`repro.mc.reachability.build_graph`
+on the shared exploration core: node identity is interned-zone
+identity, and exceeding the state cap raises
+:class:`~repro.core.errors.SearchLimitError` instead of a bare
+``MemoryError`` so callers can react to "budget exceeded"
+programmatically (liveness cannot fall back to inclusion abstraction,
+so the only remedies are a larger budget or a coarser model).
 """
 
 from __future__ import annotations
 
 from ..core.scc import tarjan_scc
-from .reachability import build_graph
-
-
-def materialise(graph, max_states=200000):
-    """The exact symbolic graph a liveness check runs on.
-
-    Returns ``(nodes, edges, initial_index)``; raises
-    :class:`~repro.core.errors.SearchLimitError` when the graph exceeds
-    ``max_states`` (liveness cannot fall back to inclusion abstraction,
-    so the only remedies are a larger budget or a coarser model).
-    """
-    return build_graph(graph, max_states=max_states)
 
 
 def _restricted_graph(network, nodes, edges, keep):

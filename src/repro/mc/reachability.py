@@ -13,8 +13,9 @@ against the seed oracle.
 
 The search runs on the shared exploration core
 (:mod:`repro.mc.explorecore`): the waiting list is a
-:class:`~repro.mc.explorecore.Frontier` deque (O(1) per dequeue instead
-of the seed engine's quadratic ``list.pop(0)``), traces are
+:class:`collections.deque`, breadth-first for :func:`explore` and
+depth-first for :func:`build_graph` (O(1) per dequeue instead of the
+seed engine's quadratic ``list.pop(0)``), traces are
 parent-pointer :class:`~repro.mc.explorecore.SearchNode` records
 reconstructed only when a witness is found, and zones arrive interned
 from the graph's :class:`~repro.mc.explorecore.ZoneStore`, which turns
@@ -36,10 +37,11 @@ is plain-int arithmetic, so the overhead with observability off is nil.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..core.errors import SearchLimitError
 from ..obs import active, checkpoint, incr, log, span
 from .explorecore import (
-    Frontier,
     PassedWaitingList,
     SearchNode,
     reconstruct_trace,
@@ -125,13 +127,12 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
         passed = PassedWaitingList(use_inclusion, evict_waiting)
         root = SearchNode(initial)
         passed.add_if_new(initial.discrete_key(), initial.zone, root)
-        waiting = Frontier()
-        waiting.push(root)
+        waiting = deque([root])
         root.waiting = True
         explored = 0
         result = None
         while waiting:
-            node = waiting.pop()
+            node = waiting.popleft()
             if node.dead:
                 continue
             node.waiting = False
@@ -158,7 +159,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
             for transition, succ in successors:
                 child = SearchNode(succ, transition, node)
                 if passed.add_if_new(succ.discrete_key(), succ.zone, child):
-                    waiting.push(child)
+                    waiting.append(child)
                     child.waiting = True
         if result is None:
             result = Reachability(False, None, None, explored, passed.size)
@@ -194,8 +195,7 @@ def build_graph(graph, max_states=200000):
         index_of = {node_key(initial): 0}
         nodes = [initial]
         edges = []
-        waiting = Frontier("dfs")
-        waiting.push(0)
+        waiting = deque([0])
         while waiting:
             i = waiting.pop()
             while len(edges) <= i:
@@ -208,7 +208,7 @@ def build_graph(graph, max_states=200000):
                     j = len(nodes)
                     index_of[key] = j
                     nodes.append(succ)
-                    waiting.push(j)
+                    waiting.append(j)
                     if len(nodes) & 1023 == 0:
                         checkpoint("mc.build_graph", series=lambda: [{
                             "states": len(nodes),

@@ -20,7 +20,10 @@ clock vector in one routine, :meth:`~repro.ta.discrete.DiscreteSemantics.expand`
 arena (:class:`repro.tiga.GameGraph`) runs too.  Builder and the
 :class:`~repro.pta.simulate.DigitalSimulator` (modes) obtain a shared
 per-network instance from :func:`digital_semantics`, which also
-carries the simulator's generation-bounded ``step_plans`` table.
+carries the simulator's generation-bounded ``step_plans`` table.  The
+instance is one of the network's derived tables
+(:meth:`~repro.ta.Network.derived`), so dropping the network drops it
+with its tables and plans.
 
 The builder writes the MDP flat from the start: the explorer's buffers
 (per action its source and transition end offset, per transition its
@@ -64,8 +67,6 @@ The pre-memoization builder is preserved verbatim in
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 from ..core.errors import SearchLimitError
 from ..obs import checkpoint, span
 from ..ta.discrete import (
@@ -105,35 +106,26 @@ class DigitalMDP:
         return f"DigitalMDP({self.mdp.num_states} states)"
 
 
-#: network -> {constants key -> DiscreteSemantics}; weak so dropping the
-#: network drops its memoised tables.
-_SEMANTICS = WeakKeyDictionary()
-
-
 def digital_semantics(network, extra_constants=None):
     """The shared :class:`~repro.ta.discrete.DiscreteSemantics` of a
     network.
 
     Builder and simulators all draw from here, so e.g. the thousands of
     per-seed :class:`~repro.pta.simulate.DigitalSimulator` instances a
-    modes run creates share one set of firing tables.  The instance's
-    ``step_plans`` is the simulator's
-    :class:`~repro.pta.simulate.PlanTable`, which maps a state key to
-    its linked step plan.
+    modes run creates share one set of firing tables.  The instance is
+    one of the network's :meth:`~repro.ta.Network.derived` tables, so it
+    lives as long as the network does.  Its ``step_plans`` is the
+    simulator's :class:`~repro.pta.simulate.PlanTable`, which maps a
+    state key to its linked step plan.
     """
+    return network.derived(_shared_semantics, extra_constants)
+
+
+def _shared_semantics(network, extra_constants):
     from .simulate import PlanTable
 
-    per_network = _SEMANTICS.get(network)
-    if per_network is None:
-        per_network = {}
-        _SEMANTICS[network] = per_network
-    key = (None if not extra_constants
-           else tuple(sorted(extra_constants.items())))
-    semantics = per_network.get(key)
-    if semantics is None:
-        semantics = DiscreteSemantics(network, extra_constants)
-        semantics.step_plans = PlanTable()
-        per_network[key] = semantics
+    semantics = DiscreteSemantics(network, extra_constants)
+    semantics.step_plans = PlanTable()
     return semantics
 
 

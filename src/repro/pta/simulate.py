@@ -29,9 +29,10 @@ run looks a state up by key only when it follows a link for the first
 time; after that it moves from plan to plan.  The plans live in a
 :class:`PlanTable` on the network's shared semantics (``step_plans``),
 so every per-seed simulator of a batch walks one linked graph.  The
-table is bounded by generations: when it is full, every plan in it is
-unlinked and all are dropped, so at most ``maxsize`` plans are live,
-plus the one each walk is standing on.  Building a plan computes every
+table is bounded by generations (a :class:`~repro.core.memo.MemoTable`):
+when it is full, every plan in it is unlinked and all are dropped, so
+at most ``maxsize`` plans are live, plus the one each walk is standing
+on.  Building a plan computes every
 enabled action's outcomes, so a probabilistic branch that breaks its
 target invariant raises :class:`~repro.core.errors.ModelError` on the
 first visit to the state, and a Dirac edge into a broken invariant is
@@ -60,6 +61,7 @@ from bisect import bisect_right
 from math import inf
 
 from ..core.errors import AnalysisError, ModelError
+from ..core.memo import MemoTable
 from ..core.rng import ensure_rng
 from ..obs.metrics import incr
 from ..ta.discrete import DiscreteState
@@ -163,30 +165,19 @@ class _StepPlan:
         return verdicts
 
 
-class PlanTable(dict):
-    """The step plans of one network's digital semantics, by state key,
-    bounded by generations: adding a plan to a table of ``maxsize``
-    plans first unlinks and drops them all and counts a new
-    ``generation``.  A walk standing on a dropped plan finds its
+class PlanTable(MemoTable):
+    """The step plans of one network's digital semantics, by state key:
+    a :class:`~repro.core.memo.MemoTable` that also unlinks the plans it
+    drops when it renews.  A walk standing on a dropped plan finds its
     successors in the new generation."""
 
-    __slots__ = ("maxsize", "generation")
+    __slots__ = ()
 
-    def __init__(self):
-        from ..mc.explorecore import DEFAULT_CACHE_SIZE
-
-        super().__init__()
-        self.maxsize = DEFAULT_CACHE_SIZE
-        self.generation = 0
-
-    def add(self, key, plan):
-        if len(self) >= self.maxsize:
-            dropped = list(self.values())
-            self.clear()
-            self.generation += 1
-            for old in dropped:
-                old.unlink()
-        self[key] = plan
+    def renew(self):
+        dropped = list(self.values())
+        super().renew()
+        for old in dropped:
+            old.unlink()
 
 
 class DigitalSimulator:

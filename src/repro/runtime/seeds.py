@@ -2,7 +2,7 @@
 
 The contract that makes parallel SMC reproducible: a master
 :class:`~repro.core.rng.RandomSource` deterministically yields one child
-seed *per run* (via :meth:`~repro.core.rng.RandomSource.spawn`), runs
+seed *per run* (:meth:`~repro.core.rng.RandomSource.spawn_seed`), runs
 are numbered by their position in that stream, and batching merely
 partitions the stream.  Estimates aggregated in run order are therefore
 bit-identical for any executor and worker count.
@@ -24,10 +24,11 @@ from .executor import SerialExecutor
 def seed_stream(rng_or_seed, n):
     """The first ``n`` per-run seeds spawned from a master source.
 
-    Equals ``[rng.spawn().seed for _ in range(n)]``.
+    Equals ``[rng.spawn().seed for _ in range(n)]``, without building
+    the children.
     """
-    rng = ensure_rng(rng_or_seed)
-    return [rng.spawn().seed for _ in range(n)]
+    spawn_seed = ensure_rng(rng_or_seed).spawn_seed
+    return [spawn_seed() for _ in range(n)]
 
 
 def _resolve(executor):

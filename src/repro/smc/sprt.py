@@ -94,7 +94,7 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     from ..runtime import run_batch, seeded_batches
 
     run = 0
-    seeds = (rng.spawn().seed for _ in range(max_runs))
+    seeds = (rng.spawn_seed() for _ in range(max_runs))
     results = seeded_batches(run_batch, (run_once,), seeds, executor,
                              fault_policy, CHUNK_RUNS)
     try:

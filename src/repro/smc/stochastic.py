@@ -8,8 +8,9 @@ uniformly among its enabled output/internal edges; matching receivers
 are chosen uniformly (all of them for broadcast).  Committed and urgent
 locations act without delay.
 
-The race is compiled in two layers, both built lazily and cached on the
-frozen network, so every simulator of that network shares them:
+The race is compiled in two layers, both built lazily and kept among
+the frozen network's derived tables (:meth:`~repro.ta.Network.derived`),
+so every simulator of that network shares them:
 
 * Everything that depends only on (process, location) — the location's
   flags and validated rate, its upper-bound invariant atoms and each
@@ -21,9 +22,9 @@ frozen network, so every simulator of that network shares them:
   one bidding row per process with a data-enabled output edge, the
   invariant atoms of the other processes (they only cap the race for
   timelock), and, built on the first sync, the data-enabled receive
-  edges per channel and sender.  The plans live in a bounded
-  :class:`~repro.mc.explorecore.LRUCache` keyed on ``(locs,
-  valuation.values)``.  A step then only compares clocks.
+  edges per channel and sender.  The plans live in a
+  generation-bounded :class:`~repro.core.memo.MemoTable` keyed on
+  ``(locs, valuation.values)``.  A step then only compares clocks.
 
 Caching the data-guard outcomes assumes that data guards are pure
 functions of the valuation, as :class:`~repro.ta.discrete.DiscreteSemantics`
@@ -55,6 +56,7 @@ import math
 from ..core.distributions import validate_rate
 from ..core.errors import AnalysisError, ModelError
 from ..core.expressions import Expr
+from ..core.memo import MemoTable
 from ..core.rng import ensure_rng
 from ..obs.metrics import incr
 from .cdf import FirstPassageRecorder
@@ -217,28 +219,28 @@ def location_plans(network):
     """The per-process tables of :class:`LocationPlan` (``None`` until a
     location is first visited) for a frozen network.
 
-    Built once per network and cached on it, like
-    :meth:`~repro.ta.Network.max_constants`, beside the network's
-    :func:`config_plans`; the first call rejects diagonal clock
+    One of the network's :meth:`~repro.ta.Network.derived` tables, like
+    its :func:`config_plans`; the first call rejects diagonal clock
     constraints.
     """
-    plans = getattr(network, "_location_plans", None)
-    if plans is None:
-        from ..mc.explorecore import LRUCache
+    return network.derived(_location_table)
 
-        _reject_diagonals(network)
-        network._config_plans = LRUCache()
-        plans = network._location_plans = [
-            [None] * len(process.locations)
+
+def _location_table(network, _extra_constants):
+    _reject_diagonals(network)
+    return [[None] * len(process.locations)
             for process in network.processes]
-    return plans
 
 
 def config_plans(network):
-    """The network's bounded table of :class:`ConfigPlan`, keyed on
-    ``(locs, valuation.values)``."""
+    """The network's :class:`~repro.core.memo.MemoTable` of
+    :class:`ConfigPlan`, keyed on ``(locs, valuation.values)``."""
     location_plans(network)
-    return network._config_plans
+    return network.derived(_config_table)
+
+
+def _config_table(_network, _extra_constants):
+    return MemoTable()
 
 
 class StochasticSimulator:
@@ -259,11 +261,14 @@ class StochasticSimulator:
 
     def _config(self, state):
         key = (state.locs, state.valuation.values)
-        config = self._configs.get(key)
+        configs = self._configs
+        config = configs.get(key)
         if config is None:
             config = ConfigPlan(self.network, self._plans, state.locs,
                                 state.valuation)
-            self._configs.put(key, config)
+            configs.add(key, config)
+        else:
+            configs.hits += 1
         return config
 
     # -- one step of the race ------------------------------------------------------

@@ -246,20 +246,11 @@ class NetworkBounds:
 
 
 def network_bounds(network, extra_constants=None):
-    """The memoised :class:`NetworkBounds` of a network.
+    """The :class:`NetworkBounds` of a network.
 
-    The analysis only depends on the frozen structure, so results are
-    cached on the network itself, keyed by the extra constants — one
-    fixpoint run per network no matter how many zone graphs are built
-    over it.
+    The analysis only depends on the frozen structure, so it is one of
+    the network's :meth:`~repro.ta.Network.derived` tables, keyed by
+    the extra constants: one fixpoint run per network no matter how
+    many zone graphs are built over it.
     """
-    network.freeze()
-    cache = getattr(network, "_bounds_cache", None)
-    if cache is None:
-        cache = network._bounds_cache = {}
-    key = (tuple(sorted(extra_constants.items()))
-           if extra_constants else ())
-    bounds = cache.get(key)
-    if bounds is None:
-        bounds = cache[key] = NetworkBounds(network, extra_constants)
-    return bounds
+    return network.derived(NetworkBounds, extra_constants)

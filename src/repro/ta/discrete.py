@@ -19,11 +19,13 @@ constraints are rejected: saturation would not preserve clock
 differences.
 
 Everything untimed is memoised per discrete configuration
-``(locs, valuation)`` in a bounded LRU: the candidate transitions, each
-with its clock guard compiled into a *bound plan* (one
-``(clock_index, lo, hi)`` triple per constrained clock; closed and
-diagonal-free, so ``<=``, ``>=`` and ``==`` are the only atoms), its
-label and its controllability.  Two parts are compiled lazily so that
+``(locs, valuation)`` in a generation-bounded
+:class:`~repro.core.memo.MemoTable` that every search and simulation
+run over the instance shares: the candidate transitions, each with its
+clock guard compiled into a *bound plan* (one ``(clock_index, lo,
+hi)`` triple per constrained clock; closed and diagonal-free, so
+``<=``, ``>=`` and ``==`` are the only atoms), its label and its
+controllability.  Two parts are compiled lazily so that
 no state raises an error it would not raise when handled on its own:
 
 - a transition's branch-product outcomes (target locations, updated
@@ -59,6 +61,7 @@ from math import inf
 from operator import add
 
 from ..core.errors import ModelError, SearchLimitError
+from ..core.memo import MemoTable
 from ..obs import checkpoint
 from .syntax import edge_branches
 from .transitions import (
@@ -231,17 +234,13 @@ class DiscreteSemantics:
     """
 
     def __init__(self, network, extra_constants=None):
-        # Imported here, not at module top: the `repro.mc` package
-        # imports `repro.ta`.
-        from ..mc.explorecore import LRUCache
-
         self.network = network.freeze()
         check_closed_diagonal_free(network, "integer-clock semantics")
         # One past each maximal constant (all larger values are
         # equivalent); cap 0 keeps the reference clock at zero.
         self._caps = (0,) + tuple(
             c + 1 for c in network.max_constants(extra_constants))[1:]
-        self._configs = LRUCache()
+        self._configs = MemoTable()
         #: locs -> bound plan of the location vector's invariant
         self._invariant_plans = {}
 
@@ -274,7 +273,7 @@ class DiscreteSemantics:
         if config is None:
             config = _Config(locs, valuation, tuple(map(
                 _Fire, discrete_transitions(self.network, locs, valuation))))
-            self._configs.put(key, config)
+            self._configs.add(key, config)
         return config
 
     def _compile_outcomes(self, config, fire):
@@ -403,6 +402,7 @@ class DiscreteSemantics:
         every 4096 interned states are a checkpoint of ``kind``.
         """
         config_for = self.config_for
+        configs = self._configs
         expand = self.expand
         sources, fires_of, ends = [], [], []
         targets, probs = [], []
@@ -439,19 +439,15 @@ class DiscreteSemantics:
             return idx
 
         intern(initial.locs, initial.valuation, initial.clocks)
-        # Build-local, so the shared LRU pays its recency bookkeeping once
-        # per configuration rather than once per state.
-        configs = {}
         m = 0   # transitions appended so far
 
         while queue:
             current = queue.pop()
             state = states[current]
             locs, valuation = state.locs, state.valuation
-            key = (locs, valuation.values)
-            config = configs.get(key)
+            config = configs.get((locs, valuation.values))
             if config is None:
-                config = configs[key] = config_for(locs, valuation)
+                config = config_for(locs, valuation)
             fires, ticked = expand(config, state.clocks)
             for fire, outcomes in fires:
                 if len(outcomes) == 1:

@@ -68,6 +68,7 @@ class Network:
         self.processes = []
         self._clock_names = []   # global clock names, 1-based DBM indices
         self._frozen = False
+        self._derived = {}       # see derived()
 
     # -- construction ---------------------------------------------------------
 
@@ -144,21 +145,40 @@ class Network:
 
         Scans every invariant and guard; ``extra`` maps global clock
         indices to additional constants (e.g. from time-bounded queries).
-        Memoised per frozen network and ``extra`` table, so building
-        many zone graphs over one network scans the model once.
+        A frozen network keeps the scan among its :meth:`derived`
+        tables, so building many zone graphs over one network scans the
+        model once.
         """
         if self._frozen:
-            key = tuple(sorted(extra.items())) if extra else ()
-            cache = getattr(self, "_max_constants_cache", None)
-            if cache is None:
-                cache = self._max_constants_cache = {}
-            hit = cache.get(key)
-            if hit is not None:
-                return list(hit)
-            consts = self._scan_max_constants(extra)
-            cache[key] = tuple(consts)
-            return consts
-        return self._scan_max_constants(extra)
+            return list(self.derived(Network._scan_max_constants, extra))
+        return list(self._scan_max_constants(extra))
+
+    # -- derived tables -------------------------------------------------------
+
+    def derived(self, build, extra_constants=None):
+        """``build(self, extra_constants)``, built once per frozen network.
+
+        Every table derived from the network's structure (its maximal
+        constants, LU bounds, shared integer-clock semantics and the
+        stochastic simulator's plans) lives in one dict on the network,
+        keyed by the builder and the extra constants (global clock
+        index -> constant), so it lives exactly as long as the network.
+        Freezes the network first.  Copies and pickles carry no derived
+        tables (:meth:`__getstate__`): a copy whose guards are then
+        changed rebuilds them.  Two threads may both build a missing
+        table; the first one stored is the one every later call gets.
+        """
+        self.freeze()
+        key = (build, tuple(sorted(extra_constants.items()))
+               if extra_constants else ())
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived.setdefault(
+                key, build(self, extra_constants))
+        return table
+
+    def __getstate__(self):
+        return {**self.__dict__, "_derived": {}}
 
     def _scan_max_constants(self, extra):
         consts = [0] * self.dbm_size
@@ -177,7 +197,7 @@ class Network:
         if extra:
             for index, value in extra.items():
                 consts[index] = max(consts[index], value)
-        return consts
+        return tuple(consts)
 
     def __repr__(self):
         return (f"Network({self.name}, {len(self.processes)} processes, "

@@ -23,10 +23,11 @@ Every zone handed out by the graph is **interned** in a
 buckets and graph nodes share one DBM object per distinct zone.
 Interned zones must be copied before mutation (every operation below
 already works on fresh copies).  The untimed data of each discrete
-configuration is memoised (:class:`_Config`); successor zones are not:
-one search expands each stored state once, and the only re-walks of a
-graph (liveness after safety, repeated queries on one verifier) saved
-less than the lookups cost on the deadlock query.
+configuration is memoised (:class:`_Config`) in a plain dict per graph,
+bounded by the state caps of the graph's searches; successor zones are
+not: one search expands each stored state once, and the only re-walks
+of a graph (liveness after safety, repeated queries on one verifier)
+saved less than the lookups cost on the deadlock query.
 
 A fire is two steps: :meth:`ZoneGraph._guard_zone` cuts a copy of the
 zone by the clock guards, and :meth:`ZoneGraph._land` turns that guard
@@ -157,7 +158,7 @@ class ZoneGraph:
     def __init__(self, network, extra_constants=None, abstraction="lu+"):
         # Imported here (not at module top) to avoid the package cycle
         # repro.ta -> repro.mc -> repro.mc.engine -> repro.ta.zonegraph.
-        from ..mc.explorecore import LRUCache, ZoneStore
+        from ..mc.explorecore import ZoneStore
 
         self.network = network.freeze()
         if abstraction not in ("lu+", "k", "none"):
@@ -177,7 +178,7 @@ class ZoneGraph:
                           if abstraction == "k" else None)
         self.stats = ZoneGraphStats()
         self.zone_store = ZoneStore()
-        self._trans_cache = LRUCache()
+        self._trans_cache = {}
         # Invariant atoms encoded once per (process, location): the
         # (i, j, bound) triples never change, so the per-zone work in
         # _apply_invariants is just the constrain calls themselves.
@@ -252,7 +253,7 @@ class ZoneGraph:
         no_delay = (forbidden
                     or has_urgent_sync(network, locs, valuation, transitions))
         config = _Config(fires, forbidden, no_delay)
-        self._trans_cache.put(key, config)
+        self._trans_cache[key] = config
         return config
 
     # -- transition system ------------------------------------------------------

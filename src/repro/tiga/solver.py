@@ -27,18 +27,20 @@ Safety (the controller keeps ``safe`` forever): greatest fixpoint of
 A state where nothing at all can happen counts as (vacuously) safe —
 the run stops there — matching the convention discussed in DESIGN.md.
 
-Both fixpoints run as worklist algorithms over precomputed predecessor
-lists (the :class:`~repro.mc.explorecore.Frontier` of the shared
-exploration core): a state is re-examined only when one of its
-successors changes side, instead of rescanning the whole arena per
-round.  The computed winning sets are the same fixpoints as the naive
-iteration; the ``tiga.fixpoint_iterations`` counter now counts worklist
-examinations rather than full sweeps.
+Both fixpoints run as breadth-first worklist algorithms (a
+:class:`collections.deque`) over precomputed predecessor lists: a
+state is re-examined only when one of its successors changes side,
+instead of rescanning the whole arena per round; the reachability
+strategy's choices follow that order.  The computed winning sets are
+the same fixpoints as the naive iteration; the
+``tiga.fixpoint_iterations`` counter now counts worklist examinations
+rather than full sweeps.
 """
 
 from __future__ import annotations
 
-from ..mc.explorecore import Frontier
+from collections import deque
+
 from ..obs.metrics import incr
 from ..obs.trace import span
 from .strategy import Strategy
@@ -90,10 +92,9 @@ def solve_reachability(graph, goal):
 
     with span("tiga.solve_reachability", states=graph.num_states) as sp:
         preds = _predecessors(graph)
-        frontier = Frontier("bfs")
-        frontier.extend(winning)
+        frontier = deque(winning)
         while frontier:
-            j = frontier.pop()
+            j = frontier.popleft()
             iterations += 1
             for i in preds[j]:
                 if i in winning:
@@ -102,7 +103,7 @@ def solve_reachability(graph, goal):
                 if move is not None:
                     winning.add(i)
                     choice[i] = move
-                    frontier.push(i)
+                    frontier.append(i)
         iterations = max(iterations, 1)
         sp.set("iterations", iterations)
         sp.set("winning", len(winning))
@@ -138,21 +139,21 @@ def solve_safety(graph, safe):
 
     with span("tiga.solve_safety", states=graph.num_states) as sp:
         preds = _predecessors(graph)
-        frontier = Frontier("bfs")
+        frontier = deque()
         for i in list(region):
             iterations += 1
             if escapes(i):
                 region.discard(i)
-                frontier.push(i)
+                frontier.append(i)
         while frontier:
-            j = frontier.pop()
+            j = frontier.popleft()
             for i in preds[j]:
                 if i not in region:
                     continue
                 iterations += 1
                 if escapes(i):
                     region.discard(i)
-                    frontier.push(i)
+                    frontier.append(i)
         iterations = max(iterations, 1)
         sp.set("iterations", iterations)
         sp.set("winning", len(region))

@@ -11,19 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ModelError, ReproError, SearchLimitError
+from repro.core.errors import ReproError, SearchLimitError
 from repro.mc import (
-    Frontier,
-    LRUCache,
     TraceNode,
     Verifier,
     ZoneStore,
     build_graph,
     explore,
-    materialise,
     reconstruct_trace,
 )
-from repro.mc.explorecore import DEFAULT_CACHE_SIZE
 from repro.mc.reference import reference_explore
 from repro.models.brp import make_brp
 from repro.models.fischer import make_fischer
@@ -36,30 +32,6 @@ from repro.ta import Automaton, Network, ZoneGraph, clk
 
 # ---------------------------------------------------------------------------
 # Unit tests for the core data structures.
-
-
-class TestFrontier:
-    def test_bfs_pops_oldest_first(self):
-        f = Frontier("bfs")
-        f.extend([1, 2, 3])
-        assert [f.pop(), f.pop(), f.pop()] == [1, 2, 3]
-
-    def test_dfs_pops_newest_first(self):
-        f = Frontier("dfs")
-        f.extend([1, 2, 3])
-        assert [f.pop(), f.pop(), f.pop()] == [3, 2, 1]
-
-    def test_len_and_bool(self):
-        f = Frontier()
-        assert not f and len(f) == 0
-        f.push("a")
-        assert f and len(f) == 1
-        f.pop()
-        assert not f
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ModelError):
-            Frontier("random")
 
 
 class TestTraceNode:
@@ -105,41 +77,6 @@ class TestZoneStore:
         assert store.intern(z2) is z2
         assert store.hits == 0
         assert store.distinct == 2
-
-
-class TestLRUCache:
-    def test_hit_and_miss_counters(self):
-        cache = LRUCache(4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_evicts_least_recently_used(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1   # refresh a
-        cache.put("c", 3)            # evicts b
-        assert "b" not in cache
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_maxsize_zero_rejected(self):
-        with pytest.raises(ModelError):
-            LRUCache(0)
-
-    def test_default_maxsize_is_the_shared_bound(self):
-        assert LRUCache().maxsize == DEFAULT_CACHE_SIZE
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ModelError):
-            LRUCache(-1)
-
-    def test_clear(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.clear()
-        assert "a" not in cache and len(cache) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +317,10 @@ class TestSearchLimits:
     def test_materialise_propagates_search_limit(self):
         graph = ZoneGraph(make_fischer(3))
         with pytest.raises(SearchLimitError):
-            materialise(graph, max_states=10)
+            build_graph(graph, max_states=10)
 
     def test_materialise_within_budget(self):
-        nodes, edges, initial = materialise(ZoneGraph(make_fischer(2)))
+        nodes, edges, initial = build_graph(ZoneGraph(make_fischer(2)))
         assert initial == 0
         assert len(nodes) == len(edges) > 0
 
