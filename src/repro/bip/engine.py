@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..core.errors import AnalysisError, ModelError, SearchLimitError
 from ..core.rng import ensure_rng
-from ..obs import checkpoint, incr, span
+from ..obs import incr, span
 
 
 class EngineTrace:
@@ -98,8 +98,6 @@ class BIPEngine:
                     raise AnalysisError(
                         f"invariant violated at step {index}: "
                         f"{self.state!r}")
-                if index & 255 == 0:
-                    checkpoint("bip.run")
                 if self.step() is None:
                     return self.trace
                 if observer is not None:
@@ -150,8 +148,6 @@ def explore_statespace(system, max_states=100000):
                 if key not in seen:
                     seen[key] = succ
                     queue.append(succ)
-                    if len(seen) & 1023 == 0:
-                        checkpoint("bip.explore")
                     if len(seen) > max_states:
                         raise SearchLimitError(
                             f"state space exceeds {max_states} states",

@@ -19,7 +19,7 @@ import heapq
 
 from ..core.errors import ModelError, SearchLimitError
 from ..mc.explorecore import TraceNode, reconstruct_trace
-from ..obs import checkpoint, incr, span
+from ..obs import incr, span
 from ..ta.discrete import DiscreteSemantics
 
 
@@ -112,8 +112,6 @@ def min_cost_reachability(priced, goal, extra_constants=None,
             if cost > best.get(key, float("inf")):
                 continue
             explored += 1
-            if explored & 1023 == 0:
-                checkpoint("cora.min_cost")
             names = network.location_vector_names(state.locs)
             if goal(names, state.valuation, state.clocks):
                 result = CostResult(cost, state, _steps_of(node), explored)

@@ -67,19 +67,19 @@ def _parse_declarations(text, network):
                     broadcast="broadcast" in words,
                     urgent="urgent" in words)
         elif words[0] == "int" and "[" not in line:
-            name, value = _name_and_init(line[len("int"):], 0)
+            name, value = _name_and_init(line[len("int"):], 0, line)
             declarations.declare_int(name, value)
         elif words[0] == "bool":
-            name, value = _name_and_init(line[len("bool"):], False)
+            name, value = _name_and_init(line[len("bool"):], False, line)
             declarations.declare_bool(name, bool(value))
         elif words[0] == "int":
             # Array: int a[3] = { 0, 0, 0 };
             head, _sep, tail = line.partition("=")
             name = head.split("[")[0].replace("int", "").strip()
-            size = int(head.split("[")[1].split("]")[0])
+            size = _integer(head.split("[")[1].split("]")[0], line)
             if tail.strip():
                 inner = tail.strip().strip("{}").strip()
-                values = [int(v) for v in inner.split(",")]
+                values = [_integer(v, line) for v in inner.split(",")]
             else:
                 values = [0] * size
             declarations.declare_array(name, values)
@@ -91,7 +91,17 @@ def _parse_declarations(text, network):
     return declarations
 
 
-def _name_and_init(text, default):
+def _integer(text, line):
+    """``text`` as an int; a :class:`ModelError` naming ``line`` when
+    it is not an integer literal."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelError(f"not an integer constant: {text.strip()!r} "
+                         f"in {line!r}") from None
+
+
+def _name_and_init(text, default, line):
     head, _sep, tail = text.partition("=")
     name = head.strip()
     if tail.strip():
@@ -100,8 +110,22 @@ def _name_and_init(text, default):
             return name, True
         if value_text == "false":
             return name, False
-        return name, int(value_text)
+        return name, _integer(value_text, line)
     return name, default
+
+
+def _location_ref(element, tag, id_to_name, template_name):
+    """The location name a ``<tag ref="...">`` child of ``element``
+    names."""
+    child = element.find(tag)
+    if child is None:
+        raise ModelError(f"template {template_name!r}: "
+                         f"<{element.tag}> without <{tag}>")
+    ref = child.get("ref")
+    if ref not in id_to_name:
+        raise ModelError(f"template {template_name!r}: <{tag} "
+                         f"ref={ref!r}> names no declared location")
+    return id_to_name[ref]
 
 
 def _template_clocks(declaration_text):
@@ -123,7 +147,11 @@ def import_network(xml_text, name="imported"):
     lines = [line for line in xml_text.splitlines()
              if not line.startswith("<?xml")
              and not line.startswith("<!DOCTYPE")]
-    root = ET.fromstring("\n".join(lines))
+    try:
+        root = ET.fromstring("\n".join(lines))
+    except ET.ParseError as error:
+        raise ModelError(f"malformed UPPAAL XML ({error}): "
+                         f"{xml_text[:80]!r}") from None
     if root.tag != "nta":
         raise ModelError(f"not an UPPAAL model (root {root.tag!r})")
 
@@ -155,12 +183,14 @@ def import_network(xml_text, name="imported"):
                 loc_name, invariant=invariant,
                 committed=location.find("committed") is not None,
                 urgent=location.find("urgent") is not None)
-        init = template.find("init")
-        if init is not None:
-            automaton.initial_location = id_to_name[init.get("ref")]
+        if template.find("init") is not None:
+            automaton.initial_location = _location_ref(
+                template, "init", id_to_name, template_name)
         for transition in template.findall("transition"):
-            source = id_to_name[transition.find("source").get("ref")]
-            target = id_to_name[transition.find("target").get("ref")]
+            source = _location_ref(transition, "source", id_to_name,
+                                   template_name)
+            target = _location_ref(transition, "target", id_to_name,
+                                   template_name)
             guard_atoms, data_guard, sync, resets, updates = \
                 (), None, None, [], []
             for label in transition.findall("label"):

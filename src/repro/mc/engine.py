@@ -10,7 +10,17 @@ from ..obs.trace import span
 from ..ta.zonegraph import ZoneGraph
 from . import liveness
 from .deadlock import DeadlockGoal
-from .queries import AF, AG, ClockPred, Deadlock, EF, EG, LeadsTo, Not
+from .queries import (
+    AF,
+    AG,
+    ClockPred,
+    Deadlock,
+    EF,
+    EG,
+    LeadsTo,
+    LocationIs,
+    Not,
+)
 from .reachability import build_graph, explore
 
 _DEADLOCK_ALONE = ("the deadlock atom may only appear alone in "
@@ -26,6 +36,16 @@ def _subformulas(formula):
             continue
         for item in inner if isinstance(inner, tuple) else (inner,):
             yield from _subformulas(item)
+
+
+def _resolve_locations(network, query):
+    """Raise :class:`~repro.core.errors.ModelError` when a location
+    atom of ``query`` names a process or location ``network`` lacks
+    (such an atom would otherwise silently never hold)."""
+    for formula in _subformulas(query):
+        if isinstance(formula, LocationIs):
+            network.process_by_name(formula.process_name) \
+                .resolve_location(formula.location_name)
 
 
 def _contains_deadlock_atom(formula):
@@ -87,6 +107,7 @@ class Verifier:
             # Liveness runs on the materialised graph, whose nodes
             # cannot evaluate the atom: reject before building it.
             raise QueryError(_DEADLOCK_ALONE)
+        _resolve_locations(self.network, query)
         self._absorb_query_clocks(query)
         # The deadlock atom reads zone *contents* (is any action
         # enabled from every point?), which LU extrapolation and

@@ -27,10 +27,9 @@ Both entry points are instrumented through :mod:`repro.obs`: with a
 collector installed they flush states-explored / passed-list / zone
 counters at the end of the search (plus the physical
 ``mc.zone_interned`` interning delta), emit a ``mc.explore`` span, and
-call :func:`repro.obs.checkpoint` every 1024 states.  That one call
-beats a flight recorder's stall watchdog and samples the
-``mc.explore.*`` time series (frontier / passed-list / zone-store
-sizes); the searches log ``mc.explore.done`` /
+call :func:`repro.obs.checkpoint` every 1024 states, which samples
+the ``mc.explore.*`` time series (frontier / passed-list / zone-store
+sizes) on a flight recorder; the searches log ``mc.explore.done`` /
 ``mc.build_graph.done`` events.  All counting in the search loop itself
 is plain-int arithmetic, so the overhead with observability off is nil.
 """

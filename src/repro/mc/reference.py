@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..dbm.bounds import LE_ZERO
 from ..dbm.federation import Federation
-from ..obs import active, checkpoint, span
+from ..obs import active, span
 from ..ta.transitions import delay_forbidden
 from .reachability import Reachability, _cache_snapshot, _record_search
 
@@ -100,8 +100,6 @@ def reference_explore(graph, goal=None, on_state=None, use_inclusion=True,
         while waiting:
             state, chain = waiting.pop(0)
             explored += 1
-            if explored & 1023 == 0:
-                checkpoint("mc.explore")
             if on_state is not None:
                 on_state(state)
             if goal is not None and goal(state):

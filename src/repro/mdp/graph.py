@@ -473,5 +473,4 @@ def topological_value_iteration(mdp, values, frozen, maximize,
                 raise AnalysisError(
                     f"value iteration did not converge in {max_iterations} "
                     f"iterations")
-        checkpoint("mdp.vi")
     return total_iterations

@@ -27,7 +27,7 @@ from functools import partial
 from ..core.errors import QueryError
 from ..mc.engine import Verifier
 from ..mc.queries import EF
-from ..obs import checkpoint, incr, set_gauge, span
+from ..obs import incr, set_gauge, span
 from ..pta.digital import build_digital_mdp
 from ..pta.overapprox import overapproximate_network
 from ..pta.pta import PTANetwork
@@ -289,7 +289,6 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
                  max_time),
                 seeds, executor, fault_policy):
             done += len(batch)
-            checkpoint("modest.modes")
             for hit_time in batch:
                 _tally(reach_props, time_props, hit_time, observed,
                        durations)

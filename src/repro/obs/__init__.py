@@ -16,9 +16,9 @@ tooling:
   counters, gauges, histograms and timers, :mod:`repro.obs.metrics`),
   :func:`tracing` (a :class:`Tracer` of hierarchical spans, exportable
   as JSON and Chrome trace-event format, :mod:`repro.obs.trace`),
-  :func:`recording` (a :class:`FlightRecorder`: bounded event log,
-  time series sampled at the engines' checkpoints, stall watchdog and
-  crash-preserved tail, :mod:`repro.obs.flight`) and
+  :func:`recording` (a :class:`FlightRecorder`: bounded event log and
+  time series sampled at the engines' checkpoints,
+  :mod:`repro.obs.flight`) and
   :func:`profiling` (a :class:`Profiler` of mergeable collapsed-stack
   samples, :mod:`repro.obs.profiler`).
 

@@ -2,7 +2,7 @@
 
 ``python -m repro.obs.dashboard`` renders one or more ``repro.obs/1``
 report artifacts — metrics, meta, the span timeline, the embedded
-``repro.flight/1`` recording's time series and event tail, and the
+``repro.flight/2`` recording's time series and event tail, and the
 collapsed-stack sampling profile as a flamegraph — plus optional
 run-over-run deltas from a ``repro.runs/1`` run store, into a single
 HTML document with **zero external dependencies**: all CSS is inline,
@@ -279,9 +279,8 @@ def _event_tail(flight):
                        else "")
     dropped = flight.get("dropped", 0)
     head = (f'<p class="note">{flight.get("events_logged", len(events))} '
-            f'events logged, {dropped} dropped by the ring, '
-            f'{flight.get("stalls", 0)} stall(s); showing the last '
-            f'{len(tail)}.</p>')
+            f'events logged, {dropped} dropped by the ring; showing the '
+            f'last {len(tail)}.</p>')
     if not tail:
         return head
     return head + _table(

@@ -88,7 +88,7 @@ class Report:
     def flight_dict(self):
         """The attached flight recording (a
         :class:`~repro.obs.flight.FlightRecorder` or a snapshot dict)
-        as a ``repro.flight/1`` dict, or ``None``."""
+        as a ``repro.flight/2`` dict, or ``None``."""
         flight = self.flight
         if flight is None:
             return None

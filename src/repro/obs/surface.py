@@ -4,9 +4,8 @@ Which ambient observers are active — collector, profiler, flight
 recorder — and how each is fed, snapshotted and merged is decided
 here, so engine and executor code never asks:
 
-* :func:`checkpoint` — one call per coarse engine checkpoint: it beats
-  the flight recorder's stall watchdog and records the checkpoint's
-  time-series points;
+* :func:`checkpoint` — one call per coarse engine checkpoint: it
+  records the checkpoint's time-series points on the flight recorder;
 * :func:`capture_spec` / :func:`capturing` / :func:`merge` — shipping
   observations home from worker processes: the coordinator reads a
   picklable spec of its active scopes, each worker task runs under
@@ -27,24 +26,19 @@ from .metrics import Collector, active, collecting
 from .profiler import active_profiler, profiling
 
 
-def checkpoint(kind, series=None):
-    """Mark that ``kind`` (e.g. ``"mc.explore"``) has reached a coarse
-    checkpoint.
+def checkpoint(kind, series):
+    """Record the time-series points of a coarse checkpoint of ``kind``
+    (e.g. ``"mc.explore"``).
 
-    Beats the active flight recorder, so an engine that checkpoints
-    never looks stalled to the watchdog.  ``series``, when given, is
-    called — only while a recorder is on — for the checkpoint's
-    time-series points: a list of dicts, each recorded as one sample of
-    every ``{kind}.{key}`` series (a batched walk that passed several
+    ``series`` is called only while a flight recorder is on and returns
+    a list of dicts, each recorded as one sample of every
+    ``{kind}.{key}`` series (a batched walk that passed several
     sampling positions since its last checkpoint returns them all).
     With no recorder installed the call costs one context-variable
     lookup.
     """
     recorder = active_recorder()
-    if recorder is None:
-        return
-    recorder.touch()
-    if series is not None:
+    if recorder is not None:
         for point in series():
             recorder.sample(kind, **point)
 
@@ -71,9 +65,8 @@ def capturing(spec):
     snapshot, resource high-water marks included as max gauges),
     ``profile`` and ``flight``.
 
-    No watchdog and no crash dump: a failed attempt's snapshot dies
-    with it, which is what keeps merged logical totals identical under
-    fault recovery.
+    A failed attempt's snapshot dies with it, which is what keeps
+    merged logical totals identical under fault recovery.
     """
     collect, profile_hz, record = spec
     snapshot = {}

@@ -48,8 +48,7 @@ all of them start at 0 and none is ever reset.  The unfold replays the
 exploration's LIFO interning over integer keys, so states are numbered
 exactly as a direct exploration numbers them, and fills the MDP's
 buffers vectorised.  On Table I's Dmax network the projection has
-1,463 states and the product 68,364.  The projection checkpoints as
-``pta.digital.projection``, the product as ``pta.digital``.
+1,463 states and the product 68,364.
 
 The builder pauses the cyclic garbage collector around the
 exploration and the unfold (:func:`~repro.ta.discrete.gc_paused`):
@@ -68,7 +67,7 @@ The pre-memoization builder is preserved verbatim in
 from __future__ import annotations
 
 from ..core.errors import SearchLimitError
-from ..obs import checkpoint, span
+from ..obs import span
 from ..ta.discrete import (
     DiscreteSemantics,
     DiscreteState,
@@ -96,11 +95,9 @@ class DigitalMDP:
     def location_states(self, process_name, location_name):
         """Indices of states where a process stands in a location."""
         process = self.network.process_by_name(process_name)
-
-        def predicate(names, _valuation, _clocks):
-            return names[process.index] == location_name
-
-        return self.states_where(predicate)
+        at = process.resolve_location(location_name)
+        return {index for index, state in enumerate(self.states)
+                if state.locs[process.index] == at}
 
     def __repr__(self):
         return f"DigitalMDP({self.mdp.num_states} states)"
@@ -160,21 +157,18 @@ def build_digital_mdp(network, extra_constants=None, max_states=2000000):
     sem = digital_semantics(network, extra_constants)
     observers = _observer_clocks(sem.network)
     caps = sem._caps
-    kind = "pta.digital"
     if observers:
         sem = sem._holding(observers)
-        kind = "pta.digital.projection"
     mdp = MDP(network.name)
     with gc_paused():
         states, mdp._source, fires, mdp._end, mdp._target, mdp._prob = \
-            sem.explore(sem.initial(), max_states, kind, "digital MDP")
+            sem.explore(sem.initial(), max_states, "digital MDP")
         mdp._label = ["tick" if fire is None else fire.label
                       for fire in fires]
         mdp._reward = [1.0 if fire is None else 0.0 for fire in fires]
         mdp.num_states = len(states)
         if observers:
             mdp, states = _unfold(mdp, states, observers, caps, max_states)
-    checkpoint("pta.digital")
     return DigitalMDP(mdp, states, network)
 
 
@@ -243,8 +237,6 @@ def _unfold(projection, states, observers, caps, max_states):
                     keys.append(key)
                     stack.append(key)
                     count += 1
-                    if not count & 4095:
-                        checkpoint("pta.digital")
         del below, at_top, index_of, stack
 
         keys = np.frombuffer(keys, dtype=np.int64)

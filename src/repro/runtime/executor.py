@@ -212,8 +212,9 @@ class SerialExecutor(Executor):
 
     def batch_size_for(self, runs):
         """At most :data:`SERIAL_BATCH_RUNS` runs per batch: each batch
-        ends in a checkpoint, so a serial campaign of any size feeds the
-        stall watchdog (and its time series) every 64 runs."""
+        ends in a checkpoint, so a serial campaign of any size samples
+        its time series (and can save a resume checkpoint) every 64
+        runs."""
         return max(1, min(runs, SERIAL_BATCH_RUNS))
 
     def imap(self, fn, tasks, policy=None):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from ..core.errors import AnalysisError
-from ..obs import checkpoint, incr, span
+from ..obs import incr, span
 
 
 def empirical_cdf(samples, grid):
@@ -125,7 +125,6 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
                 (simulator_factory, predicates, horizon), seeds, executor,
                 fault_policy):
             done += len(batch)
-            checkpoint("smc.cdf")
             for times in batch:
                 for key, value in times.items():
                     samples[key].append(value)

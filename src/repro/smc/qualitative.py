@@ -24,7 +24,7 @@ import functools
 import math
 
 from ..core.rng import ensure_rng
-from ..obs import checkpoint, incr, span
+from ..obs import incr, span
 from .estimate import estimate_probability
 from .sprt import sprt
 from .stochastic import StochasticSimulator, simulate_once
@@ -123,7 +123,6 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
         for values in seeded_batches(sample_batch, (run_once,), seeds,
                                      executor, fault_policy):
             done += len(values)
-            checkpoint("smc.expected_value")
             samples.extend(v for v in values if not math.isnan(v))
         incr("smc.runs", done)
         return MeanEstimate(samples, confidence)

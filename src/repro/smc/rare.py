@@ -26,7 +26,7 @@ import math
 
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
-from ..obs import checkpoint, incr, span
+from ..obs import incr, span
 
 
 class SplittingResult:
@@ -129,7 +129,6 @@ def fixed_effort_splitting(network, level_of, max_level,
         incr("smc.splitting.stages")
         incr("smc.splitting.runs", done)
         incr("smc.splitting.hits", hits)
-        checkpoint("smc.splitting")
         stage_probabilities.append(hits / done)
         if hits == 0:
             return SplittingResult(0.0, stage_probabilities, total_runs)

@@ -62,7 +62,6 @@ from operator import add
 
 from ..core.errors import ModelError, SearchLimitError
 from ..core.memo import MemoTable
-from ..obs import checkpoint
 from .syntax import edge_branches
 from .transitions import (
     delay_forbidden,
@@ -380,7 +379,7 @@ class DiscreteSemantics:
                         break
         return fires, ticked
 
-    def explore(self, initial, max_states, kind, what):
+    def explore(self, initial, max_states, what):
         """Explore every state reachable from ``initial``, a
         :class:`DiscreteState`, into flat buffers.
 
@@ -398,8 +397,7 @@ class DiscreteSemantics:
         one transition carrying their summed probability, and the
         fire's ``mass`` is checked against 1.  Interning state number
         ``max_states + 1`` raises
-        :class:`~repro.core.errors.SearchLimitError` naming ``what``;
-        every 4096 interned states are a checkpoint of ``kind``.
+        :class:`~repro.core.errors.SearchLimitError` naming ``what``.
         """
         config_for = self.config_for
         configs = self._configs
@@ -434,8 +432,6 @@ class DiscreteSemantics:
                 table[clocks] = idx
                 states.append(DiscreteState(locs, valuation, clocks))
                 queue.append(idx)
-                if not len(states) & 4095:
-                    checkpoint(kind)
             return idx
 
         intern(initial.locs, initial.valuation, initial.clocks)

@@ -46,6 +46,15 @@ class Process:
     def edges_from(self, loc_index):
         return self.edges_by_source.get(self.location_names[loc_index], ())
 
+    def resolve_location(self, name):
+        """The index of the location called ``name``."""
+        try:
+            return self.location_index[name]
+        except KeyError:
+            raise ModelError(
+                f"process {self.name}: unknown location {name!r}"
+            ) from None
+
     def resolve_clock(self, local_name):
         try:
             return self.clock_index[local_name]

@@ -47,8 +47,7 @@ class GameGraph:
             else semantics.initial()
         with span("tiga.explore") as sp, gc_paused():
             states, sources, fires, ends, targets, _probs = \
-                semantics.explore(initial, max_states, "tiga.explore",
-                                  "game arena")
+                semantics.explore(initial, max_states, "game arena")
             n = len(states)
             ctrl = [[] for _ in range(n)]
             unc = [[] for _ in range(n)]

@@ -22,10 +22,8 @@ from repro.mdp.reference import reference_build_digital_mdp
 from repro.models import brp
 from repro.obs import tracing
 from repro.pta import PTA, PTANetwork, build_digital_mdp
-from repro.pta import digital as pta_digital
 from repro.pta.digital import _observer_clocks
 from repro.ta import clk
-from repro.ta import discrete as ta_discrete
 
 #: How a generated network names a clock that must not unfold: each of
 #: these clocks is named once, so it is explored directly.
@@ -220,16 +218,3 @@ class TestUnfoldLimits:
         mdp.finalize()
         assert repr(before) == repr([mdp.actions_of(s)
                                      for s in range(needed)])
-
-    def test_projection_emits_no_checkpoint_of_its_own(self, deadline_brp,
-                                                       monkeypatch):
-        """Only the product's end is a checkpoint: the projection's own
-        end is not a ``pta.digital`` checkpoint."""
-        make, extra, _projected, needed = deadline_brp
-        kinds = []
-        for module in (pta_digital, ta_discrete):
-            monkeypatch.setattr(module, "checkpoint",
-                                lambda kind, series=None: kinds.append(kind))
-        build_digital_mdp(make(), extra_constants=extra)
-        assert needed < 4096
-        assert kinds == ["pta.digital"]

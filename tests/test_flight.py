@@ -1,9 +1,8 @@
 """Tests for the flight recorder (:mod:`repro.obs.flight`) and the
 session dashboard (:mod:`repro.obs.dashboard`).
 
-Covers the ring-buffer event log (tail retention, level filtering,
-span correlation), the bounded time series, the crash-dump JSONL hooks,
-the stall watchdog, worker-snapshot merging — and the determinism
+Covers the ring-buffer event log (tail retention, span correlation),
+the bounded time series, worker-snapshot merging — and the determinism
 acceptance criterion: serial, parallel, and fault-recovered campaigns
 produce identical merged *logical* event sequences and time-series
 sample counts (physical ``obs.*`` / ``runtime.*`` data excluded).
@@ -23,8 +22,6 @@ from repro.models.traingate import cross_predicate, make_traingate
 from repro.obs import (
     Collector,
     Tracer,
-    checkpoint,
-    collecting,
     span,
     tracing,
 )
@@ -32,7 +29,6 @@ from repro.obs.dashboard import render
 from repro.obs.flight import (
     FlightRecorder,
     active_recorder,
-    live_stacks,
     logical_events,
     logical_series,
     recording,
@@ -64,8 +60,9 @@ def pool2():
 
 
 class TestFlightRecorder:
-    def test_ring_keeps_tail_and_counts_dropped(self):
-        rec = FlightRecorder(capacity=4, rss_interval=None)
+    def test_ring_keeps_tail_and_counts_dropped(self, monkeypatch):
+        monkeypatch.setattr(FlightRecorder, "capacity", 4)
+        rec = FlightRecorder()
         for i in range(10):
             rec.log("tick", i=i)
         data = rec.to_dict()
@@ -75,19 +72,9 @@ class TestFlightRecorder:
         # sequence numbers are global, not per-retained-slot
         assert [e["seq"] for e in data["events"]] == [6, 7, 8, 9]
 
-    def test_level_filtering_drops_below_threshold(self):
-        rec = FlightRecorder(level="warning", rss_interval=None)
-        assert rec.log("fine", level="debug") is None
-        assert rec.log("ok", level="info") is None
-        assert rec.log("bad", level="warning") is not None
-        assert rec.log("worse", level="error") is not None
-        names = [e["name"] for e in rec.to_dict()["events"]]
-        assert names == ["bad", "worse"]
-
     def test_events_correlate_with_active_span(self):
         tracer = Tracer()
-        with tracing(tracer), recording(FlightRecorder(rss_interval=None)) \
-                as rec:
+        with tracing(tracer), recording(FlightRecorder()) as rec:
             rec.log("outside")
             with span("smc.estimate"):
                 rec.log("inside")
@@ -96,7 +83,8 @@ class TestFlightRecorder:
         assert events[1]["span"] == "smc.estimate"
 
     def test_series_bounded_but_count_totals_everything(self):
-        rec = FlightRecorder(series_capacity=8, rss_interval=None)
+        rec = FlightRecorder()
+        rec.series_capacity = 8  # on this instance only; not a parameter
         for i in range(20):
             rec.sample("mc.explore", waiting=i)
         body = rec.to_dict()["series"]["mc.explore.waiting"]
@@ -105,7 +93,7 @@ class TestFlightRecorder:
         assert [point[1] for point in body["points"]] == list(range(12, 20))
 
     def test_to_dict_validates_and_is_json_ready(self):
-        rec = FlightRecorder(run_id="t", rss_interval=None)
+        rec = FlightRecorder(run_id="t")
         rec.log("e", level="info", x=1)
         rec.sample("s", v=2.5)
         data = validate_flight(rec.to_dict())
@@ -117,27 +105,16 @@ class TestFlightRecorder:
             validate_flight([])
         with pytest.raises(ValueError, match="unsupported flight schema"):
             validate_flight({"schema": "repro.flight/999"})
-        good = FlightRecorder(rss_interval=None).to_dict()
+        good = FlightRecorder().to_dict()
         good["events"] = [{"no_name": True}]
         with pytest.raises(ValueError, match="malformed flight event"):
             validate_flight(good)
 
-    def test_jsonl_round_trip(self):
-        rec = FlightRecorder(run_id="jl", rss_interval=None)
-        rec.log("a", n=1)
-        rec.sample("s", v=3)
-        lines = rec.to_jsonl().strip().split("\n")
-        header = json.loads(lines[0])
-        assert header["schema"] == "repro.flight/1"
-        assert header["run_id"] == "jl"
-        assert json.loads(lines[1])["name"] == "a"
-        assert json.loads(lines[2])["series"] == "s.v"
-
     def test_merge_tags_workers_and_resequences(self):
-        worker = FlightRecorder(rss_interval=None)
+        worker = FlightRecorder()
         worker.log("smc.batch", runs=8)
         worker.sample("smc.estimate", mean=0.5)
-        coord = FlightRecorder(rss_interval=None)
+        coord = FlightRecorder()
         coord.log("start")
         coord.merge(worker.to_dict(), worker=3)
         events = coord.to_dict()["events"]
@@ -148,7 +125,7 @@ class TestFlightRecorder:
 
     def test_logical_views_exclude_physical_names(self):
         events = [{"name": "smc.batch", "level": "info", "fields": {}},
-                  {"name": "obs.stall", "level": "warning", "fields": {}},
+                  {"name": "obs.note", "level": "warning", "fields": {}},
                   {"name": "runtime.retry", "level": "info", "fields": {}}]
         assert logical_events(events) == [("smc.batch", "info", {})]
         series = {"smc.sprt.llr": {"count": 4, "points": []},
@@ -163,9 +140,9 @@ class TestRecordingScope:
         assert active_recorder() is None
         flight.log("ignored")          # off: must be a no-op
         flight.sample("ignored", v=1)
-        with recording(run_id="scope") as rec:
+        with recording() as rec:
             assert active_recorder() is rec
-            assert rec.run_id == "scope"
+            assert isinstance(rec, FlightRecorder) and rec.run_id is None
             flight.log("seen", n=2)
             flight.sample("s", v=1)
         assert active_recorder() is None
@@ -173,90 +150,12 @@ class TestRecordingScope:
         assert [e["name"] for e in data["events"]] == ["seen"]
         assert "s.v" in data["series"]
 
-    def test_crash_dump_written_on_exception(self, tmp_path):
-        path = tmp_path / "flight.jsonl"
-        with pytest.raises(RuntimeError):
-            with recording(crash_dump=str(path), run_id="boom") as rec:
-                rec.log("last_words", why="test")
-                raise RuntimeError("down we go")
-        lines = path.read_text().strip().split("\n")
-        header = json.loads(lines[0])
-        assert header["reason"] == "exception"
-        assert header["run_id"] == "boom"
-        assert json.loads(lines[1])["name"] == "last_words"
-
-    def test_clean_exit_leaves_no_dump(self, tmp_path):
-        path = tmp_path / "flight.jsonl"
-        with recording(crash_dump=str(path)) as rec:
-            rec.log("fine")
-        assert not path.exists()
-
-
-class TestStallWatchdog:
-    def test_stall_flagged_once_per_episode_with_stacks(self):
-        import time
-
-        collector = Collector("t")
-        with collecting(collector), \
-                recording(FlightRecorder(rss_interval=None),
-                          stall_after=0.05) as rec:
-            rec.log("busy")
-            deadline = time.perf_counter() + 2.0
-            while rec.stalls == 0 and time.perf_counter() < deadline:
-                time.sleep(0.02)  # silent: no beat on the recorder
-            time.sleep(0.15)      # stay silent: still ONE episode
-        assert rec.stalls == 1
-        stall = [e for e in rec.to_dict()["events"]
-                 if e["name"] == "obs.stall"]
-        assert len(stall) == 1
-        fields = stall[0]["fields"]
-        assert fields["silent_seconds"] >= 0.05
-        assert fields["window"] == 0.05
-        assert isinstance(fields["stacks"], list)
-        assert collector.value("obs.stalls") == 1
-
-    def test_beat_resets_the_episode(self):
-        rec = FlightRecorder(rss_interval=None)
-        rec.check_stall(window=0.0)
-        assert rec.stalls == 1
-        assert rec.check_stall(window=0.0) is None  # same episode
-        rec.touch()                                 # new activity
-        assert rec.check_stall(window=0.0) is not None
-        assert rec.stalls == 2
-
-    def test_checkpoint_beats_the_watchdog(self):
-        # A checkpoint without series points (what tiga, cora, bip,
-        # modes, cdfs, expected values and splitting emit) still counts
-        # as activity: the watchdog must not flag an analysis that
-        # makes progress.
-        with recording(FlightRecorder(rss_interval=None)) as rec:
-            rec.last_beat -= 60.0          # a minute of silence so far
-            checkpoint("tiga.explore")
-            assert rec.check_stall(window=30.0) is None
-        assert rec.stalls == 0 and rec.to_dict()["series"] == {}
-
-    def test_heartbeat_only_engine_beats_the_watchdog(self):
-        from repro.bip import BIPEngine
-        from repro.models.dala import make_dala
-
-        engine = BIPEngine(make_dala(with_controller=True,
-                                     counter_bound=4), rng=3)
-        with recording(FlightRecorder(rss_interval=None)) as rec:
-            rec.last_beat -= 60.0
-            engine.run(max_steps=10)       # checkpoints at step 0
-            assert rec.check_stall(window=30.0) is None
-
-    def test_live_stacks_excludes_caller(self):
-        stacks = live_stacks()
-        assert all("live_stacks" not in stack for stack in stacks)
-
-
 class TestEngineTelemetry:
     def test_explore_samples_zone_telemetry_and_logs_done(self):
         # 5 trains explore >2000 states, so the every-1024-states
         # checkpoint fires at least twice.
         network = make_traingate(5)
-        with tracing(), recording(FlightRecorder(rss_interval=None)) as rec:
+        with tracing(), recording(FlightRecorder()) as rec:
             graph = ZoneGraph(network)
             result = explore(graph)
         data = rec.to_dict()
@@ -276,7 +175,7 @@ class TestEngineTelemetry:
         mdp = MDP()
         s0, goal, fail = (mdp.add_state() for _ in range(3))
         mdp.add_action(s0, [(0.4, goal), (0.4, s0), (0.2, fail)])
-        with recording(FlightRecorder(rss_interval=None)) as rec:
+        with recording(FlightRecorder()) as rec:
             values = reachability_probability(mdp, {goal})
         assert values[s0] == pytest.approx(2.0 / 3.0)
         data = rec.to_dict()
@@ -289,7 +188,7 @@ class TestEngineTelemetry:
         assert len(done) == 1 and done[0]["fields"]["states"] == 3
 
     def test_sprt_llr_series_and_verdict_event(self):
-        with recording(FlightRecorder(rss_interval=None)) as rec:
+        with recording(FlightRecorder()) as rec:
             result = probability_at_least(TRAINGATE, CROSS0, theta=0.5,
                                           horizon=100, rng=7)
         data = rec.to_dict()
@@ -303,7 +202,7 @@ class TestEngineTelemetry:
             assert data["series"]["smc.sprt.llr"]["count"] >= 1
 
     def test_estimate_ci_series_sampled_every_64_runs(self):
-        with recording(FlightRecorder(rss_interval=None)) as rec:
+        with recording(FlightRecorder()) as rec:
             probability_estimate(TRAINGATE, CROSS0, horizon=100, runs=256,
                                  rng=42)
         series = logical_series(rec.to_dict()["series"])
@@ -323,7 +222,7 @@ class TestParallelFlightEquivalence:
     KWARGS = dict(horizon=100, runs=256, rng=42)
 
     def run_once(self, executor, fault_policy=None):
-        with recording(FlightRecorder(rss_interval=None)) as rec:
+        with recording(FlightRecorder()) as rec:
             estimate = probability_estimate(TRAINGATE, CROSS0,
                                             executor=FixedBatches(
                                                 32, executor),
@@ -352,7 +251,7 @@ class TestParallelFlightEquivalence:
         assert len(serial_events) > 0 and len(serial_series) > 0
 
     def test_worker_events_carry_worker_ids(self, pool2):
-        with recording(FlightRecorder(rss_interval=None)) as rec:
+        with recording(FlightRecorder()) as rec:
             probability_estimate(TRAINGATE, CROSS0,
                                  executor=FixedBatches(32, pool2),
                                  **self.KWARGS)
@@ -370,7 +269,7 @@ class TestDashboard:
         tracer = Tracer()
         profiler = Profiler(hz=1)
         with tracing(tracer), profiling(profiler=profiler), \
-                recording(FlightRecorder(rss_interval=None)) as rec:
+                recording(FlightRecorder()) as rec:
             with span("session"):
                 with span("smc.estimate"):
                     rec.log("smc.batch", runs=8)
@@ -430,7 +329,7 @@ class TestDashboard:
 
 class TestReportFlightSection:
     def test_report_embeds_and_validates_flight(self):
-        rec = FlightRecorder(run_id="rep", rss_interval=None)
+        rec = FlightRecorder(run_id="rep")
         rec.log("e")
         report = Report(Collector(), flight=rec, sample_resources=False)
         data = report.to_dict()

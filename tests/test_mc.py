@@ -3,7 +3,7 @@ paper's train-gate example (the verification column of Section II-a)."""
 
 import pytest
 
-from repro.core import Declarations, QueryError
+from repro.core import Declarations, ModelError, QueryError
 from repro.mc import (
     AF,
     AG,
@@ -17,11 +17,13 @@ from repro.mc import (
     LocationIs,
     Not,
     Or,
+    TRUE_FORMULA,
     Verifier,
     forall,
 )
 from repro.models.traingate import make_traingate
 from repro.ta import Automaton, Network, clk
+from repro.ta.network import Process
 
 
 def single(automaton, decls=None):
@@ -244,6 +246,30 @@ class TestTrainGate:
     def test_queue_can_fill(self, verifier):
         assert verifier.check(
             EF(DataPred(lambda env: env["len"] == 2))).holds
+
+    @pytest.mark.parametrize("query", [
+        "A[] not Train(0).Nowhere",
+        "E<> Train(0).Nowhere",
+        "Train(0).Appr --> Train(0).Nowhere",
+        AG(Or(TRUE_FORMULA, LocationIs("Gate", "Nowhere"))),
+    ], ids=["AG", "EF", "leadsto", "never-evaluated"])
+    def test_unknown_location_is_a_model_error(self, verifier, query):
+        """An atom naming a location the process lacks is rejected up
+        front, like an unknown process, instead of never holding."""
+        with pytest.raises(ModelError, match="unknown location 'Nowhere'"):
+            verifier.check(query)
+
+    def test_location_names_resolve_once_per_query(self, verifier,
+                                                   monkeypatch):
+        calls = []
+        resolve = Process.resolve_location
+        monkeypatch.setattr(
+            Process, "resolve_location",
+            lambda process, name: calls.append(name)
+            or resolve(process, name))
+        result = verifier.check("A[] not (Train(0).Cross && Gate.Free)")
+        assert result.holds and result.states_explored > 2
+        assert sorted(calls) == ["Cross", "Free"]
 
 
 class TestSupInf:

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core.errors import SearchLimitError
 from repro.mdp import analysis as core
-from repro.mdp import graph as vi_graph
 from repro.mdp import reference as ref
 from repro.mdp.graph import (
     concat_ranges,
@@ -37,9 +36,9 @@ from repro.mdp.graph import (
 from repro.mdp.model import MDP
 from repro.mdp.reference import reference_build_digital_mdp
 from repro.models import brp, firewire
-from repro.obs import collecting, tracing
+from repro.obs import collecting, recording, tracing
+from repro.obs.flight import logical_series
 from repro.pta import build_digital_mdp
-from repro.pta import digital as pta_digital
 from repro.ta import discrete as ta_discrete
 
 TOL = 1e-9
@@ -363,22 +362,24 @@ def test_trivial_backups_sum_left_to_right():
         assert np.array_equal(values[sinks], base[sinks])
 
 
-def test_acyclic_solve_reports_progress(monkeypatch):
-    """A fully acyclic solve checkpoints once per level, so a long chain
-    beats the stall watchdog with ``mdp.vi`` checkpoints throughout."""
+def test_acyclic_solve_reports_progress():
+    """Value iteration samples its ``mdp.vi`` series once per sweep of
+    a cyclic component.  A fully acyclic solve makes no such sweep (one
+    backup per state, level by level), so a long chain records no
+    series: its progress is the backup counter and the ``mdp.vi.done``
+    event."""
     mdp = MDP("chain")
     states = [mdp.add_state() for _ in range(200)]
     sink = mdp.add_state()
     for s, t in zip(states, states[1:]):
         mdp.add_action(s, [(0.5, t), (0.5, sink)])
-    kinds = []
-    monkeypatch.setattr(vi_graph, "checkpoint",
-                        lambda kind, series=None: kinds.append(kind))
-    with collecting() as collector:
+    with collecting() as collector, recording() as rec:
         values = core.reachability_probability(mdp, {states[-1]})
-    # One checkpoint per backup sweep (one per level here) and a last one.
+    data = rec.to_dict()
     assert collector.counters()["mdp.vi_iterations"] == 199
-    assert kinds == ["mdp.vi"] * 200
+    assert logical_series(data["series"]) == {}
+    done, = [e for e in data["events"] if e["name"] == "mdp.vi.done"]
+    assert done["fields"]["iterations"] == 199
     assert values[0] == 0.5 ** 199
 
 
@@ -569,21 +570,23 @@ DMAX_BUILD = ("4fc5c86c7e0f84a16545e44bb39d4c3d"
 
 @pytest.fixture(scope="module")
 def table1_timed():
-    """Table I's deadline-clock network, its digital MDP and the kinds
-    of the checkpoints its build made, each paired with whether the
-    cyclic garbage collector was enabled at the call."""
+    """Table I's deadline-clock network, its digital MDP and whether
+    the cyclic garbage collector was enabled: at each
+    :class:`~repro.ta.discrete.DiscreteState` the exploration created,
+    and after the build returned."""
     timed_net = brp.make_brp(16, 2, 1, with_deadline_clock=True)
     t_index = timed_net.process_by_name("Watch").resolve_clock("t")
-    calls = []
+    created = []
+    state_class = ta_discrete.DiscreteState
 
-    def spy(kind, series=None):
-        calls.append((kind, gc.isenabled()))
+    def spy(*args):
+        created.append(gc.isenabled())
+        return state_class(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (pta_digital, ta_discrete):
-            patch.setattr(module, "checkpoint", spy)
+        patch.setattr(ta_discrete, "DiscreteState", spy)
         timed = build_digital_mdp(timed_net, extra_constants={t_index: 65})
-    return timed_net, timed, calls
+    return timed_net, timed, (created, gc.isenabled())
 
 
 @pytest.fixture(scope="module")
@@ -648,18 +651,10 @@ class TestGoldenValues:
             assert len(g.peel_height) == g.scc_count == states
             assert len(level_plan(mdp).levels) == g.peel_height.max() + 1
 
-    def test_dmax_build_reports_progress(self, table1_timed):
-        """The builder checkpoints every 4096 interned states and once
-        at the end, so a long build beats the stall watchdog: 16 times
-        inside the loop for 68,364 states, and once after it."""
-        _net, timed, calls = table1_timed
-        assert [kind for kind, _gc_on in calls] == ["pta.digital"] * 17
-        assert timed.mdp.num_states == 68364
-
     def test_dmax_build_pauses_the_collector(self, table1_timed):
-        """The 16 checkpoints inside the exploration loop see the cyclic
-        garbage collector paused; the final one, after the loop, sees it
-        enabled again."""
-        _net, _timed, calls = table1_timed
-        gc_on = [on for kind, on in calls if kind == "pta.digital"]
-        assert gc_on == [False] * 16 + [True]
+        """Every state the exploration loop creates sees the cyclic
+        garbage collector paused; after the build returns it is enabled
+        again."""
+        _net, _timed, (created, enabled_after) = table1_timed
+        assert created and not any(created)
+        assert enabled_after

@@ -83,7 +83,7 @@ def _explored(network, extra, maxsize=None):
         semantics._configs.maxsize = maxsize
     try:
         states, sources, fires, ends, targets, probs = semantics.explore(
-            semantics.initial(), 100000, "pta.digital", "digital MDP")
+            semantics.initial(), 100000, "digital MDP")
     except ModelError as error:
         return str(error), semantics._configs
     labels = [None if fire is None else fire.label for fire in fires]

@@ -470,7 +470,7 @@ class TestParallelMetricsEquivalence:
         # coordinator's spec, then merge the one snapshot back.
         assert capture_spec() is None
         with collecting() as c, \
-                recording(FlightRecorder(rss_interval=None)) as rec:
+                recording(FlightRecorder()) as rec:
             spec = capture_spec()
             assert spec == (True, None, True)
             with capturing(spec) as snapshot:

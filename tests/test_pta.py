@@ -78,6 +78,11 @@ class TestDigitalTranslation:
         v = reachability_probability(dm.mdp, heads)
         assert v[0] == pytest.approx(0.3)
 
+    def test_unknown_location_is_a_model_error(self):
+        dm = build_digital_mdp(coin_pta(0.3))
+        with pytest.raises(ModelError, match="unknown location 'nowhere'"):
+            dm.location_states("C", "nowhere")
+
     def test_retry_reaches_almost_surely(self):
         dm = build_digital_mdp(retry_pta(0.25))
         done = dm.location_states("R", "done")

@@ -228,7 +228,7 @@ class TestExecutors:
 
     def test_batch_size_for(self):
         # Serial batches are capped at 64 runs, so a serial campaign of
-        # any size checkpoints every 64 runs.
+        # any size samples its time series every 64 runs.
         assert SerialExecutor().batch_size_for(100) == 64
         assert SerialExecutor().batch_size_for(10 ** 6) == 64
         assert SerialExecutor().batch_size_for(1) == 1

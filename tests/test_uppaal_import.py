@@ -86,6 +86,30 @@ class TestImportErrors:
         with pytest.raises(ModelError):
             import_network(bad)
 
+    TEMPLATE = ('<nta><template><name>T</name>'
+                '<location id="a"/><location id="b"/>{}</template></nta>')
+
+    @pytest.mark.parametrize("xml, offending", [
+        ("<nta><template>", "<nta><template>"),
+        (TEMPLATE.format('<init ref="zz"/>'), "'zz'"),
+        (TEMPLATE.format('<init ref="a"/><transition><source ref="a"/>'
+                         '<target ref="zz"/></transition>'), "'zz'"),
+        (TEMPLATE.format('<init ref="a"/><transition><target ref="b"/>'
+                         '</transition>'), "without <source>"),
+        ("<nta><declaration>int n = x;</declaration></nta>",
+         "'int n = x'"),
+        ("<nta><declaration>int a[k];</declaration></nta>",
+         "'int a[k]'"),
+    ], ids=["unclosed-xml", "unknown-init", "unknown-target",
+            "no-source", "non-integer-init", "non-integer-size"])
+    def test_malformed_input_raises_model_error(self, xml, offending):
+        """Malformed XML, dangling location references and non-integer
+        constants are model errors naming the offending text, never
+        stray parser or lookup exceptions."""
+        with pytest.raises(ModelError) as caught:
+            import_network(xml)
+        assert offending in str(caught.value)
+
 
 class TestHandWrittenXml:
     XML = """<?xml version="1.0" encoding="utf-8"?>
