@@ -347,7 +347,7 @@ MAX_PROFILE_OVERHEAD = 0.05
 MAX_FLIGHT_OVERHEAD = 0.03
 
 
-def flight_overhead_measurement(n, abstraction="lu+", rounds=5,
+def flight_overhead_measurement(n, abstraction="lu+", rounds=9,
                                 min_sample_seconds=0.3):
     """Measured wall-time cost of the flight recorder on the Fischer
     exploration.  Each round times ``iters`` recorder-off and ``iters``

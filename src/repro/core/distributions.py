@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ModelError
+from .errors import AnalysisError, ModelError
 
 
 def validate_rate(rate):
@@ -31,6 +31,21 @@ def validate_rate(rate):
     if value <= 0:
         raise ModelError(f"exponential rate must be positive, got {rate}")
     return value
+
+
+def validate_horizon(horizon):
+    """The time bound of a simulation run: ``None`` means unbounded
+    (``inf``), NaN raises :class:`AnalysisError`, and any other value
+    is returned as it is.
+
+    Shared by both simulators' runs and first-passage walks, so a NaN
+    bound can never run unbounded unnoticed.
+    """
+    if horizon is None:
+        return math.inf
+    if horizon != horizon:
+        raise AnalysisError("simulation horizon is NaN")
+    return horizon
 
 
 def validate_interval(low, high):

@@ -67,6 +67,7 @@ The pre-memoization builder is preserved verbatim in
 from __future__ import annotations
 
 from ..core.errors import SearchLimitError
+from ..core.memo import PlanTable
 from ..obs import span
 from ..ta.discrete import (
     DiscreteSemantics,
@@ -112,15 +113,13 @@ def digital_semantics(network, extra_constants=None):
     modes run creates share one set of firing tables.  The instance is
     one of the network's :meth:`~repro.ta.Network.derived` tables, so it
     lives as long as the network does.  Its ``step_plans`` is the
-    simulator's :class:`~repro.pta.simulate.PlanTable`, which maps a
-    state key to its linked step plan.
+    simulator's :class:`~repro.core.memo.PlanTable`, which maps a state
+    key to its linked step plan.
     """
     return network.derived(_shared_semantics, extra_constants)
 
 
 def _shared_semantics(network, extra_constants):
-    from .simulate import PlanTable
-
     semantics = DiscreteSemantics(network, extra_constants)
     semantics.step_plans = PlanTable()
     return semantics

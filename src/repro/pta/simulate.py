@@ -27,10 +27,10 @@ saturation-checked tick successor.  Each successor is a link that a
 walk fills with the successor's plan on its first visit there, so a
 run looks a state up by key only when it follows a link for the first
 time; after that it moves from plan to plan.  The plans live in a
-:class:`PlanTable` on the network's shared semantics (``step_plans``),
-so every per-seed simulator of a batch walks one linked graph.  The
-table is bounded by generations (a :class:`~repro.core.memo.MemoTable`):
-when it is full, every plan in it is unlinked and all are dropped, so
+:class:`~repro.core.memo.PlanTable` on the network's shared semantics
+(``step_plans``), so every per-seed simulator of a batch walks one
+linked graph.  The table is bounded by generations: when it is full,
+every plan in it is unlinked and all are dropped, so
 at most ``maxsize`` plans are live, plus the one each walk is standing
 on.  Building a plan computes every
 enabled action's outcomes, so a probabilistic branch that breaks its
@@ -60,8 +60,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import inf
 
+from ..core.distributions import validate_horizon
 from ..core.errors import AnalysisError, ModelError
-from ..core.memo import MemoTable
 from ..core.rng import ensure_rng
 from ..obs.metrics import incr
 from ..ta.discrete import DiscreteState
@@ -165,21 +165,6 @@ class _StepPlan:
         return verdicts
 
 
-class PlanTable(MemoTable):
-    """The step plans of one network's digital semantics, by state key:
-    a :class:`~repro.core.memo.MemoTable` that also unlinks the plans it
-    drops when it renews.  A walk standing on a dropped plan finds its
-    successors in the new generation."""
-
-    __slots__ = ()
-
-    def renew(self):
-        dropped = list(self.values())
-        super().renew()
-        for old in dropped:
-            old.unlink()
-
-
 class DigitalSimulator:
     """Simulates runs of a PTA network under a scheduler policy.
 
@@ -249,7 +234,9 @@ class DigitalSimulator:
         """Simulate until ``stop(state)`` is true, time/step budget runs
         out, or the run deadlocks.
 
-        ``stop`` receives ``(location_names, valuation, clocks)``;
+        ``max_time`` ``None`` means unbounded; NaN raises
+        :class:`AnalysisError`.  ``stop`` receives ``(location_names,
+        valuation, clocks)``;
         ``observer`` additionally receives the elapsed time up front:
         ``observer(elapsed, names, valuation, clocks)``.  ``start``
         overrides the initial state (used by rare-event splitting).
@@ -258,6 +245,7 @@ class DigitalSimulator:
         ``.time`` into the active metrics collector (no-op lookups once
         per run, not per step, when observability is off).
         """
+        max_time = validate_horizon(max_time)
         link = _Link(self.initial() if start is None else start)
         elapsed = 0
         steps = 0
@@ -274,7 +262,7 @@ class DigitalSimulator:
                 if stop is not None and stop(names, state.valuation,
                                              state.clocks):
                     return SimulationRun(state, elapsed, steps, trace)
-                if max_time is not None and elapsed >= max_time:
+                if elapsed >= max_time:
                     return SimulationRun(state, elapsed, steps, trace)
                 move = self._move(plan)
                 if move is None:
@@ -291,22 +279,22 @@ class DigitalSimulator:
             incr("pta.sim.time", elapsed)
 
     def first_passage(self, predicates, horizon):
-        """When each predicate first holds on one run: ``{key: time}``
-        (``inf`` = never), for ``predicates`` mapping keys to functions
-        of ``(names, valuation, clocks)``.
+        """When each predicate first holds on one run up to ``horizon``
+        (``None``: unbounded; NaN raises :class:`AnalysisError`):
+        ``{key: time}`` (``inf`` = never), for ``predicates`` mapping
+        keys to functions of ``(names, valuation, clocks)``.
 
-        The run is :meth:`run` with a
-        :class:`~repro.smc.cdf.FirstPassageRecorder` as observer and its
-        ``all_seen`` as stop, under ``max_time=horizon``: same moves,
-        same draws, same counters.  Predicates must be pure; each
-        plan's verdicts are memoised (see the module docstring).
+        The run is :meth:`run` under ``max_time=horizon``, watching the
+        predicates in every state it observes and stopping once every
+        one has held: same moves, same draws, same counters.
+        Predicates must be pure; each plan's verdicts are memoised (see
+        the module docstring).
         """
+        horizon = validate_horizon(horizon)
         keys = tuple(predicates)
         tests = tuple(predicates.values())
         times = dict.fromkeys(keys, inf)
         pending = (1 << len(keys)) - 1
-        if horizon is None:
-            horizon = inf
         link = _Link(self.initial())
         elapsed = 0
         steps = 0

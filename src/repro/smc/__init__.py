@@ -19,7 +19,7 @@ from .qualitative import (
     probability_at_least,
     probability_estimate,
 )
-from .cdf import FirstPassageRecorder, empirical_cdf, first_passage_cdfs
+from .cdf import empirical_cdf, first_passage_cdfs
 from .rare import SplittingResult, fixed_effort_splitting
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "estimate_mean", "estimate_probability",
     "SPRTResult", "sprt",
     "expected_value", "probability_at_least", "probability_estimate",
-    "FirstPassageRecorder", "empirical_cdf", "first_passage_cdfs",
+    "empirical_cdf", "first_passage_cdfs",
     "SplittingResult", "fixed_effort_splitting",
 ]

@@ -9,19 +9,17 @@ predicates first hold on a seeded run, for either simulator: the Fig. 4
 CDFs, the modes backend (:func:`repro.modest.modes`) and time-bounded
 SMC (:func:`~repro.smc.stochastic.simulate_once`) all read their
 outcomes from a simulator's ``first_passage(predicates, horizon)``.
-:class:`~repro.smc.StochasticSimulator` implements it as a run watched
-by a :class:`FirstPassageRecorder`;
-:class:`~repro.pta.DigitalSimulator` walks its linked step plans and
-reads each plan's memoised bitmask of the predicates that hold there.
-Either way a predicate must be a pure function of ``(names, valuation,
-clocks)``: the digital simulator calls it once per state, not once per
-step.
+Both simulators walk their linked plans and call only the predicates
+still pending: :class:`~repro.smc.StochasticSimulator` once per step,
+:class:`~repro.pta.DigitalSimulator` once per state, since each step
+plan memoises the bitmask of the predicates that hold there.  Either
+way a predicate must be a pure function of ``(names, valuation,
+clocks)``.
 """
 
 from __future__ import annotations
 
-import math
-
+from ..core.distributions import validate_horizon
 from ..core.errors import AnalysisError
 from ..obs import incr, span
 
@@ -40,34 +38,6 @@ def empirical_cdf(samples, grid):
             idx += 1
         out.append(idx / n)
     return out
-
-
-class FirstPassageRecorder:
-    """Observer recording when each watched predicate first becomes true.
-
-    Use one recorder per run; ``times[key]`` is the first time predicate
-    ``key`` held (``inf`` if never).  Only the predicates still pending
-    are evaluated, and ``pending`` is rebuilt only on a hit.
-    """
-
-    def __init__(self, predicates):
-        self.times = {key: math.inf for key in predicates}
-        self.pending = list(predicates.items())
-
-    def __call__(self, time, names, valuation, clocks):
-        hit = False
-        for key, predicate in self.pending:
-            if predicate(names, valuation, clocks):
-                self.times[key] = time
-                hit = True
-        if hit:
-            self.pending = [entry for entry in self.pending
-                            if self.times[entry[0]] == math.inf]
-
-    def all_seen(self, *_state):
-        """Whether every predicate has held; ignores its arguments, so
-        it serves as either simulator's ``stop``."""
-        return not self.pending
 
 
 def first_passage_batch(simulator_factory, predicates, horizon, seeds):
@@ -101,7 +71,9 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     or before ``horizon``: the stochastic simulator observes no state
     past it, and the digital one, moving in unit ticks, none past an
     integer horizon.  Predicates must be pure functions of ``(names,
-    valuation, clocks)``.  Returns ``{key: [probabilities over grid]}``.
+    valuation, clocks)``.  ``horizon`` ``None`` means unbounded; NaN
+    raises :class:`~repro.core.errors.AnalysisError` before any run.
+    Returns ``{key: [probabilities over grid]}``.
 
     Batches of seeded runs go through ``executor`` (see
     :mod:`repro.runtime`; ``None`` means
@@ -116,6 +88,7 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     """
     from ..runtime import seed_stream, seeded_batches
 
+    validate_horizon(horizon)
     with span("smc.first_passage_cdfs", runs=runs):
         seeds = seed_stream(rng, runs)
         samples = {key: [] for key in predicates}

@@ -1,4 +1,8 @@
-"""Executor test doubles shared by the runtime test modules."""
+"""Test doubles shared by test modules: an executor that pins batch
+boundaries, and the first-passage recorder both simulators'
+``first_passage`` walks are held to."""
+
+import math
 
 from repro.runtime import Executor, SerialExecutor
 
@@ -21,3 +25,34 @@ class FixedBatches(Executor):
 
     def imap(self, fn, tasks, policy=None):
         return self.inner.imap(fn, tasks, policy=policy)
+
+
+class FirstPassageRecorder:
+    """Observer recording when each watched predicate first becomes true.
+
+    The oracle of ``first_passage``: a simulator's ``run`` with a
+    recorder as ``observer`` and its :meth:`all_seen` as ``stop`` takes
+    the same moves and draws and must record the same hit times.  Use
+    one recorder per run; ``times[key]`` is the first time predicate
+    ``key`` held (``inf`` if never).  Only the predicates still pending
+    are evaluated, and ``pending`` is rebuilt only on a hit.
+    """
+
+    def __init__(self, predicates):
+        self.times = {key: math.inf for key in predicates}
+        self.pending = list(predicates.items())
+
+    def __call__(self, time, names, valuation, clocks):
+        hit = False
+        for key, predicate in self.pending:
+            if predicate(names, valuation, clocks):
+                self.times[key] = time
+                hit = True
+        if hit:
+            self.pending = [entry for entry in self.pending
+                            if self.times[entry[0]] == math.inf]
+
+    def all_seen(self, *_state):
+        """Whether every predicate has held; ignores its arguments, so
+        it serves as either simulator's ``stop``."""
+        return not self.pending

@@ -10,7 +10,7 @@ branches and free-running clocks (the strategy of
 ``tests/test_digital_unfold.py``), with the plan table unbounded or
 renewed every few plans, ``run`` must give the oracle's trace, final
 state and steps, and ``first_passage`` the hit times and step count of
-``run`` watched by a :class:`~repro.smc.cdf.FirstPassageRecorder`.
+``run`` watched by a :class:`doubles.FirstPassageRecorder`.
 
 The pool test honours ``REPRO_MP_START`` (``fork`` / ``spawn``); under
 spawn every worker rebuilds the model, its plan table and its masks.
@@ -24,6 +24,7 @@ from functools import partial
 from math import inf
 from unittest import mock
 
+from doubles import FirstPassageRecorder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_digital_unfold import networks
@@ -41,7 +42,7 @@ from repro.runtime import (
     seed_stream,
     seeded_batches,
 )
-from repro.smc.cdf import FirstPassageRecorder, first_passage_batch
+from repro.smc.cdf import first_passage_batch
 from repro.ta.discrete import DiscreteState
 
 MP_START = os.environ.get("REPRO_MP_START") or None

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core import AnalysisError, RandomSource
 from repro.models.traingate import make_traingate
 from repro.smc import (
-    FirstPassageRecorder,
     MeanEstimate,
     ProbabilityEstimate,
     StochasticSimulator,
@@ -195,17 +194,6 @@ class TestCDF:
     def test_monotone(self):
         cdf = empirical_cdf([5, 3, 8, 1], list(range(10)))
         assert all(a <= b for a, b in zip(cdf, cdf[1:]))
-
-    def test_recorder(self):
-        rec = FirstPassageRecorder(
-            {"x": lambda names, v, c: names[0] == "t"})
-        rec(0.0, ("s",), None, None)
-        assert math.isinf(rec.times["x"])
-        rec(3.5, ("t",), None, None)
-        assert rec.times["x"] == 3.5
-        rec(9.9, ("t",), None, None)
-        assert rec.times["x"] == 3.5  # first passage only
-        assert rec.all_seen()
 
     def test_fig4_shape(self):
         """Faster trains (higher rate) cross earlier: CDFs ordered."""

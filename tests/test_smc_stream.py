@@ -19,6 +19,7 @@ from functools import partial
 import pytest
 
 from repro.core import AnalysisError, EvaluationError, ModelError
+from repro.core.memo import PlanTable
 from repro.core.values import Declarations
 from repro.models.traingate import cross_predicate, make_traingate
 from repro.obs import collecting
@@ -314,7 +315,15 @@ class TestConfigPlans:
                 built.append((locs, valuation.values))
                 super().__init__(network, plans, locs, valuation)
 
+        lookups = []
+        table_get = PlanTable.get
+
+        def counting_get(table, key, default=None):
+            lookups.append(key)
+            return table_get(table, key, default)
+
         monkeypatch.setattr(stochastic, "ConfigPlan", CountingPlan)
+        monkeypatch.setattr(PlanTable, "get", counting_get)
         network = make_traingate(3)
         simulators = []
 
@@ -329,7 +338,14 @@ class TestConfigPlans:
         assert all(sim._configs is configs for sim in simulators)
         assert len(built) == len(set(built)) == len(configs)
         assert all(key in configs for key in built)
-        assert configs.hits > len(built)
+        # Runs follow links: a configuration is looked up by key once
+        # per run, at the start, and once per link, when a walk first
+        # follows it.
+        followed = [link for config in configs.values()
+                    for link in config.links.values()
+                    if link.plan is not None]
+        assert set(lookups) == set(configs)
+        assert len(lookups) == len(simulators) + len(followed)
 
     def test_guards_run_once_per_configuration_and_only_when_needed(self):
         """Output guards run once per configuration; receive guards run
