@@ -245,8 +245,7 @@ def modes_simulator(model, policy, rng):
 
 
 def modes(model, properties, runs=10000, rng=None, policy="max-delay",
-          max_time=None, confidence=0.95, executor=None,
-          fault_policy=None):
+          max_time=None, confidence=0.95, executor=None):
     """Statistical estimation by discrete-event simulation.
 
     For probability properties returns a
@@ -264,11 +263,10 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     worker count.  A
     :class:`~repro.runtime.ParallelExecutor` needs ``model`` as MODEST
     source text or a :class:`~repro.runtime.Spec` (both picklable), and
-    property predicates as module-level functions or specs.
-    ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) keeps the
+    property predicates as module-level functions or specs.  An
+    executor built with a :class:`~repro.runtime.FaultPolicy` keeps the
     guarantee across crashed, raising, or hung workers by replaying the
-    failed batches from their seeds; estimates divide by the runs that
-    completed, so batches it skips do not count.
+    failed batches from their seeds.
     """
     from ..runtime import seed_stream, seeded_batches
 
@@ -281,22 +279,20 @@ def modes(model, properties, runs=10000, rng=None, policy="max-delay",
     with span("modest.modes", runs=runs, policy=policy):
         incr("modest.modes.properties", len(properties))
         seeds = seed_stream(rng, runs)
-        done = 0
         predicates = {p.name: p.predicate for p in properties}
         for batch in seeded_batches(
                 first_passage_batch,
                 (partial(modes_simulator, model, policy), predicates,
                  max_time),
-                seeds, executor, fault_policy):
-            done += len(batch)
+                seeds, executor):
             for hit_time in batch:
                 _tally(reach_props, time_props, hit_time, observed,
                        durations)
-        incr("modest.modes.runs", done)
+        incr("modest.modes.runs", runs)
 
     results = {}
     for p in reach_props:
-        results[p.name] = ProbabilityEstimate(observed[p.name], done,
+        results[p.name] = ProbabilityEstimate(observed[p.name], runs,
                                               confidence)
     for p in time_props:
         samples = durations[p.name]

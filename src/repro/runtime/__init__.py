@@ -6,10 +6,12 @@ The execution layer behind the statistical engines (:mod:`repro.smc`,
 deterministic per-run seed streams (:func:`seeded_batches`, the one
 loop every entry point runs), fanned out serially or across a process
 pool with bit-identical results either way.  A
-:class:`FaultPolicy` makes the pool survive crashed, raising, or hung
-workers by replaying the affected tasks from their spawn-keyed seeds
-(still bit-identical); a :class:`Checkpoint` makes fixed-budget
-campaigns resumable mid-flight.
+:class:`FaultPolicy`, given to the executor, makes it survive crashed,
+raising, or hung workers by replaying the affected tasks from their
+spawn-keyed seeds (still bit-identical) until a task exhausts its
+retries and the campaign raises :class:`~repro.core.errors.TaskError`;
+a :class:`Checkpoint` makes fixed-budget campaigns resumable
+mid-flight.
 """
 
 from .checkpoint import Checkpoint

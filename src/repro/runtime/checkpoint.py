@@ -1,8 +1,9 @@
 """Checkpoint/resume for fixed-budget statistical campaigns.
 
 A million-run estimation that dies at run 900,000 — machine reboot,
-exhausted fault policy, plain Ctrl-C — should not start over.  The
-fixed-budget SMC entry points (:func:`repro.smc.estimate_probability`,
+a task that exhausts its fault policy, plain Ctrl-C — should not start
+over.  The fixed-budget SMC entry points
+(:func:`repro.smc.estimate_probability`,
 :func:`repro.smc.estimate_mean`) therefore accept a :class:`Checkpoint`
 that periodically snapshots the campaign *tally* (completed batches,
 successes / samples) together with the campaign's *metrics collector*
@@ -54,9 +55,11 @@ class Checkpoint:
     def load(self, fingerprint):
         """The saved document for ``fingerprint``, or ``None``.
 
-        Missing files, unreadable JSON, other schema versions, and
-        fingerprint mismatches all mean "no usable checkpoint" — the
-        campaign starts fresh rather than resuming from foreign state.
+        Missing files, unreadable JSON, other schema versions,
+        fingerprint mismatches, and documents whose ``state`` or
+        ``metrics`` is not an object all mean "no usable checkpoint" —
+        the campaign starts fresh rather than resuming from foreign or
+        damaged state.
         """
         try:
             with open(self.path, encoding="utf-8") as handle:
@@ -68,6 +71,9 @@ class Checkpoint:
         if data.get("schema") != SCHEMA_VERSION:
             return None
         if data.get("fingerprint") != fingerprint:
+            return None
+        if not (isinstance(data.get("state"), dict)
+                and isinstance(data.get("metrics"), dict)):
             return None
         return data
 

@@ -24,18 +24,17 @@ what the sequential tests (SPRT) use for chunked early stopping: the
 coordinator stops pulling tasks — and the window stops being refilled —
 as soon as the decision boundary is crossed.
 
-Fault tolerance (:mod:`repro.runtime.faults`): :meth:`imap` takes an
-optional :class:`~repro.runtime.FaultPolicy`.  A worker that raises is
-retried with deterministic backoff; a worker that dies
+Fault tolerance (:mod:`repro.runtime.faults`): each executor takes an
+optional :class:`~repro.runtime.FaultPolicy` when it is built.  A task
+that raises is replayed at once; a worker that dies
 (:class:`~concurrent.futures.process.BrokenProcessPool`) or hangs past
 the policy timeout causes the pool to be torn down, rebuilt, and every
 in-flight task **replayed by its spawn-keyed seeds** — tasks are pure
 functions of their seed chunks, so a recovered run is bit-identical to
-a fault-free run.  When the policy is exhausted the task either raises
-:class:`~repro.core.errors.TaskError` (carrying its index and seed for
-reproduction), is skipped, or is degraded to an inline serial run,
-per the policy's ``on_exhausted`` strategy.  Both executors take this
-one decision; without a policy a task that raises fails at once with
+a fault-free run.  A task that faults more than ``max_retries`` times
+raises :class:`~repro.core.errors.TaskError` (carrying its index and
+seed for reproduction).  Both executors take this one decision;
+without a policy a task that raises fails at once with
 :class:`~repro.core.errors.TaskError`, serial or pooled.
 
 Observability (:mod:`repro.obs`): when a metrics collector is active in
@@ -52,7 +51,7 @@ already-dispatched chunks.)  Fault recovery keeps the guarantee: a
 failed attempt's snapshot dies with its worker, so exactly one clean
 attempt per task is merged.  The recovery machinery itself counts under
 ``runtime.retries`` / ``runtime.replayed`` / ``runtime.pool_rebuilds``
-/ ``runtime.timeouts`` / ``runtime.skipped`` / ``runtime.degraded``.
+/ ``runtime.timeouts``.
 """
 
 from __future__ import annotations
@@ -116,50 +115,27 @@ class _PendingTask:
 SERIAL_BATCH_RUNS = 64
 
 
-def _task_error(record, exc, suffix=""):
+def _task_error(record, exc):
     seed = task_seed(record.task)
     where = f"task {record.index}"
     if seed is not None:
         where += f" (seed {seed})"
     return TaskError(
-        f"{where} failed after {record.attempts} attempt(s){suffix}: "
+        f"{where} failed after {record.attempts} attempt(s): "
         f"{exc!r}; the same master seed replays it deterministically",
         index=record.index, seed=seed)
 
 
 def _failure_decision(record, exc, policy):
     """The failure decision both executors share, for a task whose
-    latest attempt raised ``exc``: charge the attempt, then return
-    ``"retry"`` (after the policy's deterministic backoff), ``"skip"``
-    or ``"degrade"`` per ``on_exhausted``; raise
+    latest attempt raised ``exc``: charge the attempt and return, so
+    the caller replays the task, while the policy allows a retry; raise
     :class:`~repro.core.errors.TaskError` when the policy is spent or
-    there is none."""
+    there is none.  There is no third outcome."""
     record.attempts += 1
-    if policy is not None and record.attempts <= policy.max_retries:
-        seed = task_seed(record.task)
-        incr("runtime.retries")
-        time.sleep(policy.delay(record.attempts - 1,
-                                seed if seed is not None else record.index))
-        return "retry"
-    strategy = policy.on_exhausted if policy is not None else "fail"
-    if strategy == "skip":
-        incr("runtime.skipped")
-        return "skip"
-    if strategy == "degrade-to-serial":
-        incr("runtime.degraded")
-        return "degrade"
-    raise _task_error(record, exc) from exc
-
-
-def _run_degraded(fn, record):
-    """Last-resort degrade-to-serial: one final clean run of the task in
-    the coordinator, no pool involved (injections fire on first
-    attempts only)."""
-    try:
-        return fn(*record.task)
-    except Exception as exc:
-        raise _task_error(record, exc,
-                          suffix=" (and one degraded retry)") from exc
+    if policy is None or record.attempts > policy.max_retries:
+        raise _task_error(record, exc) from exc
+    incr("runtime.retries")
 
 
 class Executor:
@@ -168,14 +144,13 @@ class Executor:
     #: Degree of parallelism; used to pick batch sizes.
     workers = 1
 
-    def map(self, fn, tasks, policy=None):
+    def map(self, fn, tasks):
         """Run ``fn(*task)`` for every task; results in task order."""
-        return list(self.imap(fn, tasks, policy=policy))
+        return list(self.imap(fn, tasks))
 
-    def imap(self, fn, tasks, policy=None):
+    def imap(self, fn, tasks):
         """Lazy :meth:`map`: a generator yielding results in task order.
-        Closing the generator stops further task consumption.  ``policy``
-        is an optional :class:`~repro.runtime.FaultPolicy`."""
+        Closing the generator stops further task consumption."""
         raise NotImplementedError
 
     def batch_size_for(self, runs):
@@ -202,13 +177,16 @@ class SerialExecutor(Executor):
     parallel runs share the seed-stream protocol and therefore agree
     bit for bit.  Failures take the same decision as in the pool: a
     task that raises ends in :class:`~repro.core.errors.TaskError`
-    unless a :class:`~repro.runtime.FaultPolicy` retries, skips or
-    degrades it (``kill`` injections have no worker to kill and surface
-    as ordinary faults); per-task timeouts require a process pool and
-    are ignored here.
+    unless ``policy`` (a :class:`~repro.runtime.FaultPolicy`) replays
+    it (``kill`` injections have no worker to kill and surface as
+    ordinary faults); per-task timeouts require a process pool and are
+    ignored here.
     """
 
     workers = 1
+
+    def __init__(self, policy=None):
+        self.policy = policy
 
     def batch_size_for(self, runs):
         """At most :data:`SERIAL_BATCH_RUNS` runs per batch: each batch
@@ -217,8 +195,9 @@ class SerialExecutor(Executor):
         runs."""
         return max(1, min(runs, SERIAL_BATCH_RUNS))
 
-    def imap(self, fn, tasks, policy=None):
+    def imap(self, fn, tasks):
         collector = active()
+        policy = self.policy
         injector = policy.injector if policy is not None else None
         if collector is not None:
             collector.set_gauge("runtime.workers", self.workers)
@@ -230,15 +209,9 @@ class SerialExecutor(Executor):
                     if injector is not None:
                         injector(index, record.attempts, in_worker=False)
                     result = fn(*record.task)
-                    action = "ok"
-                except Exception as exc:
-                    action = _failure_decision(record, exc, policy)
-                if action != "retry":
                     break
-            if action == "skip":
-                continue
-            if action == "degrade":
-                result = _run_degraded(fn, record)
+                except Exception as exc:
+                    _failure_decision(record, exc, policy)
             if collector is not None:
                 collector.incr("runtime.tasks")
                 collector.observe("runtime.task_seconds",
@@ -246,7 +219,8 @@ class SerialExecutor(Executor):
             yield result
 
     def __repr__(self):
-        return "SerialExecutor()"
+        policy = "" if self.policy is None else f"policy={self.policy!r}"
+        return f"SerialExecutor({policy})"
 
 
 class ParallelExecutor(Executor):
@@ -256,12 +230,14 @@ class ParallelExecutor(Executor):
     created lazily on first use and reused across calls (worker
     processes keep their per-process model caches warm), so hold one
     executor for a whole experiment and :meth:`close` it at the end —
-    or use it as a context manager.
+    or use it as a context manager.  ``policy`` (a
+    :class:`~repro.runtime.FaultPolicy`) makes the pool replay the
+    tasks that raise, kill their worker or hang.
 
-    ``inflight`` bounds how many batches are queued ahead of the
-    consumer in :meth:`imap` (default ``2 * workers``): enough to keep
-    every worker busy, small enough that early stopping does not waste
-    a long tail of speculative runs.
+    :meth:`imap` queues at most :attr:`inflight` (``2 * workers``)
+    batches ahead of the consumer: enough to keep every worker busy,
+    small enough that early stopping does not waste a long tail of
+    speculative runs.
     """
 
     #: How long :meth:`imap` cleanup waits for still-running futures
@@ -269,12 +245,13 @@ class ParallelExecutor(Executor):
     #: abandoning the pool (so :meth:`close` can never deadlock).
     drain_timeout = 60.0
 
-    def __init__(self, workers=None, inflight=None, mp_context=None):
+    def __init__(self, workers=None, mp_context=None, policy=None):
         self.workers = (os.cpu_count() or 1) if workers is None else workers
         if self.workers < 1:
             raise AnalysisError(f"need at least one worker, "
                                 f"got {self.workers}")
-        self.inflight = inflight or 2 * self.workers
+        self.inflight = 2 * self.workers
+        self.policy = policy
         self._mp_context = mp_context
         self._pool = None
         #: Bumped every time a pool is abandoned; futures remember the
@@ -309,9 +286,10 @@ class ParallelExecutor(Executor):
                 process.terminate()
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def imap(self, fn, tasks, policy=None):
+    def imap(self, fn, tasks):
         collector = active()
         spec = capture_spec()
+        policy = self.policy
         injector = policy.injector if policy is not None else None
         timeout = policy.timeout if policy is not None else None
         wrap = spec is not None or injector is not None
@@ -379,22 +357,8 @@ class ParallelExecutor(Executor):
                     incr("runtime.replayed")
 
         def recover(head, exc):
-            action = _failure_decision(head, exc, policy)
-            if action == "retry":
-                submit(head)
-            return action
-
-        def run_inline(head):
-            # Metrics the degraded task records go straight to the
-            # active collector — at the same position in task order a
-            # pooled merge would take.
-            start = time.perf_counter()
-            result = _run_degraded(fn, head)
-            if collector is not None:
-                collector.incr("runtime.tasks")
-                collector.observe("runtime.task_seconds",
-                                  time.perf_counter() - start)
-            return result
+            _failure_decision(head, exc, policy)
+            submit(head)
 
         def absorb(outcome):
             # Only the one clean attempt's snapshot ever arrives here —
@@ -416,17 +380,15 @@ class ParallelExecutor(Executor):
                     break
             while pending:
                 head = pending[0]
-                outcome = None
                 while True:
                     try:
                         outcome = head.future.result(timeout=timeout)
-                        action = "ok"
                         break
                     except concurrent.futures.TimeoutError as exc:
                         if head.future.done():
                             # The task itself raised a TimeoutError
                             # worker-side; the pool is healthy.
-                            action = recover(head, exc)
+                            recover(head, exc)
                         else:
                             # Exceeded the policy budget: presume a hung
                             # worker, tear the pool down, replay.
@@ -434,7 +396,7 @@ class ParallelExecutor(Executor):
                             incr("runtime.pool_rebuilds")
                             self._abandon_pool(terminate=True)
                             replay_pending(head)
-                            action = recover(head, AnalysisError(
+                            recover(head, AnalysisError(
                                 f"no result within the {timeout}s "
                                 f"fault-policy timeout"))
                     except (concurrent.futures.BrokenExecutor,
@@ -445,28 +407,19 @@ class ParallelExecutor(Executor):
                             # ... but the pool was already rebuilt; this
                             # is a stale future, not a fresh fault.
                             replay_stale(head)
-                            action = "retry"
                         else:
                             incr("runtime.pool_rebuilds")
                             self._abandon_pool()
                             replay_pending(head)
-                            action = recover(head, exc)
+                            recover(head, exc)
                     except Exception as exc:
                         # The task raised worker-side; pool is healthy.
-                        action = recover(head, exc)
-                    if action != "retry":
-                        break
+                        recover(head, exc)
                 pending.popleft()
                 submit_next()
-                if action == "skip":
-                    continue
-                if action == "degrade":
-                    result = run_inline(head)
-                elif spec is not None:
-                    result = absorb(outcome)
-                else:
-                    result = outcome  # bare, or injector-wrapped only
-                yield result
+                if spec is not None:
+                    outcome = absorb(outcome)
+                yield outcome
         finally:
             if pending:
                 for record in pending:
@@ -493,4 +446,5 @@ class ParallelExecutor(Executor):
             self._pool = None
 
     def __repr__(self):
-        return f"ParallelExecutor(workers={self.workers})"
+        policy = "" if self.policy is None else f", policy={self.policy!r}"
+        return f"ParallelExecutor(workers={self.workers}{policy})"

@@ -5,17 +5,15 @@ at scale (the modes/Modest overview stresses exactly this): a crashed
 worker, a flaky task, or a hung process must not kill a million-run
 estimation.  This module provides the three pieces the executors use:
 
-* :class:`FaultPolicy` — *what to do* when a task faults: an optional
-  per-task ``timeout``, ``max_retries`` with exponential backoff and
-  **deterministic jitter drawn from the task's own seed stream**, and
-  an on-exhaustion strategy (``"fail"``, ``"skip"``, or
-  ``"degrade-to-serial"``).
+* :class:`FaultPolicy` — an executor's recovery rule: a task that
+  raises, kills its worker or hangs past the optional ``timeout`` is
+  replayed from its seeds at once, up to ``max_retries`` times; after
+  that the campaign raises :class:`~repro.core.errors.TaskError`.
 * :class:`FaultInjector` — a deterministic test/bench hook that makes a
   chosen task kill its worker, raise, or hang on its **first attempt
   only**, so recovery paths are exercised reproducibly.
-* :func:`task_seed` — the spawn-keyed seed identifying a task, used
-  both for the jitter stream and for the replay-context carried by
-  :class:`~repro.core.errors.TaskError`.
+* :func:`task_seed` — the spawn-keyed seed identifying a task, carried
+  by :class:`~repro.core.errors.TaskError` as its replay context.
 
 The replay guarantee: a recovered run is **bit-identical** to a
 fault-free run.  Every task the SMC layer submits is a pure function of
@@ -24,16 +22,25 @@ by resubmitting the *exact same task tuple* — same seeds, same model
 spec — and aggregating its result at the same position in task order.
 Retries and pool rebuilds therefore change wall-clock time and the
 physical ``runtime.*`` counters, never an estimate, a verdict, or a
-logical metric total (asserted by ``tests/test_faults.py``).
+logical metric total (asserted by ``tests/test_faults.py``).  A
+campaign either yields every task's result or raises: no run is ever
+dropped from an estimate.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 
 from ..core.errors import AnalysisError
-from ..core.rng import RandomSource
+
+#: How long a ``hang`` injection sleeps — far past any test timeout.
+HANG_SECONDS = 30.0
+
+#: The exit status of a worker a ``kill`` injection ends.
+EXIT_CODE = 86
 
 
 class InjectedFault(RuntimeError):
@@ -41,77 +48,46 @@ class InjectedFault(RuntimeError):
     ``kill`` injections) — an ordinary task failure to the executor."""
 
 
-#: On-exhaustion strategies accepted by :class:`FaultPolicy`.
-STRATEGIES = ("fail", "skip", "degrade-to-serial")
-
-
 class FaultPolicy:
     """How an executor treats a faulting task.
 
     ``timeout``
-        Per-task wall-clock budget in seconds (``None`` = unbounded).
-        A task that exceeds it is presumed hung; the pool is torn down
+        Per-task wall-clock budget in seconds (``None`` = unbounded),
+        honoured by :class:`~repro.runtime.ParallelExecutor` only.  A
+        task that exceeds it is presumed hung; the pool is torn down
         (terminating the stuck worker), rebuilt, and the in-flight
         tasks are replayed by their seeds.
     ``max_retries``
-        How many times a single task may fault before the
-        ``on_exhausted`` strategy applies.  Retries sleep
-        ``backoff * backoff_factor**k`` seconds (k = 0, 1, ...) plus
-        deterministic jitter: attempt k draws the k-th value of
-        ``RandomSource(task_seed)`` — reproducible for any worker
-        count, yet decorrelated across tasks.
-    ``on_exhausted``
-        ``"fail"`` raises :class:`~repro.core.errors.TaskError` (with
+        How many times a single task may fault and be replayed before
+        the campaign raises :class:`~repro.core.errors.TaskError` (with
         the task index and seed, so the run is reproducible from the
-        message); ``"skip"`` drops the task's results from the stream
-        (degrading the sample budget, never the aggregation order);
-        ``"degrade-to-serial"`` runs the task inline in the
-        coordinator process — no pool involved — as a last resort.
+        message).
     ``injector``
         An optional :class:`FaultInjector` shipped to the workers (the
         test/bench hook).  ``None`` in production.
     """
 
-    __slots__ = ("timeout", "max_retries", "backoff", "backoff_factor",
-                 "jitter", "on_exhausted", "injector")
+    __slots__ = ("timeout", "max_retries", "injector")
 
-    def __init__(self, timeout=None, max_retries=2, backoff=0.05,
-                 backoff_factor=2.0, jitter=0.5, on_exhausted="fail",
-                 injector=None):
-        if timeout is not None and timeout <= 0:
-            raise AnalysisError(f"timeout must be positive, got {timeout}")
-        if max_retries < 0:
+    def __init__(self, timeout=None, max_retries=2, injector=None):
+        # ``0 < t < inf`` also rejects NaN, which would declare every
+        # task hung, and ``inf``, which overflows ``future.result``.
+        if timeout is not None and not (isinstance(timeout, numbers.Real)
+                                        and 0 < timeout < math.inf):
             raise AnalysisError(
-                f"max_retries must be >= 0, got {max_retries}")
-        if on_exhausted not in STRATEGIES:
+                f"timeout must be None or a finite number > 0, "
+                f"got {timeout!r}")
+        if not (isinstance(max_retries, numbers.Integral)
+                and max_retries >= 0):
             raise AnalysisError(
-                f"unknown on_exhausted strategy {on_exhausted!r} "
-                f"(expected one of {STRATEGIES})")
+                f"max_retries must be an int >= 0, got {max_retries!r}")
         self.timeout = timeout
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_factor = backoff_factor
-        self.jitter = jitter
-        self.on_exhausted = on_exhausted
         self.injector = injector
-
-    def delay(self, attempt, seed):
-        """Backoff before retry number ``attempt`` (0-based) of the task
-        seeded with ``seed``: exponential base plus deterministic jitter
-        drawn from the task's own seed stream."""
-        base = self.backoff * self.backoff_factor ** attempt
-        if not self.jitter or not self.backoff:
-            return base
-        stream = RandomSource(seed)
-        draw = 0.0
-        for _ in range(attempt + 1):
-            draw = stream.random()
-        return base * (1.0 + self.jitter * draw)
 
     def __repr__(self):
         return (f"FaultPolicy(timeout={self.timeout}, "
-                f"max_retries={self.max_retries}, "
-                f"on_exhausted={self.on_exhausted!r})")
+                f"max_retries={self.max_retries})")
 
 
 class FaultInjector:
@@ -124,38 +100,35 @@ class FaultInjector:
     assert bit-identical results.
 
     ``kill``
-        Task indices whose worker process dies hard (``os._exit``) —
-        the :class:`BrokenProcessPool` path.  In a serial executor
-        (no worker to kill) the injection raises
+        Task indices whose worker process dies hard (``os._exit`` with
+        :data:`EXIT_CODE`) — the :class:`BrokenProcessPool` path.  In a
+        serial executor (no worker to kill) the injection raises
         :class:`InjectedFault` instead.
     ``raises``
         Task indices that raise :class:`InjectedFault`.
     ``hang``
-        Task indices that sleep ``hang_seconds`` before continuing —
+        Task indices that sleep :data:`HANG_SECONDS` before continuing —
         combined with :attr:`FaultPolicy.timeout` this exercises the
         hung-worker teardown path.
     """
 
-    __slots__ = ("kill", "raises", "hang", "hang_seconds", "exit_code")
+    __slots__ = ("kill", "raises", "hang")
 
-    def __init__(self, kill=(), raises=(), hang=(), hang_seconds=30.0,
-                 exit_code=86):
+    def __init__(self, kill=(), raises=(), hang=()):
         self.kill = frozenset(kill)
         self.raises = frozenset(raises)
         self.hang = frozenset(hang)
-        self.hang_seconds = hang_seconds
-        self.exit_code = exit_code
 
     def __call__(self, index, attempt, in_worker=True):
         if attempt != 0:
             return
         if index in self.kill:
             if in_worker:
-                os._exit(self.exit_code)
+                os._exit(EXIT_CODE)
             raise InjectedFault(
                 f"injected worker kill in task {index} (serial executor)")
         if index in self.hang:
-            time.sleep(self.hang_seconds)
+            time.sleep(HANG_SECONDS)
         if index in self.raises:
             raise InjectedFault(f"injected failure in task {index}")
 
@@ -175,8 +148,9 @@ def task_seed(task):
     master source's spawn stream as a list of integer seeds; the chunk's
     first seed pins the task to a position in that stream.  Scans the
     task tuple for the first non-empty all-int sequence (scalar ints —
-    horizons, budgets — don't qualify) so the executor can report and
-    jitter by seed without knowing each entry point's argument layout.
+    horizons, budgets — don't qualify) so the executor can report a
+    failed task by seed without knowing each entry point's argument
+    layout.
     """
     for arg in task:
         if (isinstance(arg, (list, tuple)) and arg

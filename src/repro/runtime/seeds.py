@@ -42,14 +42,14 @@ def runs_per_task(executor, runs):
     return _resolve(executor).batch_size_for(runs)
 
 
-def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
+def seeded_batches(fn, args, seeds, executor=None, size=None,
                    per_run=None):
     """Run a seeded campaign as tasks ``fn(*args, chunk)``, where
     ``chunk`` is the next run of consecutive per-run ``seeds``; yield the
     task results in run order.
 
-    ``executor`` ``None`` means :class:`SerialExecutor`; ``policy`` is
-    its :class:`~repro.runtime.FaultPolicy`.  A task carries
+    ``executor`` ``None`` means :class:`SerialExecutor`; a fault policy,
+    if any, is the executor's own.  A task carries
     ``runs_per_task(executor, len(seeds))`` runs unless ``size`` fixes
     it.  ``seeds`` may be a lazy iterator (then ``size`` is required):
     each task then draws its chunk only when the executor pulls it, so
@@ -71,7 +71,7 @@ def seeded_batches(fn, args, seeds, executor=None, policy=None, size=None,
             else:
                 yield (*args, list(islice(extra, len(chunk))), chunk)
 
-    yield from _resolve(executor).imap(fn, tasks(), policy=policy)
+    yield from _resolve(executor).imap(fn, tasks())
 
 
 def run_batch(run_once, seeds):

@@ -60,7 +60,7 @@ def first_passage_batch(simulator_factory, predicates, horizon, seeds):
 
 
 def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
-                       rng=None, executor=None, fault_policy=None):
+                       rng=None, executor=None):
     """Estimate, for each predicate, the CDF of its first-passage time.
 
     ``simulator_factory(rng)`` builds a fresh simulator; each run calls
@@ -81,10 +81,8 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     :class:`~repro.runtime.ParallelExecutor` needs a picklable factory
     — e.g. ``functools.partial(repro.smc.stochastic.network_simulator,
     Spec(make_traingate, 3))``.  Runs draw one spawned child source
-    each, so every executor yields identical samples.
-    ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) replays
-    failed batches from their seeds, keeping the samples identical
-    across worker faults.
+    each, so every executor yields identical samples, also when its
+    :class:`~repro.runtime.FaultPolicy` replays failed batches.
     """
     from ..runtime import seed_stream, seeded_batches
 
@@ -92,15 +90,12 @@ def first_passage_cdfs(simulator_factory, predicates, horizon, runs, grid,
     with span("smc.first_passage_cdfs", runs=runs):
         seeds = seed_stream(rng, runs)
         samples = {key: [] for key in predicates}
-        done = 0
         for batch in seeded_batches(
                 first_passage_batch,
-                (simulator_factory, predicates, horizon), seeds, executor,
-                fault_policy):
-            done += len(batch)
+                (simulator_factory, predicates, horizon), seeds, executor):
             for times in batch:
                 for key, value in times.items():
                     samples[key].append(value)
-        incr("smc.cdf.runs", done)
+        incr("smc.cdf.runs", runs)
         return {key: empirical_cdf(vals, grid)
                 for key, vals in samples.items()}

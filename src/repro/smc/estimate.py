@@ -200,9 +200,11 @@ def _campaign_setup(checkpoint, kind, seeds, executor, initial_state):
     inner = Collector("smc.checkpoint")
     state = initial_state
     loaded = checkpoint.load(fingerprint)
-    if loaded is not None:
+    # A saved state missing a key of this entry point's tally is
+    # damaged, not resumable: restart as if there were no file.
+    if loaded is not None and loaded["state"].keys() >= initial_state.keys():
         state = loaded["state"]
-        inner.merge(loaded.get("metrics", {}))
+        inner.merge(loaded["metrics"])
     return fingerprint, size, state, inner, outer
 
 
@@ -217,8 +219,7 @@ def _campaign_finish(checkpoint, inner, outer):
 
 
 def estimate_probability(run_once, runs, rng=None, confidence=0.95,
-                         executor=None, fault_policy=None,
-                         checkpoint=None):
+                         executor=None, checkpoint=None):
     """Estimate P(run_once(rng) is truthy) from ``runs`` samples.
 
     The budget is split into batches of per-run seeds spawned from
@@ -230,15 +231,14 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
     :func:`functools.partial` over one).  Results are bit-identical for
     any executor and worker count.
 
-    ``fault_policy`` (a :class:`~repro.runtime.FaultPolicy`) makes the
-    campaign survive crashed / raising / hung workers by replaying the
-    failed batches from their seeds — still bit-identical; with
-    ``on_exhausted="skip"`` the estimate covers the completed runs.
-    ``checkpoint`` (a :class:`~repro.runtime.Checkpoint`) snapshots the
-    tally and metrics every few batches and resumes a matching
-    interrupted campaign exactly; a campaign whose fault policy skipped
-    batches should not be checkpointed, as resume assumes the completed
-    batches form a prefix.
+    An executor built with a :class:`~repro.runtime.FaultPolicy`
+    survives crashed / raising / hung workers by replaying the failed
+    batches from their seeds — still bit-identical — or raises
+    :class:`~repro.core.errors.TaskError`; the estimate always covers
+    the whole budget.  ``checkpoint`` (a
+    :class:`~repro.runtime.Checkpoint`) snapshots the tally and metrics
+    every few batches and resumes a matching interrupted campaign
+    exactly.
     """
     from ..runtime import run_batch, seed_stream, seeded_batches
 
@@ -254,8 +254,7 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
             successes = state["successes"]
             done = state["done"]
             for outcomes in seeded_batches(run_batch, (run_once,),
-                                           seeds[done:], executor,
-                                           fault_policy, size):
+                                           seeds[done:], executor, size):
                 # Walk the outcomes run by run so the series samples
                 # at every ``done & 63 == 0`` position — the sample
                 # *count* is then independent of the batching.
@@ -284,11 +283,11 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
 
 
 def estimate_mean(run_once, runs, rng=None, confidence=0.95,
-                  executor=None, fault_policy=None, checkpoint=None):
+                  executor=None, checkpoint=None):
     """Estimate E[run_once(rng)] from ``runs`` samples.
 
     Executor semantics as in :func:`estimate_probability` (including
-    ``fault_policy`` and ``checkpoint``); samples are concatenated in
+    fault recovery and ``checkpoint``); samples are concatenated in
     run order, so the estimate (and its interval) does not depend on
     the batching.
     """
@@ -307,7 +306,7 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
             total = sum(samples)  # seeded for checkpoint resume
             for values in seeded_batches(sample_batch, (run_once,),
                                          seeds[len(samples):], executor,
-                                         fault_policy, size):
+                                         size):
                 points = []
                 for value in values:
                     samples.append(value)

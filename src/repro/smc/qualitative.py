@@ -40,7 +40,7 @@ def _spec_run_once(network, predicate, horizon, default_rate):
 def probability_at_least(network, predicate, theta, horizon,
                          indifference=0.01, alpha=0.05, beta=0.05,
                          rng=None, default_rate=1.0, max_runs=1000000,
-                         executor=None, fault_policy=None):
+                         executor=None):
     """Test ``Pr[<= horizon](<> predicate) >= theta`` sequentially.
 
     ``predicate`` takes ``(location_names, valuation, clocks)``.
@@ -51,22 +51,19 @@ def probability_at_least(network, predicate, theta, horizon,
     """
     run_once = _spec_run_once(network, predicate, horizon, default_rate)
     return sprt(run_once, theta, indifference=indifference, alpha=alpha,
-                beta=beta, rng=rng, max_runs=max_runs, executor=executor,
-                fault_policy=fault_policy)
+                beta=beta, rng=rng, max_runs=max_runs, executor=executor)
 
 
 def probability_estimate(network, predicate, horizon, runs=738,
                          confidence=0.95, rng=None, default_rate=1.0,
-                         executor=None, fault_policy=None,
-                         checkpoint=None):
+                         executor=None, checkpoint=None):
     """Quantitative variant: ``Pr[<= horizon](<> predicate)`` with a
     Clopper–Pearson interval (default budget = the Chernoff count for
-    eps = delta = 0.05).  ``fault_policy`` and ``checkpoint`` behave as
+    eps = delta = 0.05).  Fault recovery and ``checkpoint`` behave as
     in :func:`~repro.smc.estimate_probability`."""
     run_once = _spec_run_once(network, predicate, horizon, default_rate)
     return estimate_probability(run_once, runs=runs, rng=rng,
                                 confidence=confidence, executor=executor,
-                                fault_policy=fault_policy,
                                 checkpoint=checkpoint)
 
 
@@ -97,7 +94,7 @@ def observe_extremum(model, observe, horizon, mode, rng=None,
 
 def expected_value(network, observe, horizon, runs=500, mode="max",
                    confidence=0.95, rng=None, default_rate=1.0,
-                   executor=None, fault_policy=None):
+                   executor=None):
     """Estimate UPPAAL-SMC's ``E[<= horizon](max|min|final: expr)``.
 
     ``observe(names, valuation, clocks) -> number`` is evaluated at
@@ -119,10 +116,8 @@ def expected_value(network, observe, horizon, runs=500, mode="max",
                                      default_rate=default_rate)
         seeds = seed_stream(rng, runs)
         samples = []
-        done = 0
         for values in seeded_batches(sample_batch, (run_once,), seeds,
-                                     executor, fault_policy):
-            done += len(values)
+                                     executor):
             samples.extend(v for v in values if not math.isnan(v))
-        incr("smc.runs", done)
+        incr("smc.runs", runs)
         return MeanEstimate(samples, confidence)

@@ -72,7 +72,7 @@ def splitting_batch(model, level_of, target_level, policy, max_steps,
 def fixed_effort_splitting(network, level_of, max_level,
                            runs_per_stage=400, rng=None,
                            policy="max-delay", max_steps=100000,
-                           executor=None, fault_policy=None):
+                           executor=None):
     """Estimate ``P(eventually level_of(state) >= max_level)``.
 
     ``level_of(names, valuation, clocks) -> int`` is the importance
@@ -87,12 +87,15 @@ def fixed_effort_splitting(network, level_of, max_level,
     and worker count.  A
     :class:`~repro.runtime.ParallelExecutor` needs ``network`` and
     ``level_of`` as specs (the digital states themselves pickle fine).
-    A stage's conditional estimate divides its hits by the runs that
-    completed, so batches a ``fault_policy`` skipped do not count.
+    A stage's conditional estimate divides its hits by
+    ``runs_per_stage``, which must be at least 1.
     """
     from ..pta.simulate import DigitalSimulator
     from ..runtime import build_cached, seed_stream, seeded_batches
 
+    if runs_per_stage < 1:
+        raise AnalysisError(
+            f"runs_per_stage must be >= 1, got {runs_per_stage}")
     rng = ensure_rng(rng)
     model = build_cached(network)
     level_fn = build_cached(level_of)
@@ -107,7 +110,6 @@ def fixed_effort_splitting(network, level_of, max_level,
     for level in range(max_level):
         next_entries = []
         hits = 0
-        done = 0
         with span("smc.splitting.stage", level=level + 1) as sp:
             starts = [entry_states[rng.randint(0, len(entry_states) - 1)]
                       for _ in range(runs_per_stage)]
@@ -115,21 +117,17 @@ def fixed_effort_splitting(network, level_of, max_level,
             for reached_batch in seeded_batches(
                     splitting_batch,
                     (network, level_of, level + 1, policy, max_steps),
-                    seeds, executor, fault_policy, per_run=starts):
-                done += len(reached_batch)
+                    seeds, executor, per_run=starts):
                 for reached in reached_batch:
                     if reached is not None:
                         hits += 1
                         next_entries.append(reached)
             sp.set("hits", hits)
-        if done == 0:
-            raise AnalysisError(f"splitting stage {level + 1}: no run "
-                                f"completed")
-        total_runs += done
+        total_runs += runs_per_stage
         incr("smc.splitting.stages")
-        incr("smc.splitting.runs", done)
+        incr("smc.splitting.runs", runs_per_stage)
         incr("smc.splitting.hits", hits)
-        stage_probabilities.append(hits / done)
+        stage_probabilities.append(hits / runs_per_stage)
         if hits == 0:
             return SplittingResult(0.0, stage_probabilities, total_runs)
         entry_states = next_entries

@@ -57,7 +57,7 @@ def _record_verdict(result, log_a, log_b):
 
 
 def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
-         rng=None, max_runs=1000000, executor=None, fault_policy=None):
+         rng=None, max_runs=1000000, executor=None):
     """Sequentially test H1: p >= theta + delta vs H0: p <= theta - delta.
 
     ``alpha`` bounds the probability of accepting H1 when H0 holds,
@@ -73,10 +73,10 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     count, and chunk size (a parallel run may discard a few in-flight
     chunks unread on early stop).  A
     :class:`~repro.runtime.ParallelExecutor` needs a picklable
-    ``run_once``.  ``fault_policy`` (a
-    :class:`~repro.runtime.FaultPolicy`) lets the dispatch survive
-    crashed / raising / hung workers by replaying the failed chunks
-    from their seeds — the verdict stays bit-identical.
+    ``run_once``.  An executor built with a
+    :class:`~repro.runtime.FaultPolicy` survives crashed / raising /
+    hung workers by replaying the failed chunks from their seeds — the
+    verdict stays bit-identical.
     """
     p0 = theta - indifference
     p1 = theta + indifference
@@ -96,7 +96,7 @@ def sprt(run_once, theta, indifference=0.01, alpha=0.05, beta=0.05,
     run = 0
     seeds = (rng.spawn_seed() for _ in range(max_runs))
     results = seeded_batches(run_batch, (run_once,), seeds, executor,
-                             fault_policy, CHUNK_RUNS)
+                             CHUNK_RUNS)
     try:
         with span("smc.sprt", theta=theta):
             for outcomes in results:

@@ -23,8 +23,8 @@ class FixedBatches(Executor):
     def batch_size_for(self, runs):
         return self.size
 
-    def imap(self, fn, tasks, policy=None):
-        return self.inner.imap(fn, tasks, policy=policy)
+    def imap(self, fn, tasks):
+        return self.inner.imap(fn, tasks)
 
 
 class FirstPassageRecorder:

@@ -9,6 +9,7 @@ import pytest
 
 import repro.bip.component
 import repro.core.values
+import repro.runtime.spec
 import repro.ta.syntax
 
 
@@ -16,6 +17,7 @@ import repro.ta.syntax
     repro.core.values,
     repro.ta.syntax,
     repro.bip.component,
+    repro.runtime.spec,
 ])
 def test_module_doctests(module):
     results = doctest.testmod(module, verbose=False)

@@ -13,7 +13,9 @@ one that catches pickling bugs in the fault machinery itself.
 
 import importlib
 import json
+import math
 import os
+import pathlib
 
 import pytest
 
@@ -47,6 +49,11 @@ def pool2():
         yield executor
 
 
+def faulty_pool(policy):
+    """A fresh two-worker pool that recovers under ``policy``."""
+    return ParallelExecutor(workers=2, mp_context=MP_START, policy=policy)
+
+
 # Module-level run closures (picklable).
 
 def biased_coin(rng):
@@ -57,14 +64,12 @@ def uniform_sample(rng):
     return rng.uniform(0.0, 10.0)
 
 
-def snapshot_probability(executor, fault_policy=None, checkpoint=None,
-                         runs=200):
+def snapshot_probability(executor, checkpoint=None, runs=200):
     collector = Collector("campaign")
     with collecting(collector):
         estimate = estimate_probability(
             biased_coin, runs=runs, rng=13,
-            executor=FixedBatches(10, executor), fault_policy=fault_policy,
-            checkpoint=checkpoint)
+            executor=FixedBatches(10, executor), checkpoint=checkpoint)
     return estimate, collector.snapshot()["counters"]
 
 
@@ -89,20 +94,17 @@ class TestFaultPolicy:
         with pytest.raises(AnalysisError):
             FaultPolicy(max_retries=-1)
         with pytest.raises(AnalysisError):
-            FaultPolicy(on_exhausted="explode")
-        with pytest.raises(AnalysisError):
             FaultPolicy(timeout=0)
 
-    def test_delay_is_deterministic_and_backs_off(self):
-        policy = FaultPolicy(backoff=0.1, backoff_factor=2.0, jitter=0.5)
-        first = [policy.delay(attempt, seed=99) for attempt in range(3)]
-        again = [policy.delay(attempt, seed=99) for attempt in range(3)]
-        assert first == again
-        # Exponential growth survives the bounded jitter.
-        assert first[1] > first[0] and first[2] > first[1]
-        bare = FaultPolicy(backoff=0.1, backoff_factor=2.0, jitter=0.0)
-        assert [bare.delay(a, seed=1) for a in range(3)] == \
-            [0.1, 0.2, 0.4]
+    @pytest.mark.parametrize("options", [
+        {"timeout": math.nan}, {"timeout": math.inf},
+        {"max_retries": math.nan}, {"max_retries": 1.5},
+    ], ids=["timeout-nan", "timeout-inf", "retries-nan", "retries-1.5"])
+    def test_rejects_values_it_cannot_honour(self, options):
+        # A NaN timeout declares every task hung; an infinite one
+        # overflows the pool's result wait.
+        with pytest.raises(AnalysisError):
+            FaultPolicy(**options)
 
     def test_task_seed_finds_seed_chunk(self):
         assert task_seed((biased_coin, [17, 18, 19])) == 17
@@ -119,11 +121,11 @@ class TestFaultPolicy:
 
 class TestSerialRecovery:
     def test_retry_recovers_injected_raise(self):
-        policy = FaultPolicy(max_retries=2, backoff=0.0,
+        policy = FaultPolicy(max_retries=2,
                              injector=FaultInjector(raises={3, 5}))
         reference, _ = snapshot_probability(SerialExecutor())
-        estimate, counters = snapshot_probability(SerialExecutor(),
-                                                  fault_policy=policy)
+        estimate, counters = snapshot_probability(
+            SerialExecutor(policy=policy))
         assert (estimate.successes, estimate.runs) == \
             (reference.successes, reference.runs)
         assert counters["runtime.retries"] == 2
@@ -131,142 +133,33 @@ class TestSerialRecovery:
     def test_serial_kill_injection_surfaces_as_fault(self):
         # No worker to kill: the injector raises instead, and the
         # policy recovers it like any task fault.
-        policy = FaultPolicy(max_retries=1, backoff=0.0,
+        policy = FaultPolicy(max_retries=1,
                              injector=FaultInjector(kill={2}))
         reference, _ = snapshot_probability(SerialExecutor())
-        estimate, _ = snapshot_probability(SerialExecutor(),
-                                           fault_policy=policy)
+        estimate, _ = snapshot_probability(SerialExecutor(policy=policy))
         assert estimate.successes == reference.successes
 
     def test_exhausted_fail_raises_task_error(self):
         def always_raise(rng):
             raise ValueError("boom")
 
-        policy = FaultPolicy(max_retries=1, backoff=0.0)
+        policy = FaultPolicy(max_retries=1)
         with pytest.raises(TaskError) as excinfo:
-            list(SerialExecutor().imap(
-                lambda seed: always_raise(seed), [(1,)], policy=policy))
+            list(SerialExecutor(policy=policy).imap(
+                lambda seed: always_raise(seed), [(1,)]))
         assert excinfo.value.index == 0
-
-    def test_exhausted_skip_drops_task(self):
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
-                             on_exhausted="skip",
-                             injector=FaultInjector(raises={1}))
-        collector = Collector("skip")
-
-        def identity(value):
-            return value
-
-        with collecting(collector):
-            results = list(SerialExecutor().imap(
-                identity, [(0,), (1,), (2,)], policy=policy))
-        # Injections fire on attempt 0 only, and skip means the task's
-        # result is simply absent.
-        assert results == [0, 2]
-        assert collector.snapshot()["counters"]["runtime.skipped"] == 1
-
-    def test_exhausted_degrade_runs_one_clean_attempt(self):
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
-                             on_exhausted="degrade-to-serial",
-                             injector=FaultInjector(raises={1}))
-        collector = Collector("degrade")
-
-        def identity(value):
-            return value
-
-        with collecting(collector):
-            results = list(SerialExecutor().imap(
-                identity, [(0,), (1,), (2,)], policy=policy))
-        assert results == [0, 1, 2]
-        assert collector.snapshot()["counters"]["runtime.degraded"] == 1
-
-
-class TestSkippedBatches:
-    """``on_exhausted="skip"`` drops whole batches; every estimate must
-    then divide by the runs that completed, not the planned budget."""
-
-    SKIP3 = FaultPolicy(max_retries=0, backoff=0.0, on_exhausted="skip",
-                        injector=FaultInjector(raises={1, 3, 5}))
-
-    def test_estimate_probability_counts_completed_runs(self):
-        # The default executor: 200 runs are tasks of 64/64/64/8 runs.
-        skip2 = FaultPolicy(max_retries=0, backoff=0.0, on_exhausted="skip",
-                            injector=FaultInjector(raises={1, 3}))
-        collector = Collector("campaign")
-        with collecting(collector):
-            estimate = estimate_probability(biased_coin, runs=200, rng=13,
-                                            fault_policy=skip2)
-        assert estimate.runs == \
-            collector.snapshot()["counters"]["smc.runs"] == 128
-
-    def test_modes_counts_completed_runs(self):
-        from repro.models import brp_modest as bm
-        from repro.modest.toolset import Pmax, modes
-
-        collector = Collector("modes")
-        with collecting(collector):
-            result = modes(bm.brp_modest_source(2, 1, 1),
-                           [Pmax("P1", bm.not_success)], runs=80, rng=6,
-                           executor=FixedBatches(10),
-                           fault_policy=self.SKIP3)
-        assert result["P1"].runs == 50
-        assert collector.snapshot()["counters"]["modest.modes.runs"] == 50
-
-    def test_splitting_divides_by_completed_runs(self):
-        from repro.models import brp
-
-        collector = Collector("splitting")
-        with collecting(collector):
-            result = fixed_effort_splitting(
-                brp.make_brp(8, 1, 1), retransmission_level, max_level=1,
-                runs_per_stage=60, rng=11, executor=FixedBatches(10),
-                fault_policy=self.SKIP3)
-        counters = collector.snapshot()["counters"]
-        assert result.total_runs == counters["smc.splitting.runs"] == 30
-        assert result.stage_probabilities == \
-            [counters["smc.splitting.hits"] / 30]
-
-    def test_cdf_and_expected_value_count_completed_runs(self):
-        from repro.models.traingate import cross_predicate, make_traingate
-        from repro.smc import expected_value, first_passage_cdfs
-        from repro.smc.stochastic import network_simulator
-
-        network = make_traingate(2)
-        collector = Collector("cdf")
-        with collecting(collector):
-            first_passage_cdfs(
-                lambda rng: network_simulator(network, rng),
-                {0: cross_predicate(0)}, horizon=50, runs=80, grid=[25],
-                rng=3, executor=FixedBatches(10), fault_policy=self.SKIP3)
-            expected_value(network, cross_predicate(0), horizon=50,
-                           runs=80, rng=3, executor=FixedBatches(10),
-                           fault_policy=self.SKIP3)
-        counters = collector.snapshot()["counters"]
-        assert counters["smc.cdf.runs"] == counters["smc.runs"] == 50
-
-    def test_splitting_stage_without_completed_runs_raises(self):
-        from repro.models import brp
-
-        skip_all = FaultPolicy(max_retries=0, backoff=0.0,
-                               on_exhausted="skip",
-                               injector=FaultInjector(raises={0}))
-        with pytest.raises(AnalysisError, match="no run completed"):
-            fixed_effort_splitting(
-                brp.make_brp(8, 1, 1), retransmission_level, max_level=1,
-                runs_per_stage=10, rng=11, fault_policy=skip_all)
 
 
 class TestParallelRecovery:
-    def test_kill_and_raise_equivalence(self, pool2):
+    def test_kill_and_raise_equivalence(self):
         """The acceptance scenario: a worker killed mid-campaign plus
         two raising tasks must not change the estimate or any logical
         metric total relative to a fault-free serial run."""
         reference, ref_counters = snapshot_probability(SerialExecutor())
         policy = FaultPolicy(
-            max_retries=3, backoff=0.01,
-            injector=FaultInjector(kill={1}, raises={3, 5}))
-        estimate, counters = snapshot_probability(pool2,
-                                                  fault_policy=policy)
+            max_retries=3, injector=FaultInjector(kill={1}, raises={3, 5}))
+        with faulty_pool(policy) as pool:
+            estimate, counters = snapshot_probability(pool)
         assert (estimate.successes, estimate.runs, estimate.low,
                 estimate.high) == (reference.successes, reference.runs,
                                    reference.low, reference.high)
@@ -275,66 +168,49 @@ class TestParallelRecovery:
         assert counters["runtime.pool_rebuilds"] >= 1
         assert counters["runtime.retries"] >= 1
 
-    def test_hang_recovery_by_timeout(self, pool2):
+    def test_hang_recovery_by_timeout(self):
         reference, _ = snapshot_probability(SerialExecutor(), runs=100)
-        policy = FaultPolicy(
-            timeout=2.0, max_retries=2, backoff=0.01,
-            injector=FaultInjector(hang={2}, hang_seconds=30.0))
-        estimate, counters = snapshot_probability(pool2,
-                                                  fault_policy=policy,
-                                                  runs=100)
+        policy = FaultPolicy(timeout=2.0, max_retries=2,
+                             injector=FaultInjector(hang={2}))
+        with faulty_pool(policy) as pool:
+            estimate, counters = snapshot_probability(pool, runs=100)
         assert (estimate.successes, estimate.runs) == \
             (reference.successes, reference.runs)
         assert counters["runtime.timeouts"] >= 1
         assert counters["runtime.pool_rebuilds"] >= 1
 
-    def test_replay_preserves_estimate_without_collector(self, pool2):
+    def test_replay_preserves_estimate_without_collector(self):
         # Fault recovery must not depend on the observability layer.
         reference = estimate_probability(biased_coin, runs=200, rng=13,
                                          executor=FixedBatches(10))
-        policy = FaultPolicy(max_retries=2, backoff=0.01,
+        policy = FaultPolicy(max_retries=2,
                              injector=FaultInjector(raises={4}))
-        estimate = estimate_probability(biased_coin, runs=200, rng=13,
-                                        executor=FixedBatches(10, pool2),
-                                        fault_policy=policy)
+        with faulty_pool(policy) as pool:
+            estimate = estimate_probability(biased_coin, runs=200, rng=13,
+                                            executor=FixedBatches(10, pool))
         assert (estimate.successes, estimate.runs) == \
             (reference.successes, reference.runs)
 
-    def test_exhausted_fail_carries_index_and_seed(self, pool2):
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
+    def test_exhausted_fail_carries_index_and_seed(self):
+        policy = FaultPolicy(max_retries=0,
                              injector=FaultInjector(raises={2}))
-
-        def consume():
-            return snapshot_probability(pool2, fault_policy=policy)
-
-        with pytest.raises(TaskError) as excinfo:
-            consume()
+        with faulty_pool(policy) as pool, \
+                pytest.raises(TaskError) as excinfo:
+            snapshot_probability(pool)
         # The retry loop replays the injected index once (attempt 1
         # does not re-fire), so exhaustion at max_retries=0 blames the
         # injected task.
         assert excinfo.value.index == 2
         assert excinfo.value.seed is not None
 
-    def test_degrade_to_serial_in_pool(self, pool2):
-        reference, ref_counters = snapshot_probability(SerialExecutor())
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
-                             on_exhausted="degrade-to-serial",
-                             injector=FaultInjector(raises={2}))
-        estimate, counters = snapshot_probability(pool2,
-                                                  fault_policy=policy)
-        assert (estimate.successes, estimate.runs) == \
-            (reference.successes, reference.runs)
-        assert logical(counters) == logical(ref_counters)
-        assert counters["runtime.degraded"] == 1
-
-    def test_sprt_with_faults_matches_verdict(self, pool2, monkeypatch):
+    def test_sprt_with_faults_matches_verdict(self, monkeypatch):
         monkeypatch.setattr(SPRT_MODULE, "CHUNK_RUNS", 16)
-        policy = FaultPolicy(max_retries=2, backoff=0.01,
+        policy = FaultPolicy(max_retries=2,
                              injector=FaultInjector(raises={1}))
         reference = sprt(biased_coin, theta=0.5, rng=7,
                          executor=SerialExecutor())
-        verdict = sprt(biased_coin, theta=0.5, rng=7, executor=pool2,
-                       fault_policy=policy)
+        with faulty_pool(policy) as pool:
+            verdict = sprt(biased_coin, theta=0.5, rng=7, executor=pool)
         assert bool(verdict) == bool(reference) is False
 
 
@@ -351,20 +227,20 @@ class TestFailureDecision:
             assert isinstance(excinfo.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_splitting_task_error_carries_its_first_seed(self, pool2,
-                                                         parallel):
+    def test_splitting_task_error_carries_its_first_seed(self, parallel):
         from repro.core import RandomSource
         from repro.models import brp
         from repro.runtime import Spec, seed_stream
 
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
+        policy = FaultPolicy(max_retries=0,
                              injector=FaultInjector(raises={2}))
-        executor = FixedBatches(10, pool2 if parallel else None)
-        with pytest.raises(TaskError) as excinfo:
+        inner = faulty_pool(policy) if parallel \
+            else SerialExecutor(policy=policy)
+        with inner, pytest.raises(TaskError) as excinfo:
             fixed_effort_splitting(
                 Spec(brp.make_brp, 8, 1, 1), retransmission_level,
-                max_level=1, runs_per_stage=60, rng=11, executor=executor,
-                fault_policy=policy)
+                max_level=1, runs_per_stage=60, rng=11,
+                executor=FixedBatches(10, inner))
         # Stage 1 draws its 60 start states, then its 60 run seeds; task
         # 2 runs seeds 20..29.
         master = RandomSource(11)
@@ -384,6 +260,15 @@ class TestFailureDecision:
         assert master.spawn().spawn_key == (-(-result.runs // 32) * 32,)
 
 
+#: Checkpoint documents that match their campaign's fingerprint but
+#: cannot be resumed from.
+DAMAGES = {
+    "no-state": lambda document: document.pop("state"),
+    "no-successes": lambda document: document["state"].pop("successes"),
+    "metrics-list": lambda document: document.update(metrics=[]),
+}
+
+
 class TestCheckpoint:
     def fingerprinted(self, path, every=2):
         return Checkpoint(path, every=every)
@@ -392,12 +277,11 @@ class TestCheckpoint:
         path = str(tmp_path / "campaign.json")
         reference, ref_counters = snapshot_probability(SerialExecutor())
         # First attempt dies mid-campaign under a fail-fast policy.
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
+        policy = FaultPolicy(max_retries=0,
                              injector=FaultInjector(raises={12}))
-        with pytest.raises(TaskError):
-            snapshot_probability(pool2, fault_policy=policy,
-                                 checkpoint=self.fingerprinted(path))
-        saved = json.loads(open(path).read())
+        with faulty_pool(policy) as pool, pytest.raises(TaskError):
+            snapshot_probability(pool, checkpoint=self.fingerprinted(path))
+        saved = json.loads(pathlib.Path(path).read_text())
         assert 0 < saved["state"]["batch"] < 20
         # Resume: finishes the remaining batches and matches serial —
         # estimate and logical totals both.
@@ -413,12 +297,11 @@ class TestCheckpoint:
         path = str(tmp_path / "mean.json")
         reference = estimate_mean(uniform_sample, runs=120, rng=7,
                                   executor=FixedBatches(10))
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
+        policy = FaultPolicy(max_retries=0,
                              injector=FaultInjector(raises={7}))
-        with pytest.raises(TaskError):
+        with faulty_pool(policy) as pool, pytest.raises(TaskError):
             estimate_mean(uniform_sample, runs=120, rng=7,
-                          executor=FixedBatches(10, pool2),
-                          fault_policy=policy,
+                          executor=FixedBatches(10, pool),
                           checkpoint=Checkpoint(path, every=1))
         resumed = estimate_mean(uniform_sample, runs=120, rng=7,
                                 executor=FixedBatches(10, pool2),
@@ -427,11 +310,10 @@ class TestCheckpoint:
 
     def test_fingerprint_mismatch_restarts(self, pool2, tmp_path):
         path = str(tmp_path / "stale.json")
-        policy = FaultPolicy(max_retries=0, backoff=0.0,
+        policy = FaultPolicy(max_retries=0,
                              injector=FaultInjector(raises={5}))
-        with pytest.raises(TaskError):
-            snapshot_probability(pool2, fault_policy=policy,
-                                 checkpoint=Checkpoint(path, every=1))
+        with faulty_pool(policy) as pool, pytest.raises(TaskError):
+            snapshot_probability(pool, checkpoint=Checkpoint(path, every=1))
         # Different campaign parameters: the stale checkpoint must be
         # ignored, not half-applied.
         reference = estimate_probability(biased_coin, runs=200, rng=99,
@@ -451,6 +333,23 @@ class TestCheckpoint:
             json.dump({"schema": "other/1"}, handle)
         assert Checkpoint(path).load({"kind": "x"}) is None
 
+    @pytest.mark.parametrize("damage", DAMAGES, ids=list(DAMAGES))
+    def test_malformed_checkpoint_restarts(self, tmp_path, damage):
+        path = tmp_path / "damaged.json"
+        fail = FaultPolicy(max_retries=0, injector=FaultInjector(raises={1}))
+        with pytest.raises(TaskError):
+            estimate_probability(biased_coin, 100, rng=5,
+                                 executor=SerialExecutor(policy=fail),
+                                 checkpoint=Checkpoint(path))
+        document = json.loads(path.read_text())
+        DAMAGES[damage](document)
+        path.write_text(json.dumps(document))
+        reference = estimate_probability(biased_coin, 100, rng=5)
+        resumed = estimate_probability(biased_coin, 100, rng=5,
+                                       checkpoint=Checkpoint(path))
+        assert (resumed.successes, resumed.runs) == \
+            (reference.successes, reference.runs)
+
     def test_save_load_clear_roundtrip(self, tmp_path):
         path = str(tmp_path / "roundtrip.json")
         checkpoint = Checkpoint(path, every=3)
@@ -468,9 +367,10 @@ class TestCheckpoint:
         assert not os.path.exists(path)
 
     def test_default_executor_checkpoints_and_resumes(self, tmp_path):
-        """``checkpoint``/``fault_policy`` need no explicit executor:
-        the default serial campaign (200 runs as tasks of 64/64/64/8
-        runs) recovers, and resumes exactly."""
+        """``checkpoint`` needs no explicit executor: the default serial
+        campaign (200 runs as tasks of 64/64/64/8 runs) resumes exactly
+        where a serial executor with a fault policy left off, and that
+        executor recovers too."""
         path = str(tmp_path / "default.json")
 
         def campaign(**options):
@@ -481,15 +381,16 @@ class TestCheckpoint:
             return estimate, collector.snapshot()["counters"]
 
         reference, ref_counters = campaign()
-        retry = FaultPolicy(max_retries=1, backoff=0.0,
+        retry = FaultPolicy(max_retries=1,
                             injector=FaultInjector(raises={1}))
-        recovered, _ = campaign(fault_policy=retry)
+        recovered, _ = campaign(executor=SerialExecutor(policy=retry))
         assert recovered.successes == reference.successes
-        fail = FaultPolicy(max_retries=0, backoff=0.0,
+        fail = FaultPolicy(max_retries=0,
                            injector=FaultInjector(raises={2}))
         with pytest.raises(TaskError):
-            campaign(fault_policy=fail, checkpoint=Checkpoint(path, every=1))
-        state = json.loads(open(path).read())["state"]
+            campaign(executor=SerialExecutor(policy=fail),
+                     checkpoint=Checkpoint(path, every=1))
+        state = json.loads(pathlib.Path(path).read_text())["state"]
         assert (state["batch"], state["done"]) == (2, 128)
         resumed, counters = campaign(checkpoint=Checkpoint(path, every=1))
         assert (resumed.successes, resumed.runs, resumed.low,

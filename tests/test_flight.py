@@ -221,12 +221,11 @@ class TestParallelFlightEquivalence:
 
     KWARGS = dict(horizon=100, runs=256, rng=42)
 
-    def run_once(self, executor, fault_policy=None):
+    def run_once(self, executor):
         with recording(FlightRecorder()) as rec:
             estimate = probability_estimate(TRAINGATE, CROSS0,
                                             executor=FixedBatches(
                                                 32, executor),
-                                            fault_policy=fault_policy,
                                             **self.KWARGS)
         data = rec.to_dict()
         return estimate, logical_events(data["events"]), \
@@ -239,9 +238,10 @@ class TestParallelFlightEquivalence:
             self.run_once(pool2)
         policy = FaultPolicy(max_retries=2,
                              injector=FaultInjector(raises={1}))
-        with ParallelExecutor(workers=2, mp_context=MP_START) as faulty:
+        with ParallelExecutor(workers=2, mp_context=MP_START,
+                              policy=policy) as faulty:
             faulty_est, faulty_events, faulty_series = \
-                self.run_once(faulty, fault_policy=policy)
+                self.run_once(faulty)
 
         assert (serial_est.successes, serial_est.runs) == \
             (parallel_est.successes, parallel_est.runs) == \

@@ -70,12 +70,11 @@ def record_probe(seeds):
 BATCHES = [(list(range(i * 5, i * 5 + 5)),) for i in range(8)]
 
 
-def merged_probe_profile(executor, policy=None):
+def merged_probe_profile(executor):
     """Run the probe batches under a manual-mode ambient profiler and
     return ``(results, profile snapshot)``."""
     with profiling(hz=0) as profiler:
-        results = list(executor.imap(record_probe, BATCHES,
-                                     policy=policy))
+        results = list(executor.imap(record_probe, BATCHES))
     return results, profiler.profile.to_dict()
 
 
@@ -207,12 +206,14 @@ class TestParallelProfileEquivalence:
         assert parallel["stacks"] == serial["stacks"]
         assert parallel["samples"] == serial["samples"]
 
-    def test_fault_recovery_never_double_counts(self, pool2):
+    def test_fault_recovery_never_double_counts(self):
         _, reference = merged_probe_profile(SerialExecutor())
-        policy = FaultPolicy(max_retries=3, backoff=0.01,
+        policy = FaultPolicy(max_retries=3,
                              injector=FaultInjector(kill={1},
                                                     raises={3, 5}))
-        results, recovered = merged_probe_profile(pool2, policy=policy)
+        with ParallelExecutor(workers=2, mp_context=MP_START,
+                              policy=policy) as faulty:
+            results, recovered = merged_probe_profile(faulty)
         # A failed attempt's worker-side profile dies with the worker;
         # only the clean attempt merges, so counts cannot inflate.
         assert recovered["stacks"] == reference["stacks"]
@@ -221,10 +222,9 @@ class TestParallelProfileEquivalence:
 
     def test_serial_fault_recovery_matches_too(self):
         _, reference = merged_probe_profile(SerialExecutor())
-        policy = FaultPolicy(max_retries=2, backoff=0.0,
+        policy = FaultPolicy(max_retries=2,
                              injector=FaultInjector(raises={2, 4}))
-        _, recovered = merged_probe_profile(SerialExecutor(),
-                                            policy=policy)
+        _, recovered = merged_probe_profile(SerialExecutor(policy=policy))
         assert recovered["stacks"] == reference["stacks"]
 
 

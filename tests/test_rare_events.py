@@ -65,6 +65,12 @@ class TestChain:
             fixed_effort_splitting(net, lambda n, v, c: 1, max_level=2,
                                    runs_per_stage=10, rng=4)
 
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_empty_stage_budget_is_rejected(self, runs):
+        with pytest.raises(AnalysisError, match="runs_per_stage"):
+            fixed_effort_splitting(chain_pta(0.5, 2), chain_level,
+                                   max_level=2, runs_per_stage=runs, rng=4)
+
 
 class TestBRPRareEvent:
     def test_single_frame_failure_probability(self):

@@ -391,11 +391,6 @@ class TestExecutorEdgePaths:
         # are drained, not leaked, and the pool stays usable.
         assert list(pool2.map(double, [(7,)])) == [14]
 
-    def test_inflight_one(self):
-        with ParallelExecutor(workers=2, inflight=1) as executor:
-            assert list(executor.imap(double, [(i,) for i in range(6)])) \
-                == [0, 2, 4, 6, 8, 10]
-
     def test_zero_tasks(self, pool2):
         assert list(pool2.imap(double, [])) == []
         assert list(SerialExecutor().imap(double, [])) == []
