@@ -319,12 +319,22 @@ def test_smc_budget_vs_interval_width(benchmark):
     assert chernoff_runs(0.05, 0.05) == 738
 
 
+def dala_maximal_progress():
+    """DALA (counter bound 4) with maximal progress.  DALA's own two
+    release-over-grant rules never find their high connector enabled
+    with their low one, so they block nothing; maximal progress blocks
+    interactions in 240 of the 256 reachable states."""
+    system = make_dala(with_controller=True, counter_bound=4)
+    system.add_maximal_progress()
+    return system
+
+
 @pytest.mark.benchmark(group="engines-bip")
 @pytest.mark.parametrize("with_priorities", [True, False])
 def test_bip_priority_ablation(benchmark, with_priorities):
     """Engine throughput and suppressed-interaction counts with the
-    DALA priority layer on and off."""
-    system = make_dala(with_controller=True, counter_bound=4)
+    priority layer on (:func:`dala_maximal_progress`) and off."""
+    system = dala_maximal_progress()
     if not with_priorities:
         system.priorities = []
 
@@ -334,7 +344,9 @@ def test_bip_priority_ablation(benchmark, with_priorities):
         return trace.blocked_count
 
     blocked = benchmark.pedantic(run, rounds=1, iterations=1)
-    if not with_priorities:
+    if with_priorities:
+        assert blocked > 0
+    else:
         assert blocked == 0
 
 
@@ -573,8 +585,7 @@ def main(argv=None):
             probability_estimate(network, cross_predicate(0),
                                  horizon=100, runs=smc_runs, rng=42)
         with span("bench.bip"):
-            engine = BIPEngine(make_dala(with_controller=True,
-                                         counter_bound=4), rng=3)
+            engine = BIPEngine(dala_maximal_progress(), rng=3)
             engine.run(max_steps=400)
 
     report = Report(collector, tracer, profile=profiler, flight=recorder,

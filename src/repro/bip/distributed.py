@@ -52,29 +52,28 @@ class DistributedEngine:
         return batch
 
     def step(self):
-        """One distributed round; returns the batch fired (possibly
-        empty on deadlock)."""
+        """One distributed round; returns the interactions fired, in
+        firing order (empty on deadlock)."""
         interactions = self.system.enabled_interactions(self.state)
         if not interactions:
             self.trace.deadlocked = True
             return []
-        batch = self._select_batch(interactions)
-        for interaction in batch:
-            # Interactions in a batch touch disjoint components, so
-            # firing them sequentially is a valid linearisation --
-            # unless an earlier firing disabled a later one through
-            # shared *data* (connector guards); re-check before firing.
-            still_enabled = any(
-                i.connector.name == interaction.connector.name
-                and [c.name for c, _t in i.participants]
-                == [c.name for c, _t in interaction.participants]
-                for i in self.system.enabled_interactions(self.state))
-            if not still_enabled:
+        fired = []
+        for interaction in self._select_batch(interactions):
+            # Batch members touch disjoint components, but a transfer may
+            # rewrite any component's data and so disable a later
+            # member's guards: each member after the first fires only if
+            # it is still enabled with the same transitions.
+            key = (interaction.connector, interaction.participants)
+            if fired and key not in [
+                    (i.connector, i.participants)
+                    for i in self.system.enabled_interactions(self.state)]:
                 continue
             self.state = self.system.execute(self.state, interaction)
             self.trace.steps.append(interaction.describe())
+            fired.append(interaction)
         self.rounds += 1
-        return batch
+        return fired
 
     def run(self, max_rounds=1000, observer=None, invariant=None):
         if observer is not None:
@@ -96,3 +95,4 @@ class DistributedEngine:
         if self.rounds == 0:
             return 0.0
         return len(self.trace.steps) / self.rounds
+

@@ -60,10 +60,9 @@ class BIPEngine:
     def step(self):
         """One engine cycle; returns the fired interaction or ``None``
         on deadlock."""
-        unfiltered = self.system.enabled_interactions(
-            self.state, apply_priorities=False)
-        interactions = self.system.enabled_interactions(self.state)
-        self.trace.blocked_count += len(unfiltered) - len(interactions)
+        candidates = self.system.enumerate_interactions(self.state)
+        interactions = self.system.filter_priorities(self.state, candidates)
+        self.trace.blocked_count += len(candidates) - len(interactions)
         chosen = self.choose(interactions)
         if chosen is None:
             self.trace.deadlocked = True
@@ -137,8 +136,7 @@ def explore_statespace(system, max_states=100000):
         deadlocks = []
         while queue:
             state = queue.pop()
-            interactions = system.enabled_interactions(
-                state, apply_priorities=False)
+            interactions = system.enumerate_interactions(state)
             if not interactions:
                 deadlocks.append(state)
                 continue

@@ -11,6 +11,7 @@ transformers cited in the paper).
 from __future__ import annotations
 
 from itertools import product
+from types import MappingProxyType
 
 from ..core.errors import ModelError
 from .component import AtomicComponent
@@ -131,63 +132,55 @@ class BIPSystem:
             tuple(c.initial_place for c in self.components),
             tuple(c.declarations.initial() for c in self.components))
 
-    def _port_choices(self, state, comp_name, port):
-        index = self._index[comp_name]
-        component = self.components[index]
-        return component.enabled_transitions(
-            state.places[index], state.valuations[index], port)
+    def enabled_interactions(self, state):
+        """All interactions firable from ``state``, priority-filtered."""
+        return self.filter_priorities(state,
+                                      self.enumerate_interactions(state))
 
-    def enabled_interactions(self, state, apply_priorities=True):
-        """All interactions firable from ``state`` (priority-filtered by
-        default)."""
+    def enumerate_interactions(self, state):
+        """All interactions firable from ``state`` before priorities.
+
+        A broadcast joins its trigger, first, with every other endpoint
+        that has an enabled transition (the maximal interaction).  Each
+        connector guard is called once, on one read-only context.
+        """
+        places, valuations = state.places, state.valuations
+        ctx = None
         interactions = []
         for connector in self.connectors:
-            interactions.extend(self._connector_instances(connector, state))
-        if apply_priorities and self.priorities:
-            interactions = self._filter_priorities(state, interactions)
+            per_endpoint = []
+            for comp_name, port in connector.endpoints:
+                index = self._index[comp_name]
+                component = self.components[index]
+                per_endpoint.append([
+                    (component, t) for t in component.enabled_transitions(
+                        places[index], valuations[index], port)])
+            if connector.is_broadcast:
+                trigger_pos = connector.endpoints.index(connector.trigger)
+                trigger = per_endpoint.pop(trigger_pos)
+                per_endpoint = [trigger] + [c for c in per_endpoint if c]
+            if not all(per_endpoint):
+                continue
+            if connector.guard is not None:
+                if ctx is None:
+                    ctx = self._context(state)
+                if not connector.guard(ctx):
+                    continue
+            interactions.extend(Interaction(connector, combo)
+                                for combo in product(*per_endpoint))
         return interactions
 
-    def _connector_instances(self, connector, state):
-        per_endpoint = []
-        for comp_name, port in connector.endpoints:
-            choices = self._port_choices(state, comp_name, port)
-            component = self.component(comp_name)
-            per_endpoint.append(
-                [(component, t) for t in choices])
-        if connector.is_broadcast:
-            trigger_pos = connector.endpoints.index(connector.trigger)
-            if not per_endpoint[trigger_pos]:
-                return []
-            # Maximal interaction: trigger plus every ready receiver.
-            out = []
-            ready = [per_endpoint[trigger_pos]] + [
-                c for i, c in enumerate(per_endpoint)
-                if i != trigger_pos and c]
-            for combo in product(*ready):
-                interaction = Interaction(connector, combo)
-                if self._guard_holds(connector, state, interaction):
-                    out.append(interaction)
-            return out
-        if not all(per_endpoint):
-            return []
-        out = []
-        for combo in product(*per_endpoint):
-            interaction = Interaction(connector, combo)
-            if self._guard_holds(connector, state, interaction):
-                out.append(interaction)
-        return out
-
-    def _guard_holds(self, connector, state, interaction):
-        if connector.guard is None:
-            return True
-        return bool(connector.guard(self._context(state)))
-
     def _context(self, state):
-        """Read-only view of all component data for connector guards."""
-        return {c.name: state.valuations[i]
-                for i, c in enumerate(self.components)}
+        """Read-only view of all component data for connector guards
+        and priority conditions."""
+        return MappingProxyType({
+            c.name: v for c, v in zip(self.components, state.valuations)})
 
-    def _filter_priorities(self, state, interactions):
+    def filter_priorities(self, state, interactions):
+        """``interactions`` less those whose connector a priority rule
+        suppresses in ``state``."""
+        if not self.priorities:
+            return interactions
         enabled_names = {i.connector.name for i in interactions}
         suppressed = set()
         ctx = None

@@ -27,6 +27,7 @@ bip-priority-shadowed     info      priority pair declared both ways round
 
 from __future__ import annotations
 
+from ..bip.dfinder import component_invariant
 from ..core.errors import ModelError
 from .findings import Finding
 
@@ -77,19 +78,9 @@ def _check_component(component, model_name, connected_ports, findings):
                 "bip-port-unconnected", "warning", model_name, where,
                 f"port {port!r} has transitions but is in no connector: "
                 f"in a closed system those transitions can never fire"))
-    successors = {}
-    for transition in component.transitions:
-        successors.setdefault(transition.source, set()).add(
-            transition.target)
-    seen = {component.initial_place}
-    stack = [component.initial_place]
-    while stack:
-        for target in successors.get(stack.pop(), ()):
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
+    reachable = component_invariant(component)
     for place in component.places:
-        if place not in seen:
+        if place not in reachable:
             findings.append(Finding(
                 "bip-place-unreachable", "warning", model_name,
                 f"{component.name}/{place}",

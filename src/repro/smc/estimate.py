@@ -200,12 +200,33 @@ def _campaign_setup(checkpoint, kind, seeds, executor, initial_state):
     inner = Collector("smc.checkpoint")
     state = initial_state
     loaded = checkpoint.load(fingerprint)
-    # A saved state missing a key of this entry point's tally is
-    # damaged, not resumable: restart as if there were no file.
-    if loaded is not None and loaded["state"].keys() >= initial_state.keys():
-        state = loaded["state"]
-        inner.merge(loaded["metrics"])
+    # A tally or metrics snapshot that cannot be resumed exactly is
+    # damaged: restart as if there were no file.
+    if loaded is not None and _resumable(loaded["state"], initial_state,
+                                         size, len(seeds)):
+        try:
+            inner.merge(loaded["metrics"])
+        except (AttributeError, KeyError, TypeError):
+            inner = Collector("smc.checkpoint")
+        else:
+            state = loaded["state"]
     return fingerprint, size, state, inner, outer
+
+
+def _resumable(state, initial_state, size, runs):
+    """Whether a saved tally is one of ``initial_state``'s shape that
+    covers exactly its ``batch`` whole batches of ``size`` runs."""
+    if not all(type(state.get(key)) is type(value)
+               for key, value in initial_state.items()):
+        return False
+    batch = state["batch"]
+    if batch < 0 or (batch - 1) * size >= runs:
+        return False
+    done = min(batch * size, runs)
+    if "samples" in state:
+        return len(state["samples"]) == done and all(
+            isinstance(value, (int, float)) for value in state["samples"])
+    return state["done"] == done and 0 <= state["successes"] <= done
 
 
 def _campaign_finish(checkpoint, inner, outer):

@@ -1,9 +1,12 @@
 """Test doubles shared by test modules: an executor that pins batch
-boundaries, and the first-passage recorder both simulators'
-``first_passage`` walks are held to."""
+boundaries, the first-passage recorder both simulators'
+``first_passage`` walks are held to, and the two-pass BIP interaction
+enumeration and engine step the one-pass ones are held to."""
 
 import math
+from itertools import product
 
+from repro.bip import BIPEngine, Interaction
 from repro.runtime import Executor, SerialExecutor
 
 
@@ -56,3 +59,73 @@ class FirstPassageRecorder:
         """Whether every predicate has held; ignores its arguments, so
         it serves as either simulator's ``stop``."""
         return not self.pending
+
+
+def two_pass_interactions(system, state):
+    """``(unfiltered, filtered)``: the interactions of ``system`` from
+    ``state`` before and after priorities, enumerated connector by
+    connector with the guard asked once per instance on a fresh
+    context, then filtered by a second pass."""
+    unfiltered = []
+    for connector in system.connectors:
+        unfiltered.extend(_connector_instances(system, connector, state))
+    return unfiltered, _filter_priorities(system, state, unfiltered)
+
+
+def _context(system, state):
+    return {c.name: state.valuations[i]
+            for i, c in enumerate(system.components)}
+
+
+def _connector_instances(system, connector, state):
+    per_endpoint = []
+    for comp_name, port in connector.endpoints:
+        index = system.component_index(comp_name)
+        component = system.components[index]
+        per_endpoint.append([
+            (component, t) for t in component.enabled_transitions(
+                state.places[index], state.valuations[index], port)])
+    if connector.is_broadcast:
+        trigger_pos = connector.endpoints.index(connector.trigger)
+        if not per_endpoint[trigger_pos]:
+            return []
+        # Maximal interaction: trigger plus every ready receiver.
+        per_endpoint = [per_endpoint[trigger_pos]] + [
+            c for i, c in enumerate(per_endpoint)
+            if i != trigger_pos and c]
+    elif not all(per_endpoint):
+        return []
+    return [Interaction(connector, combo)
+            for combo in product(*per_endpoint)
+            if connector.guard is None
+            or connector.guard(_context(system, state))]
+
+
+def _filter_priorities(system, state, interactions):
+    enabled_names = {i.connector.name for i in interactions}
+    suppressed = set()
+    for rule in system.priorities:
+        if rule.high in enabled_names and (
+                rule.condition is None
+                or rule.condition(_context(system, state))):
+            suppressed.add(rule.low)
+    return [i for i in interactions
+            if i.connector.name not in suppressed]
+
+
+class TwoPassEngine(BIPEngine):
+    """:class:`~repro.bip.BIPEngine` stepping on
+    :func:`two_pass_interactions`: the same choice, firing and trace
+    bookkeeping, so a run with the same seed must match the engine's."""
+
+    def step(self):
+        unfiltered, interactions = two_pass_interactions(self.system,
+                                                         self.state)
+        self.trace.blocked_count += len(unfiltered) - len(interactions)
+        chosen = self.choose(interactions)
+        if chosen is None:
+            self.trace.deadlocked = True
+            return None
+        self.state = self.system.execute(self.state, chosen)
+        self.trace.steps.append(chosen.describe())
+        return chosen

@@ -88,3 +88,46 @@ class TestDistributedEngine:
         engine.reset()
         assert engine.rounds == 0
         assert engine.state.places == ("idle", "idle")
+
+
+def transfer_race():
+    """``A.a`` has two guarded transitions, s->t0 when ``x == 0`` and
+    s->t1 when ``x == 1``; ``B``'s connector sets ``A.x = 1``.  When a
+    round fires ``cb`` first, ``ca``'s drawn instance (s->t0) is stale."""
+    a = AtomicComponent("A", ports=["a"])
+    for place in ("s", "t0", "t1"):
+        a.add_place(place)
+    a.declare_int("x", 0, 0, 1)
+    a.add_transition("a", "s", "t0", guard=lambda env: env["x"] == 0)
+    a.add_transition("a", "s", "t1", guard=lambda env: env["x"] == 1)
+    b = AtomicComponent("B", ports=["b"])
+    b.add_place("s")
+    b.add_place("done")
+    b.add_transition("b", "s", "done")
+    system = BIPSystem("race")
+    system.add_component(a)
+    system.add_component(b)
+    system.add_connector(Connector("ca", [("A", "a")]))
+    system.add_connector(Connector(
+        "cb", [("B", "b")],
+        transfer=lambda envs: envs["A"].__setitem__("x", 1)))
+    return system
+
+
+class TestStaleMembers:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_round_fires_only_still_enabled_transitions(self, seed):
+        """A round fires each member only if the member, with the same
+        transitions, is enabled where it fires, and returns only what
+        it fired: the round is a run of centralised steps."""
+        system = transfer_race()
+        engine = DistributedEngine(system, rng=seed)
+        fired = engine.step()
+        state = system.initial_state()
+        for interaction in fired:
+            assert (interaction.connector, interaction.participants) in [
+                (i.connector, i.participants)
+                for i in system.enabled_interactions(state)]
+            state = system.execute(state, interaction)
+        assert state.key() == engine.state.key()
+        assert len(fired) == len(engine.trace.steps)

@@ -15,6 +15,7 @@ from repro.models.dala import (
     safety_invariant,
     unsafe,
 )
+from repro.obs import Collector, collecting
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +81,20 @@ class TestFaultInjection:
         assert violations == 10
 
     def test_priorities_steer_scheduling(self, controlled):
-        """The release-over-grant policy suppresses grants sometimes."""
-        engine = BIPEngine(controlled, rng=13)
-        trace = engine.run(max_steps=300)
-        assert trace.blocked_count >= 0  # counted, never negative
+        """DALA's two release-over-grant rules never find their high
+        connector enabled with their low one, so they block nothing;
+        maximal progress blocks interactions in 60 of the 64 states."""
+        trace = BIPEngine(controlled, rng=13).run(max_steps=300)
+        assert (len(trace), trace.blocked_count) == (300, 0)
+        system = make_dala(with_controller=True, counter_bound=2)
+        system.add_maximal_progress()
+        states, _deadlocks = explore_statespace(system)
+        blocking = [s for s in states
+                    if len(system.enabled_interactions(s))
+                    < len(system.enumerate_interactions(s))]
+        assert (len(states), len(blocking)) == (64, 60)
+        trace = BIPEngine(system, rng=13).run(max_steps=300)
+        assert (len(trace), trace.blocked_count) == (300, 899)
 
     def test_rover_keeps_working_under_faults(self, controlled):
         """Liveness-ish: missions still complete despite fault storms."""
@@ -92,3 +103,44 @@ class TestFaultInjection:
         index = engine.system.component_index("functional/RFLEX")
         assert engine.state.valuations[index]["missions"] >= 1 or any(
             "c_halt" in step for step in engine.trace.steps)
+
+
+class TestExperimentCounters:
+    """E6 as ``benchmarks/bench_dala_bip.py`` runs it (counter bound 4,
+    50 fault-injected runs of 300 steps per configuration), pinned."""
+
+    @staticmethod
+    def fault_runs(system):
+        collector = Collector("e6")
+        violations = 0
+        with collecting(collector):
+            for seed in range(50):
+                try:
+                    BIPEngine(system, rng=seed).run(
+                        max_steps=300, invariant=safety_invariant,
+                        fault_injector=comm_request_fault)
+                except AnalysisError:
+                    violations += 1
+        return violations, collector.snapshot()["counters"]
+
+    def test_e6_fault_campaign(self):
+        with_r2c, counters = self.fault_runs(
+            make_dala(with_controller=True, counter_bound=4))
+        without_r2c, more = self.fault_runs(
+            make_dala(with_controller=False, counter_bound=4))
+        assert (with_r2c, without_r2c) == (0, 50)
+        totals = {name: counters.get(name, 0) + more.get(name, 0)
+                  for name in ("bip.runs", "bip.steps", "bip.blocked",
+                               "bip.deadlocks")}
+        assert totals == {"bip.runs": 100, "bip.steps": 15000 + 461,
+                          "bip.blocked": 0, "bip.deadlocks": 0}
+
+    def test_maximal_progress_blocks(self):
+        system = make_dala(with_controller=True, counter_bound=4)
+        system.add_maximal_progress()
+        trace = BIPEngine(system, rng=3).run(max_steps=400)
+        assert (len(trace), trace.blocked_count) == (400, 1199)
+        violations, counters = self.fault_runs(system)
+        assert violations == 0
+        assert (counters["bip.steps"], counters["bip.blocked"]) == \
+            (15000, 32611)

@@ -261,12 +261,27 @@ class TestFailureDecision:
 
 
 #: Checkpoint documents that match their campaign's fingerprint but
-#: cannot be resumed from.
+#: cannot be resumed from, each with the entry point that saved it.
 DAMAGES = {
-    "no-state": lambda document: document.pop("state"),
-    "no-successes": lambda document: document["state"].pop("successes"),
-    "metrics-list": lambda document: document.update(metrics=[]),
+    "no-state": (estimate_probability,
+                 lambda document: document.pop("state")),
+    "no-successes": (estimate_probability,
+                     lambda document: document["state"].pop("successes")),
+    "metrics-list": (estimate_probability,
+                     lambda document: document.update(metrics=[])),
+    "counters-list": (estimate_probability, lambda document:
+                      document.update(metrics={"counters": []})),
+    "successes-string": (estimate_probability, lambda document:
+                         document["state"].update(successes="7")),
+    "done-negative": (estimate_probability, lambda document:
+                      document["state"].update(done=-5)),
+    "samples-string": (estimate_mean, lambda document:
+                       document["state"].update(samples="7")),
+    "samples-of-strings": (estimate_mean, lambda document:
+                           document["state"].update(samples=[
+                               str(v) for v in document["state"]["samples"]])),
 }
+RUN_ONCE = {estimate_probability: biased_coin, estimate_mean: uniform_sample}
 
 
 class TestCheckpoint:
@@ -336,19 +351,23 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", DAMAGES, ids=list(DAMAGES))
     def test_malformed_checkpoint_restarts(self, tmp_path, damage):
         path = tmp_path / "damaged.json"
+        estimate, damage = DAMAGES[damage]
+        run_once = RUN_ONCE[estimate]
         fail = FaultPolicy(max_retries=0, injector=FaultInjector(raises={1}))
         with pytest.raises(TaskError):
-            estimate_probability(biased_coin, 100, rng=5,
-                                 executor=SerialExecutor(policy=fail),
-                                 checkpoint=Checkpoint(path))
+            estimate(run_once, 100, rng=5,
+                     executor=SerialExecutor(policy=fail),
+                     checkpoint=Checkpoint(path))
         document = json.loads(path.read_text())
-        DAMAGES[damage](document)
+        damage(document)
         path.write_text(json.dumps(document))
-        reference = estimate_probability(biased_coin, 100, rng=5)
-        resumed = estimate_probability(biased_coin, 100, rng=5,
-                                       checkpoint=Checkpoint(path))
-        assert (resumed.successes, resumed.runs) == \
-            (reference.successes, reference.runs)
+        collector = Collector("resumed")
+        with collecting(collector):
+            resumed = estimate(run_once, 100, rng=5,
+                               checkpoint=Checkpoint(path))
+        reference = estimate(run_once, 100, rng=5)
+        assert (resumed.runs, resumed.mean) == (reference.runs, reference.mean)
+        assert collector.snapshot()["counters"]["smc.runs"] == 100
 
     def test_save_load_clear_roundtrip(self, tmp_path):
         path = str(tmp_path / "roundtrip.json")
